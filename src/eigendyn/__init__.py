@@ -8,6 +8,9 @@ ships builders for ring-lattice, scattering, and effective-Hamiltonian
 state matrices.
 """
 
+# set before the submodule imports: engine records it in run provenance
+__version__ = "0.1.0"
+
 from .core import (
     ConjugatePairing,
     PathMatch,
@@ -18,8 +21,8 @@ from .core import (
     pair_conjugates,
 )
 from .dynamics import (
-    EigenSeparation,
     ForceBreakdown,
+    ForceColumns,
     MatrixTrajectory,
     circulant_acceleration,
     circulant_eigenvalues,
@@ -28,8 +31,8 @@ from .dynamics import (
     dft_basis,
     eigen_acceleration,
     eigen_velocity,
+    force_columns,
     pairwise_conjugate_summand,
-    separation,
 )
 from .engine import (
     CollisionEvent,
@@ -43,12 +46,10 @@ from .engine import (
 from .models import (
     BiophysicalRing,
     EffectiveHamiltonianSpec,
-    LocalizationAnsatz,
     TransferMatrixModel,
     build_omega,
     build_omega_le,
     effective_hamiltonian,
-    localized_vector,
     main_result_acceleration,
     omega_le_spectrum,
     scattering_data,
@@ -62,5 +63,3 @@ from .stochastic import (
     monte_carlo_conjugate_force,
     sample_step,
 )
-
-__version__ = "0.1.0"

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import core, engine, models
+from . import core, dynamics, engine, models
 from .engine import ScenarioConfig
 from .errors import ConfigInvalid, EigendynError
 
@@ -171,8 +171,6 @@ def cmd_oracle(args) -> int:
     vel_tol = args.tolerance
     acc_tol = args.tolerance * 100
 
-    from .dynamics import eigen_acceleration, eigen_velocity
-
     span = cfg.t1 - cfg.t0
     times = [cfg.t0 + f * span for f in (0.2, 0.4, 0.6, 0.8)]
     d_vel, d_acc = 1e-4, 1e-3
@@ -189,20 +187,20 @@ def cmd_oracle(args) -> int:
                 dq = core.decompose(np.asarray(trajectory.value(tq), dtype=complex))
                 return dq.eigenvalues[core.match_paths(ref, dq).permutation]
 
-            wm1 = matched_eigs(t - d_vel, d0)
-            wp1 = matched_eigs(t + d_vel, d0)
-            wm2 = matched_eigs(t - d_acc, d0)
-            wp2 = matched_eigs(t + d_acc, d0)
-            for j in range(d0.n):
-                vel = eigen_velocity(d0, mdot, j)
-                vel_fd = (wp1[j] - wm1[j]) / (2 * d_vel)
-                acc = eigen_acceleration(d0, mdot, mddot, j).total
-                acc_fd = (wp2[j] - 2 * d0.eigenvalues[j] + wm2[j]) / d_acc**2
-                ev = abs(vel - vel_fd) / max(abs(vel_fd), 1e-12)
-                ea = abs(acc - acc_fd) / max(abs(acc_fd), 1e-12)
-                max_vel_err = max(max_vel_err, ev)
-                max_acc_err = max(max_acc_err, ea)
-                print(f"{t:>10.4g} {j:>3} {ev:>14.3e} {ea:>14.3e}")
+            vel_fd = (matched_eigs(t + d_vel, d0)
+                      - matched_eigs(t - d_vel, d0)) / (2 * d_vel)
+            acc_fd = (matched_eigs(t + d_acc, d0) - 2 * d0.eigenvalues
+                      + matched_eigs(t - d_acc, d0)) / d_acc**2
+            forces = dynamics.force_columns(
+                d0.left, d0.right, d0.eigenvalues, mdot, mddot, np.arange(d0.n)
+            )
+            forces.raise_singular()
+            ev = np.abs(forces.velocity - vel_fd) / np.maximum(np.abs(vel_fd), 1e-12)
+            ea = np.abs(forces.total - acc_fd) / np.maximum(np.abs(acc_fd), 1e-12)
+            max_vel_err = max(max_vel_err, float(ev.max()))
+            max_acc_err = max(max_acc_err, float(ea.max()))
+            for j, (e_vel, e_acc) in enumerate(zip(ev, ea)):
+                print(f"{t:>10.4g} {j:>3} {e_vel:>14.3e} {e_acc:>14.3e}")
     except EigendynError as exc:
         return _fail(EXIT_RUNTIME, str(exc))
 

@@ -12,6 +12,9 @@ For a real matrix the i = conj-partner summand is purely imaginary,
 equal to -i |u_j^T Mdot v_j|^2 / Im(lambda_j): the attraction between an
 eigenvalue and its complex conjugate, singular as the pair reaches the
 real axis.
+
+:func:`force_columns` evaluates these sums for any set of j in one call;
+the per-eigenvalue accelerations below are views on it.
 """
 
 from __future__ import annotations
@@ -22,22 +25,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import ConjugatePairing, SpectralDecomposition, as_square_matrix
-from .errors import (
-    DimensionMismatch,
-    RealEigenvalue,
-    SingularGap,
-    ZeroSeparation,
-)
+from .errors import DimensionMismatch, RealEigenvalue, SingularGap
 
 __all__ = [
     "MatrixTrajectory",
     "ForceBreakdown",
-    "EigenSeparation",
+    "ForceColumns",
+    "force_columns",
     "eigen_velocity",
     "eigen_acceleration",
     "conjugate_force",
     "pairwise_conjugate_summand",
-    "separation",
     "circulant_acceleration",
     "dft_basis",
     "circulant_matrix",
@@ -119,10 +117,6 @@ class MatrixTrajectory:
             "analytic",
         )
 
-    @staticmethod
-    def constant(m) -> "MatrixTrajectory":
-        return MatrixTrajectory.polynomial(m)
-
 
 @dataclass(frozen=True)
 class ForceBreakdown:
@@ -145,11 +139,96 @@ class ForceBreakdown:
 
 
 @dataclass(frozen=True)
-class EigenSeparation:
-    """Geometric separation between two eigenvalues in the complex plane."""
+class ForceColumns:
+    """Velocity and acceleration terms of the eigenvalues ``cols``.
 
-    r_hat: complex  # (conj(l_i) - conj(l_j)) / |l_i - l_j|, unit modulus
-    r_abs: float    # |l_i - l_j|
+    Entry c of every per-column array belongs to eigenvalue j = cols[c];
+    ``pairwise[i, c]`` is the summand T[i, j], zero for i = j and for
+    every i whose gap to j is below ``gap_tol``.  ``singular[c]`` is the
+    first such i, or -1 when there is none.
+    """
+
+    cols: np.ndarray
+    velocity: np.ndarray
+    inertial: np.ndarray
+    pairwise: np.ndarray
+    conjugate_term: np.ndarray
+    others: np.ndarray
+    singular: np.ndarray
+    gap_tol: float
+
+    @property
+    def total(self) -> np.ndarray:
+        return self.inertial + self.conjugate_term + self.others
+
+    def breakdown(self, c: int) -> ForceBreakdown:
+        return ForceBreakdown(inertial=complex(self.inertial[c]),
+                              conjugate_term=complex(self.conjugate_term[c]),
+                              others=complex(self.others[c]))
+
+    def raise_singular(self) -> None:
+        """Raise SingularGap for the first column with a singular gap."""
+        bad = np.flatnonzero(self.singular >= 0)
+        if bad.size:
+            i, j = int(self.singular[bad[0]]), int(self.cols[bad[0]])
+            raise SingularGap(f"eigenvalue gap |lambda_{i} - lambda_{j}| "
+                              f"below tolerance {self.gap_tol}", pair=(i, j))
+
+
+def force_columns(
+    left,
+    right,
+    eigenvalues,
+    mdot,
+    mddot,
+    cols,
+    partner=None,
+    gap_tol: float = 1e-12,
+) -> ForceColumns:
+    """The acceleration sum for the eigenvalues ``cols``, all i at once.
+
+    With C = U^H Mdot V (only the rows and columns ``cols`` are formed):
+    velocity C[j, j], inertial u_j^H Mddot v_j, and the pairwise terms
+    T[i, j] = 2 C[i, j] C[j, i] / (lambda_j - lambda_i).  T is
+    antisymmetric, so over the whole spectrum the totals sum to tr Mddot
+    and the velocities to tr Mdot.  With ``partner`` (an index per
+    eigenvalue, self for real ones) T[partner[j], j] is split off as the
+    conjugate term; ``others`` sums the remaining i directly rather than
+    subtracting it from the column sum, which would cancel near the real
+    axis.  Works for any left/right vector sets, not only a
+    decomposition's.
+    """
+    u = np.asarray(left)
+    v = np.asarray(right)
+    w = np.asarray(eigenvalues)
+    cols = np.asarray(cols, dtype=int)
+    n, k = len(w), len(cols)
+    ucols = u[:, cols].conj().T
+
+    # rows and columns ``cols`` of C, same products as the bilinear forms
+    c_col = u.conj().T @ (mdot @ v[:, cols])  # C[i, j]
+    c_row = (ucols @ mdot) @ v                # C[j, i]
+    velocity = c_row[np.arange(k), cols]
+    inertial = np.einsum("ci,ic->c", ucols @ mddot, v[:, cols])
+
+    gap = w[cols][None, :] - w[:, None]       # lambda_j - lambda_i
+    own = np.arange(n)[:, None] == cols[None, :]
+    small = (np.abs(gap) < gap_tol) & ~own
+    pairwise = np.divide(2.0 * c_col * c_row.T, gap,
+                         out=np.zeros((n, k), dtype=complex),
+                         where=~(own | small))
+    singular = np.where(small.any(axis=0), small.argmax(axis=0), -1)
+
+    rest = pairwise
+    conjugate_term = np.zeros(k, dtype=complex)
+    if partner is not None:
+        jbar = np.asarray(partner)[cols]
+        conjugate_term = pairwise[jbar, np.arange(k)]
+        rest = np.where(np.arange(n)[:, None] == jbar[None, :], 0.0, pairwise)
+    return ForceColumns(cols=cols, velocity=velocity, inertial=inertial,
+                        pairwise=pairwise, conjugate_term=conjugate_term,
+                        others=rest.sum(axis=0), singular=singular,
+                        gap_tol=gap_tol)
 
 
 def _check_dim(d: SpectralDecomposition, m: np.ndarray, name: str) -> None:
@@ -178,41 +257,16 @@ def eigen_acceleration(
     summand is isolated; otherwise it is folded into ``others``.
 
     Raises SingularGap when some |lambda_i - lambda_j| < gap_tol, carrying
-    the offending pair.
+    the offending pair (the first such i).
     """
     mdot = as_square_matrix(mdot)
     mddot = as_square_matrix(mddot)
     _check_dim(d, mdot, "Mdot")
     _check_dim(d, mddot, "Mddot")
-    w = d.eigenvalues
-    n = d.n
-
-    inertial = complex(d.left[:, j].conj() @ mddot @ d.right[:, j])
-    jbar = int(pairing.partner[j]) if pairing is not None else -1
-
-    # c[i] = u_i^H Mdot v_j ; r[i] = u_j^H Mdot v_i
-    c = d.left.conj().T @ (mdot @ d.right[:, j])
-    r = (d.left[:, j].conj() @ mdot) @ d.right
-
-    conjugate_term = 0.0 + 0.0j
-    others = 0.0 + 0.0j
-    for i in range(n):
-        if i == j:
-            continue
-        gap = w[j] - w[i]
-        if abs(gap) < gap_tol:
-            raise SingularGap(
-                f"eigenvalue gap |lambda_{i} - lambda_{j}| = {abs(gap):.3e} "
-                f"below tolerance {gap_tol}",
-                pair=(i, j),
-            )
-        term = 2.0 * c[i] * r[i] / gap
-        if i == jbar:
-            conjugate_term = complex(term)
-        else:
-            others += term
-    return ForceBreakdown(inertial=inertial, conjugate_term=conjugate_term,
-                          others=complex(others))
+    f = force_columns(d.left, d.right, d.eigenvalues, mdot, mddot, [j],
+                      None if pairing is None else pairing.partner, gap_tol)
+    f.raise_singular()
+    return f.breakdown(0)
 
 
 def conjugate_force(
@@ -268,20 +322,6 @@ def pairwise_conjugate_summand(
     return conjugate_force(d, pairing, mdot, j) / 2.0
 
 
-def separation(lam_i: complex, lam_j: complex) -> EigenSeparation:
-    """Unit direction and distance between two eigenvalues.
-
-    r_hat = (conj(lam_i) - conj(lam_j)) / |lam_i - lam_j|; note
-    r_hat / |r| = 1 / (lam_i - lam_j), which is how the geometric form of
-    the acceleration reduces to the pairwise sum.
-    """
-    diff = complex(lam_i) - complex(lam_j)
-    r_abs = abs(diff)
-    if r_abs == 0.0:
-        raise ZeroSeparation("coincident eigenvalues: direction undefined")
-    return EigenSeparation(r_hat=diff.conjugate() / r_abs, r_abs=r_abs)
-
-
 def dft_basis(n: int) -> np.ndarray:
     """Unitary DFT matrix whose columns diagonalize every circulant.
 
@@ -333,17 +373,7 @@ def circulant_acceleration(
     if v.shape != (n, n) or len(p) != n:
         raise DimensionMismatch("eigenvector matrix / perturbation size mismatch")
 
-    pv_j = p * v[:, j]  # diag(p) v_j
-    acc = 0.0 + 0.0j
-    for i in range(n):
-        if i == j:
-            continue
-        gap = w[j] - w[i]
-        if abs(gap) < gap_tol:
-            raise SingularGap(
-                f"circulant eigenvalue gap below {gap_tol}", pair=(i, j)
-            )
-        c_ij = v[:, i].conj() @ pv_j          # u_i^H P v_j
-        c_ji = v[:, j].conj() @ (p * v[:, i])  # u_j^H P v_i
-        acc += 2.0 * c_ij * c_ji / gap
-    return complex(acc)
+    f = force_columns(v, v, w, np.diag(p), np.zeros((n, n)), [j],
+                      gap_tol=gap_tol)
+    f.raise_singular()
+    return complex(f.others[0])

@@ -19,15 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import core, dynamics, models, stochastic
+from . import __version__, core, dynamics, models, stochastic
 from .core import SpectralDecomposition
 from .dynamics import ForceBreakdown, MatrixTrajectory
-from .errors import (
-    ConfigInvalid,
-    RealEigenvalue,
-    SingularGap,
-    UnsupportedFormat,
-)
+from .errors import ConfigInvalid, PairingFailure, UnsupportedFormat
 
 __all__ = [
     "ScenarioConfig",
@@ -41,8 +36,6 @@ __all__ = [
     "load_record",
     "detect_collisions",
 ]
-
-VERSION = "0.1.0"
 
 _COMPLEX_RE = re.compile(
     r"^\s*([+-]?[\d.]+(?:[eE][+-]?\d+)?)?\s*"
@@ -506,52 +499,46 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
         real_input = core.is_real(m, 1e-10) and core.is_real(mdot, 1e-10)
         pairing = None
         if real_input:
+            mdot = mdot.real
             try:
                 pairing = core.pair_conjugates(d, 1e-7)
-            except Exception:
+            except PairingFailure:
                 step_flags.append("pairing-failed")
 
+        raw = perm[tracked]
+        # without a pairing every eigenvalue is its own partner: no
+        # conjugate term is split off
+        partner = np.arange(n) if pairing is None else pairing.partner
+        # complex eigenvalues of a real matrix; near the axis the conjugate
+        # denominator blows up, so the record holds flagged non-numbers
+        # instead of huge values
+        paired = partner[raw] != raw
+        near_real = paired & (np.abs(d.eigenvalues[raw].imag) < threshold)
+        # the terms of a near-real pair may overflow; they are dropped below
+        with np.errstate(over="ignore", invalid="ignore"):
+            forces = dynamics.force_columns(d.left, d.right, d.eigenvalues, mdot,
+                                            mddot, raw, partner, gap_tol=1e-14)
+
         tracked_values = {}
-        for j in tracked:
-            raw_j = int(perm[j])
-            flags = []
-            vel = dynamics.eigen_velocity(d, mdot, raw_j)
-            im_j = d.eigenvalues[raw_j].imag
-            # a complex eigenvalue of a real matrix approaching the axis:
-            # the conjugate denominator blows up, record flagged
-            # non-numbers instead of huge values
-            near_real = (
-                pairing is not None
-                and not pairing.is_real_eig(raw_j)
-                and abs(im_j) < threshold
-            )
-            breakdown = None
-            if near_real:
-                flags.append("near-real")
+        for c, j in enumerate(tracked):
+            flags = ()
+            breakdown = conj_force = expected = None
+            if near_real[c]:
+                flags = ("near-real",)
+            elif forces.singular[c] >= 0:
+                flags = ("singular-gap",)
             else:
-                try:
-                    breakdown = dynamics.eigen_acceleration(
-                        d, mdot, mddot, raw_j, pairing=pairing,
-                        gap_tol=1e-14,
-                    )
-                except SingularGap:
-                    flags.append("singular-gap")
-            conj_force = None
-            expected = None
-            if (pairing is not None and not near_real
-                    and not pairing.is_real_eig(raw_j)):
-                try:
-                    conj_force = dynamics.conjugate_force(d, pairing, mdot.real, raw_j)
-                except RealEigenvalue:
-                    flags.append("near-real")
-                if proc is not None and conj_force is not None:
+                breakdown = forces.breakdown(c)
+            if paired[c] and not near_real[c]:
+                conj_force = complex(forces.conjugate_term[c])
+                if proc is not None:
                     expected = stochastic.expected_conjugate_force_iid(
-                        d, pairing, proc.sigma2, raw_j, kind=proc.kind
+                        d, pairing, proc.sigma2, int(raw[c]), kind=proc.kind
                     )
             tracked_values[j] = TrackedValues(
-                index=j, velocity=vel, breakdown=breakdown,
-                conjugate_force=conj_force, expected_force=expected,
-                flags=tuple(flags),
+                index=j, velocity=complex(forces.velocity[c]),
+                breakdown=breakdown, conjugate_force=conj_force,
+                expected_force=expected, flags=flags,
             )
 
         rows.append(StepRow(
@@ -568,7 +555,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
         provenance={
             "config_hash": cfg.config_hash(),
             "seed": cfg.seed,
-            "version": VERSION,
+            "version": __version__,
         },
     )
     events = detect_collisions(record, threshold)

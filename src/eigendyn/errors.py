@@ -31,14 +31,6 @@ class RealEigenvalue(EigendynError):
     """Im(lambda_j) vanishes: the conjugate force is singular (collision)."""
 
 
-class ZeroSeparation(EigendynError):
-    """Two eigenvalues coincide; the separation direction is undefined."""
-
-
-class NonpositiveLength(EigendynError):
-    """A localization length must be strictly positive."""
-
-
 class NotUnimodular(EigendynError):
     """Transfer matrix determinant differs from 1 beyond tolerance."""
 

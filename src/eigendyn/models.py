@@ -24,8 +24,8 @@ from .core import as_square_matrix
 from .dynamics import ForceBreakdown, MatrixTrajectory
 from .errors import (
     DimensionMismatch,
-    NonpositiveLength,
     NotUnimodular,
+    PairingFailure,
     SpectralSingularity,
 )
 
@@ -34,8 +34,6 @@ __all__ = [
     "build_omega",
     "build_omega_le",
     "omega_le_spectrum",
-    "LocalizationAnsatz",
-    "localized_vector",
     "EffectiveHamiltonianSpec",
     "effective_hamiltonian",
     "TransferMatrixModel",
@@ -122,36 +120,6 @@ def omega_le_spectrum(ring: BiophysicalRing) -> np.ndarray:
     n, d, a, h = ring.n, ring.diffusion, ring.growth, ring.tilt
     w = np.exp(2j * np.pi * np.arange(n) / n)
     return a - 2 * d + d * np.exp(h) * w + d * np.exp(-h) / w
-
-
-@dataclass(frozen=True)
-class LocalizationAnsatz:
-    """Exponentially localized eigenfunction model on a position grid.
-
-    centers[k] and lengths[k] parametrize psi_k(r) = exp(-|r - r_k| / xi_k),
-    xi_k > 0, value 1 at the center.
-    """
-
-    grid: np.ndarray
-    centers: np.ndarray
-    lengths: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
-        object.__setattr__(self, "centers", np.asarray(self.centers, dtype=float))
-        object.__setattr__(self, "lengths", np.asarray(self.lengths, dtype=float))
-        if len(self.centers) != len(self.lengths):
-            raise DimensionMismatch("one length per center required")
-        if np.any(self.lengths <= 0):
-            raise NonpositiveLength("localization lengths must be > 0")
-
-
-def localized_vector(ansatz: LocalizationAnsatz, k: int) -> np.ndarray:
-    """Sample exp(-|r - r_k| / xi_k) over the grid."""
-    xi = float(ansatz.lengths[k])
-    if xi <= 0:
-        raise NonpositiveLength(f"xi_{k} = {xi} must be > 0")
-    return np.exp(-np.abs(ansatz.grid - ansatz.centers[k]) / xi)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +363,7 @@ def main_result_acceleration(
     if core.is_real(m, tol) and core.is_real(mdot, tol):
         try:
             pairing = core.pair_conjugates(d, max(tol, 1e-7))
-        except Exception:
+        except PairingFailure:
             pairing = None
     breakdown = dynamics.eigen_acceleration(d, mdot, mddot, j,
                                             pairing=pairing, gap_tol=gap_tol)
@@ -406,19 +374,10 @@ def main_result_acceleration(
         vr = np.asarray(ansatz_right, dtype=complex)
         if ul.shape != (d.n, d.n) or vr.shape != (d.n, d.n):
             raise DimensionMismatch("ansatz eigenvector sets must be n x n")
-        w = d.eigenvalues
-        inertial = ul[:, j].conj() @ mddot @ vr[:, j]
-        s = 0.0 + 0.0j
-        for i in range(d.n):
-            if i == j:
-                continue
-            gap = w[j] - w[i]
-            if abs(gap) < gap_tol:
-                continue  # diagnostic path skips singular pairs
-            s += 2.0 * (ul[:, i].conj() @ mdot @ vr[:, j]) * (
-                ul[:, j].conj() @ mdot @ vr[:, i]
-            ) / gap
+        # the kernel zeroes singular pairs: the diagnostic skips them
+        f = dynamics.force_columns(ul, vr, d.eigenvalues, mdot, mddot, [j],
+                                   gap_tol=gap_tol)
         diagnostic = MainResultDiagnostic(
-            exact=breakdown.total, ansatz=complex(inertial + s)
+            exact=breakdown.total, ansatz=complex(f.total[0])
         )
     return breakdown, diagnostic

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigendyn import core, dynamics
 from eigendyn.dynamics import MatrixTrajectory
-from eigendyn.errors import RealEigenvalue, SingularGap, ZeroSeparation
+from eigendyn.errors import PairingFailure, RealEigenvalue, SingularGap
 
 
 def fd_velocity(traj, d0, t, delta=1e-4):
@@ -127,7 +129,137 @@ class TestAcceleration:
         with pytest.raises(SingularGap) as err:
             dynamics.eigen_acceleration(d, np.ones((3, 3)), np.zeros((3, 3)), 0,
                                         gap_tol=1e-12)
-        assert err.value.pair is not None
+        assert err.value.pair == (1, 0)
+
+    @pytest.mark.parametrize("j, pair", [(0, (1, 0)), (1, (0, 1)), (2, (0, 2))])
+    def test_singular_gap_reports_first_index(self, j, pair):
+        # a threefold near-tie: the pair names the lowest other index
+        d = core.decompose(np.diag([1.0, 3.0, 1.0 + 1e-15, 1.0 - 1e-15]))
+        with pytest.raises(SingularGap) as err:
+            dynamics.eigen_acceleration(d, np.ones((4, 4)), np.zeros((4, 4)), j,
+                                        gap_tol=1e-12)
+        assert err.value.pair == pair
+
+
+def kernel_case(n, seed, t):
+    """Decomposition, Mdot, Mddot and pairing of a random real
+    M(t) = A + t B + t^2 C."""
+    traj = MatrixTrajectory.polynomial(
+        *np.random.default_rng(seed).standard_normal((3, n, n)))
+    d = core.decompose(traj.value(t))
+    try:
+        partner = core.pair_conjugates(d, 1e-7).partner
+    except PairingFailure:
+        partner = None
+    return d, traj.first_derivative(t), traj.second_derivative(t), partner
+
+
+def kernel(d, mdot, mddot, cols, partner):
+    return dynamics.force_columns(d.left, d.right, d.eigenvalues, mdot, mddot,
+                                  cols, partner)
+
+
+def reference_terms(d, mdot, mddot, j, partner):
+    """The acceleration sum for one j as a plain loop over i."""
+    u, v, w = d.left, d.right, d.eigenvalues
+    inertial = u[:, j].conj() @ mddot @ v[:, j]
+    conj, others, scale = 0j, 0j, abs(inertial)
+    for i in range(d.n):
+        if i == j:
+            continue
+        term = 2.0 * (u[:, i].conj() @ mdot @ v[:, j]) * (
+            u[:, j].conj() @ mdot @ v[:, i]) / (w[j] - w[i])
+        scale += abs(term)
+        if partner is not None and i == partner[j]:
+            conj = term
+        else:
+            others += term
+    return u[:, j].conj() @ mdot @ v[:, j], inertial, conj, others, scale
+
+
+cases = given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+              t=st.floats(-1.0, 1.0))
+
+
+class TestForceColumns:
+    """Invariants of the whole-spectrum kernel.  Round-off grows with the
+    eigenvector condition numbers ||u_j||, so tolerances scale with them."""
+
+    @settings(max_examples=60, deadline=None)
+    @cases
+    def test_matches_loop_reference(self, n, seed, t):
+        # the kernel sums in another order: equal to round-off of the terms
+        d, mdot, mddot, partner = kernel_case(n, seed, t)
+        f = kernel(d, mdot, mddot, np.arange(n), partner)
+        for j in range(n):
+            vel, inertial, conj, others, scale = reference_terms(
+                d, mdot, mddot, j, partner)
+            tol = 1e-12 * (scale + abs(vel))
+            assert abs(f.velocity[j] - vel) <= tol
+            assert abs(f.inertial[j] - inertial) <= tol
+            assert abs(f.conjugate_term[j] - conj) <= tol
+            assert abs(f.others[j] - others) <= tol
+
+    @settings(max_examples=60, deadline=None)
+    @cases
+    def test_velocities_sum_to_trace(self, n, seed, t):
+        d, mdot, mddot, partner = kernel_case(n, seed, t)
+        f = kernel(d, mdot, mddot, np.arange(n), partner)
+        scale = np.linalg.norm(mdot) * (np.linalg.norm(d.left) ** 2 + 1.0)
+        assert abs(f.velocity.sum() - np.trace(mdot)) <= 1e-10 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @cases
+    def test_accelerations_sum_to_trace(self, n, seed, t):
+        # T is antisymmetric, so the pairwise terms cancel in the sum
+        d, mdot, mddot, partner = kernel_case(n, seed, t)
+        f = kernel(d, mdot, mddot, np.arange(n), partner)
+        assert (f.singular < 0).all()
+        scale = (np.linalg.norm(mddot) * (np.linalg.norm(d.left) ** 2 + 1.0)
+                 + np.abs(f.pairwise).sum())
+        assert abs(f.total.sum() - np.trace(mddot)) <= 1e-10 * scale
+        np.testing.assert_allclose(f.pairwise, -f.pairwise.T, rtol=1e-10,
+                                   atol=1e-12 * np.abs(f.pairwise).max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+           t=st.floats(-1.0, 1.0), data=st.data())
+    def test_subset_matches_full(self, n, seed, t, data):
+        d, mdot, mddot, partner = kernel_case(n, seed, t)
+        cols = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=n)),
+                        dtype=int)
+        full = kernel(d, mdot, mddot, np.arange(n), partner)
+        part = kernel(d, mdot, mddot, cols, partner)
+        np.testing.assert_array_equal(part.cols, cols)
+        np.testing.assert_array_equal(part.singular, full.singular[cols])
+        for name in ("velocity", "inertial", "conjugate_term", "others"):
+            got, want = getattr(part, name), getattr(full, name)[cols]
+            scale = 1e-12 * max(np.abs(getattr(full, name)).max(), 1.0)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=scale)
+        np.testing.assert_allclose(part.pairwise, full.pairwise[:, cols],
+                                   rtol=1e-12,
+                                   atol=1e-12 * max(np.abs(full.pairwise).max(), 1.0))
+
+    def test_conjugate_term_is_conjugate_force(self):
+        d, mdot, mddot, partner = kernel_case(8, 3, 0.2)
+        pairing = core.ConjugatePairing(partner=partner, tol=1e-7)
+        cols = np.flatnonzero(partner != np.arange(8))
+        assert len(cols)
+        f = kernel(d, mdot, mddot, cols, partner)
+        for c, j in enumerate(cols):
+            want = dynamics.conjugate_force(d, pairing, mdot, j)
+            assert abs(f.conjugate_term[c] - want) <= 1e-12 * abs(want)
+            assert f.total[c] == pytest.approx(
+                dynamics.eigen_acceleration(d, mdot, mddot, j, pairing).total,
+                rel=1e-12)
+
+    def test_singular_pairs_zeroed(self):
+        # sorted spectrum 1, 1, 1, 3: the first three are mutually singular
+        d = core.decompose(np.diag([1.0, 3.0, 1.0 + 1e-15, 1.0 - 1e-15]))
+        f = kernel(d, np.ones((4, 4)), np.zeros((4, 4)), np.arange(4), None)
+        np.testing.assert_array_equal(f.singular, [1, 0, 0, -1])
+        np.testing.assert_array_equal(f.pairwise[:3, :3], np.zeros((3, 3)))
+        assert np.all(np.isfinite(f.pairwise))
 
 
 class TestConjugateForce:
@@ -204,36 +336,6 @@ class TestDivergenceNearCollision:
         assert slope == pytest.approx(-3.0, abs=0.05)
 
 
-class TestSeparation:
-    def test_unit_real(self):
-        s = dynamics.separation(1.0, 0.0)
-        assert s.r_hat == 1.0
-        assert s.r_abs == 1.0
-
-    def test_pure_imaginary_pair(self):
-        s = dynamics.separation(1j, -1j)
-        assert s.r_hat == -1j
-        assert s.r_abs == 2.0
-
-    def test_zero_separation(self):
-        with pytest.raises(ZeroSeparation):
-            dynamics.separation(1 + 1j, 1 + 1j)
-
-    def test_coordinate_expansion(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            li, lj = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            s = dynamics.separation(li, lj)
-            expect = np.hypot(li.real - lj.real, li.imag - lj.imag)
-            assert abs(s.r_abs**2 - expect**2) <= 1e-14 * max(expect**2, 1.0)
-            assert abs(abs(s.r_hat) - 1.0) <= 1e-14
-
-    def test_rhat_over_rabs_is_pairwise_denominator(self):
-        li, lj = 0.3 + 0.8j, -0.2 - 1.1j
-        s = dynamics.separation(li, lj)
-        assert s.r_hat / s.r_abs == pytest.approx(1.0 / (li - lj))
-
-
 class TestCirculant:
     def test_matrix_and_eigenvalues(self):
         row = np.array([2.0, -1.0, 0.5, 0.25])
@@ -289,6 +391,6 @@ class TestTrajectory:
 
     def test_constant(self):
         m = np.eye(3)
-        traj = MatrixTrajectory.constant(m)
+        traj = MatrixTrajectory.polynomial(m)
         assert np.array_equal(traj.value(2.0), m)
         assert not traj.first_derivative(2.0).any()

@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from eigendyn import engine
+import eigendyn
+from eigendyn import core, engine
 from eigendyn.engine import ScenarioConfig
-from eigendyn.errors import ConfigInvalid, UnsupportedFormat
+from eigendyn.errors import ConfigInvalid, PairingFailure, UnsupportedFormat
 
 
 class TestParseComplex:
@@ -290,6 +291,43 @@ class TestRunScenario:
         assert flagged
         assert all(tv.breakdown is None for tv in flagged)
 
+    def test_singular_gap_flagged(self):
+        raw = base_config(model={"type": "explicit",
+                                 "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                                 "velocity": [[1.0, 2.0], [3.0, 4.0]]})
+        # M(0) = I is doubly degenerate; the pair splits for t > 0
+        row = engine.run_scenario(ScenarioConfig.from_dict(raw)).rows[0]
+        assert "degenerate" in row.flags
+        for tv in row.tracked.values():
+            assert tv.flags == ("singular-gap",)
+            assert tv.breakdown is None
+        # velocities are still recorded and sum to tr Mdot
+        assert sum(tv.velocity for tv in row.tracked.values()) == pytest.approx(5.0)
+
+    def test_pairing_failure_flagged(self, monkeypatch):
+        def no_partner(d, tol):
+            raise PairingFailure("no conjugate partner")
+
+        monkeypatch.setattr(core, "pair_conjugates", no_partner)
+        raw = base_config(model={"type": "explicit",
+                                 "matrix": [[0.0, 1.0], [-1.0, 0.0]]})
+        record = engine.run_scenario(ScenarioConfig.from_dict(raw))
+        for row in record.rows:
+            assert "pairing-failed" in row.flags
+            for tv in row.tracked.values():
+                assert tv.conjugate_force is None
+                assert tv.breakdown.conjugate_term == 0
+
+    def test_pairing_bug_propagates(self, monkeypatch):
+        def broken(d, tol):
+            raise TypeError("not a pairing failure")
+
+        monkeypatch.setattr(core, "pair_conjugates", broken)
+        raw = base_config(model={"type": "explicit",
+                                 "matrix": [[0.0, 1.0], [-1.0, 0.0]]})
+        with pytest.raises(TypeError):
+            engine.run_scenario(ScenarioConfig.from_dict(raw))
+
 
 class TestPersistence:
     def run_sample(self, **overrides):
@@ -343,4 +381,4 @@ class TestPersistence:
         record = self.run_sample(seed=5)
         assert record.provenance["seed"] == 5
         assert len(record.provenance["config_hash"]) == 64
-        assert record.provenance["version"]
+        assert record.provenance["version"] == eigendyn.__version__ == "0.1.0"

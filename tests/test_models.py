@@ -7,14 +7,12 @@ from eigendyn import core, models
 from eigendyn.dynamics import MatrixTrajectory
 from eigendyn.errors import (
     DimensionMismatch,
-    NonpositiveLength,
     NotUnimodular,
     SpectralSingularity,
 )
 from eigendyn.models import (
     BiophysicalRing,
     EffectiveHamiltonianSpec,
-    LocalizationAnsatz,
     TransferMatrixModel,
 )
 
@@ -84,29 +82,6 @@ class TestRing:
             BiophysicalRing(n=4, diffusion=0.0)
         with pytest.raises(DimensionMismatch):
             BiophysicalRing(n=4, diffusion=1.0, fluctuations=[1.0, 2.0])
-
-
-class TestLocalization:
-    def test_unit_value_at_center(self):
-        grid = np.linspace(-5, 5, 101)
-        ansatz = LocalizationAnsatz(grid, centers=[0.0], lengths=[1.5])
-        psi = models.localized_vector(ansatz, 0)
-        assert psi[50] == pytest.approx(1.0)
-
-    def test_exponential_decay_rate(self):
-        grid = np.array([0.0, 1.0, 2.0])
-        ansatz = LocalizationAnsatz(grid, centers=[0.0], lengths=[2.0])
-        psi = models.localized_vector(ansatz, 0)
-        assert psi[1] == pytest.approx(np.exp(-0.5))
-        assert psi[2] == pytest.approx(np.exp(-1.0))
-
-    def test_rejects_nonpositive_length(self):
-        with pytest.raises(NonpositiveLength):
-            LocalizationAnsatz(np.arange(3.0), centers=[0.0], lengths=[0.0])
-
-    def test_rejects_mismatched_centers(self):
-        with pytest.raises(DimensionMismatch):
-            LocalizationAnsatz(np.arange(3.0), centers=[0.0, 1.0], lengths=[1.0])
 
 
 class TestEffectiveHamiltonian:
@@ -269,7 +244,7 @@ def fd_acceleration(trajectory, t, j, h=1e-3):
 
 class TestMainResultAcceleration:
     def test_static_matrix_zero(self):
-        traj = MatrixTrajectory.constant(np.diag([1.0, 2.0, 3.0]))
+        traj = MatrixTrajectory.polynomial(np.diag([1.0, 2.0, 3.0]))
         breakdown, diag = models.main_result_acceleration("biophysical",
                                                           traj, 0.0, 1)
         assert breakdown.total == 0
@@ -358,6 +333,6 @@ class TestMainResultAcceleration:
         assert diag.discrepancy > 1e-6
 
     def test_rejects_unknown_kind(self):
-        traj = MatrixTrajectory.constant(np.eye(2))
+        traj = MatrixTrajectory.polynomial(np.eye(2))
         with pytest.raises(ValueError):
             models.main_result_acceleration("banana", traj, 0.0, 0)
