@@ -272,10 +272,43 @@ class TestRunScenario:
         assert tv.expected_force is not None
         assert tv.expected_force.imag != 0.0
 
-    def test_tracked_subset(self):
-        raw = base_config(tracked=[1])
+    @pytest.mark.parametrize("tracked,want", [([1], [1]), ([2, 0, 0], [0, 2])])
+    def test_tracked_subset(self, tmp_path, tracked, want):
+        # sorted and unique in both exports
+        raw = base_config(model={"type": "explicit",
+                                 "matrix": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0],
+                                            [0.0, 0.0, 3.0]]},
+                          tracked=tracked)
         record = engine.run_scenario(ScenarioConfig.from_dict(raw))
-        assert list(record.rows[0].tracked) == [1]
+        engine.export(record, "csv", tmp_path / "record.csv")
+        engine.export(record, "json", tmp_path / "record.json")
+        with (tmp_path / "record.csv").open() as fh:
+            js = [int(row["j"]) for row in csv.DictReader(fh)]
+        assert js == want * 5
+        data = json.loads((tmp_path / "record.json").read_text())
+        for row in data["rows"]:
+            assert list(row["tracked"]) == [str(j) for j in want]
+
+    def test_jump_flagged(self):
+        # the third eigenvalue moves 100x faster than the other two
+        raw = base_config(model={"type": "explicit",
+                                 "matrix": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0],
+                                            [0.0, 0.0, 3.0]],
+                                 "velocity": [[0.01, 0.0, 0.0], [0.0, 0.01, 0.0],
+                                              [0.0, 0.0, 1.0]]})
+        record = engine.run_scenario(ScenarioConfig.from_dict(raw))
+        flags = [row["flags"] for row in engine.record_to_dict(record)["rows"]]
+        assert flags == [[], ["jump"], ["jump"], ["jump"], ["jump"]]
+
+    @pytest.mark.parametrize("matrix,want", [
+        ([[0.0, 1.0], [-1e-8, 0.0]], [(0.0, 0.0, (0, 1))]),
+        ([[1.0, 0.0], [0.0, 2.0]], []),  # real from the start
+    ])
+    def test_first_step_rule(self, matrix, want):
+        raw = base_config(model={"type": "explicit", "matrix": matrix},
+                          collision_threshold=1e-2)
+        record = engine.run_scenario(ScenarioConfig.from_dict(raw))
+        assert [(e.t_lo, e.t_hi, e.pair) for e in record.events] == want
 
     def test_near_real_flagged_not_exploded(self):
         raw = base_config(
@@ -366,6 +399,59 @@ class TestPersistence:
         engine.export(record, "json", target)
         loaded = engine.load_record(target)
         assert engine.record_to_dict(loaded) == engine.record_to_dict(record)
+
+    @pytest.mark.parametrize("case", ["noisy-collision", "degenerate-start",
+                                      "pairing-failed"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_export_load_export_bytes(self, tmp_path, monkeypatch, case, fmt):
+        if case == "noisy-collision":
+            # near-real steps, expected forces and an ambiguous match
+            raw = base_config(
+                model={"type": "explicit",
+                       "matrix": [[0.0, 1.0], [-1.0, 0.0]],
+                       "velocity": [[0.0, 0.0], [1.0, 0.0]]},
+                time={"t0": 0.0, "t1": 1.2, "steps": 12},
+                collision_threshold=0.3,
+                perturbation={"kind": "diagonal", "sigma2": 0.5},
+            )
+            want = {"near-real", "ambiguous-match"}
+        elif case == "degenerate-start":
+            raw = base_config(model={"type": "explicit",
+                                     "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                                     "velocity": [[1.0, 2.0], [3.0, 4.0]]})
+            want = {"degenerate", "singular-gap", "ambiguous-match"}
+        else:
+            def no_partner(d, tol):
+                raise PairingFailure("no conjugate partner")
+
+            monkeypatch.setattr(core, "pair_conjugates", no_partner)
+            raw = base_config(model={"type": "explicit",
+                                     "matrix": [[0.0, 1.0], [-1.0, 0.0]]})
+            want = {"pairing-failed"}
+        record = engine.run_scenario(ScenarioConfig.from_dict(raw))
+        data = engine.record_to_dict(record)
+        seen = {f for row in data["rows"] for f in row["flags"]}
+        seen |= {f for row in data["rows"] for tv in row["tracked"].values()
+                 for f in tv["flags"]}
+        assert want <= seen
+        if case == "noisy-collision":
+            assert any(tv["expected_force"] is not None
+                       for row in data["rows"] for tv in row["tracked"].values())
+        if "ambiguous-match" in want:
+            assert any(np.isnan(e.min_abs_im) for e in record.events)
+        first, second = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+        engine.export(record, "json", tmp_path / "record.json")
+        engine.export(record, fmt, first)
+        engine.export(engine.load_record(tmp_path / "record.json"), fmt, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_null_and_nan_stay_distinct(self):
+        data = engine.record_to_dict(self.run_sample())
+        data["rows"][1]["tracked"]["0"]["inertial"] = [float("nan"), float("nan")]
+        data["rows"][2]["tracked"]["1"]["conjugate_force"] = None
+        again = engine.record_to_dict(engine.record_from_dict(data))
+        assert json.dumps(again, sort_keys=True) == json.dumps(data, sort_keys=True)
+        assert again["rows"][2]["tracked"]["1"]["conjugate_force"] is None
 
     def test_json_export_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
