@@ -61,6 +61,8 @@ def _load_config(args) -> ScenarioConfig:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigInvalid("scenario root must be an object")
     for item in args.set or []:
         if "=" not in item:
             raise ConfigInvalid(f"--set expects key=value, got {item!r}")
@@ -69,9 +71,9 @@ def _load_config(args) -> ScenarioConfig:
     if getattr(args, "seed", None) is not None:
         raw["seed"] = args.seed
     if getattr(args, "format", None):
-        raw.setdefault("output", {})["formats"] = [args.format]
+        _apply_override(raw, "output.formats", [args.format])
     if getattr(args, "out", None):
-        raw.setdefault("output", {})["dir"] = args.out
+        _apply_override(raw, "output.dir", args.out)
     return ScenarioConfig.from_dict(raw, base_dir=path.parent)
 
 
@@ -91,8 +93,6 @@ def cmd_validate(args) -> int:
         cfg = _load_config(args)
         trajectory = engine.build_trajectory(cfg)
         core.decompose(np.asarray(trajectory.value(cfg.t0), dtype=complex))
-    except ConfigInvalid as exc:
-        return _fail(EXIT_INVALID, str(exc))
     except EigendynError as exc:
         return _fail(EXIT_INVALID, str(exc))
     print(f"OK: model={cfg.model['type']} n={trajectory.n} "
@@ -112,7 +112,7 @@ def cmd_run(args) -> int:
         return _fail(EXIT_RUNTIME, str(exc))
     for path in written:
         print(path)
-    print(f"rows={len(record.rows)} events={len(record.events)} "
+    print(f"rows={len(record.t)} events={len(record.events)} "
           f"hash={record.provenance['config_hash'][:12]}")
     return EXIT_OK
 
@@ -151,7 +151,7 @@ def cmd_sweep(args) -> int:
             cfg = _load_config(sub_args)
             record = engine.run_scenario(cfg)
             _write_outputs(cfg, record)
-            print(f"{key}={value:g}: rows={len(record.rows)} "
+            print(f"{key}={value:g}: rows={len(record.t)} "
                   f"events={len(record.events)}")
         except ConfigInvalid as exc:
             return _fail(EXIT_INVALID, f"{key}={value:g}: {exc}")

@@ -10,24 +10,23 @@ of whitespace-separated rows with complex entries written as "a+bi".
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
-import re
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import __version__, core, dynamics, models, stochastic
-from .core import SpectralDecomposition
-from .dynamics import ForceBreakdown, MatrixTrajectory
-from .errors import ConfigInvalid, PairingFailure, UnsupportedFormat
+from .dynamics import MatrixTrajectory
+from .errors import ConfigInvalid, PairingFailure, RecordInvalid, UnsupportedFormat
 
 __all__ = [
     "ScenarioConfig",
     "RunRecord",
-    "StepRow",
     "CollisionEvent",
     "parse_complex",
     "read_matrix_file",
@@ -37,39 +36,19 @@ __all__ = [
     "detect_collisions",
 ]
 
-_COMPLEX_RE = re.compile(
-    r"^\s*([+-]?[\d.]+(?:[eE][+-]?\d+)?)?\s*"
-    r"(?:([+-]\s*[\d.]*(?:[eE][+-]?\d+)?)\s*[ij])?\s*$"
-)
-
 
 def parse_complex(text) -> complex:
-    """Parse "a+bi" / "a-bi" / "bi" / "a" (also accepts j notation)."""
+    """Parse "a+bi" / "a-bi" / "bi" / "a" (also accepts j notation);
+    whitespace inside the literal is ignored."""
     if isinstance(text, (int, float, complex)):
         return complex(text)
-    s = str(text).strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty complex literal")
-    if s in ("i", "j"):
-        return 1j
+    s = "".join(str(text).split())
     if s in ("-i", "-j"):
         return -1j
     try:
         return complex(s.replace("i", "j"))
     except ValueError:
-        pass
-    m = _COMPLEX_RE.match(s)
-    if not m or (m.group(1) is None and m.group(2) is None):
-        raise ValueError(f"cannot parse complex literal {text!r}")
-    re_part = float(m.group(1)) if m.group(1) else 0.0
-    im_text = m.group(2)
-    if im_text is None:
-        im_part = 0.0
-    elif im_text in ("+", "-"):
-        im_part = 1.0 if im_text == "+" else -1.0
-    else:
-        im_part = float(im_text)
-    return complex(re_part, im_part)
+        raise ValueError(f"cannot parse complex literal {text!r}") from None
 
 
 def read_matrix_file(path) -> np.ndarray:
@@ -109,6 +88,23 @@ def _load_matrix(spec, base_dir: Path, where: str) -> np.ndarray:
 # configuration
 
 
+def _number(value, where: str, kind=float):
+    """``value`` as a finite float, or with ``kind=int`` as an integer (an
+    integral float or an integer string, never a bool)."""
+    try:
+        x = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigInvalid(f"{where}: {exc}") from exc
+    if kind is int:
+        bad = isinstance(value, bool) or isinstance(value, float) and x != value
+    else:
+        bad = not math.isfinite(x)
+    if bad:
+        raise ConfigInvalid(f"{where}: expected a finite {kind.__name__}, "
+                            f"got {value!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     model: dict
@@ -134,26 +130,24 @@ class ScenarioConfig:
                                  "effective_hamiltonian"):
             raise ConfigInvalid(f"model.type: unknown type {model['type']!r}")
         time = raw.get("time")
-        if not isinstance(time, dict):
+        if not isinstance(time, dict) or not {"t0", "t1", "steps"} <= time.keys():
             raise ConfigInvalid("time: required object with t0, t1, steps")
-        try:
-            t0, t1 = float(time["t0"]), float(time["t1"])
-            steps = int(time["steps"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"time: {exc}") from exc
+        t0, t1 = _number(time["t0"], "time.t0"), _number(time["t1"], "time.t1")
+        steps = _number(time["steps"], "time.steps", int)
         if not t1 > t0:
             raise ConfigInvalid("time: t1 must be > t0")
         if steps < 1:
             raise ConfigInvalid("time: steps must be >= 1")
-        threshold = float(raw.get("collision_threshold", 1e-6))
+        threshold = _number(raw.get("collision_threshold", 1e-6),
+                            "collision_threshold")
         if threshold <= 0:
             raise ConfigInvalid("collision_threshold must be > 0")
         tracked = raw.get("tracked", "all")
-        if tracked != "all":
-            if not isinstance(tracked, list) or not all(
-                isinstance(i, int) and i >= 0 for i in tracked
-            ):
-                raise ConfigInvalid("tracked: 'all' or a list of indices")
+        # a bool is not an index
+        if tracked != "all" and not (isinstance(tracked, list) and all(
+                type(i) is int and i >= 0 for i in tracked)):
+            raise ConfigInvalid("tracked: 'all' or a list of indices")
+        seed = _number(raw.get("seed", 0), "seed", int)
         pert = raw.get("perturbation")
         if pert is not None:
             if not isinstance(pert, dict):
@@ -161,10 +155,13 @@ class ScenarioConfig:
             kind = pert.get("kind", "diagonal")
             if kind not in ("diagonal", "full"):
                 raise ConfigInvalid(f"perturbation.kind: unknown kind {kind!r}")
-            if float(pert.get("sigma2", 1.0)) < 0:
+            if _number(pert.get("sigma2", 1.0), "perturbation.sigma2") < 0:
                 raise ConfigInvalid("perturbation.sigma2 must be >= 0")
+            _number(pert.get("seed", seed), "perturbation.seed", int)
         output = raw.get("output", {})
-        formats = tuple(output.get("formats", ("json",)))
+        formats = isinstance(output, dict) and output.get("formats", ["json"])
+        if not isinstance(formats, (list, tuple)):
+            raise ConfigInvalid("output: an object with a list of formats")
         for f in formats:
             if f not in ("csv", "json"):
                 raise ConfigInvalid(f"output.formats: unsupported format {f!r}")
@@ -175,10 +172,10 @@ class ScenarioConfig:
             steps=steps,
             tracked=tracked,
             collision_threshold=threshold,
-            seed=int(raw.get("seed", 0)),
+            seed=seed,
             perturbation=pert,
             output_dir=str(output.get("dir", "out")),
-            output_formats=formats,
+            output_formats=tuple(formats),
             base_dir=Path(base_dir),
         )
 
@@ -234,7 +231,6 @@ def build_trajectory(cfg: ScenarioConfig) -> MatrixTrajectory:
                 n=n,
                 diffusion=float(model.get("diffusion", 1.0)),
                 growth=float(model.get("growth", 0.0)),
-                saturation=float(model.get("saturation", 0.0)),
                 tilt=float(model.get("tilt", 0.0)),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -319,24 +315,14 @@ def build_trajectory(cfg: ScenarioConfig) -> MatrixTrajectory:
 # ---------------------------------------------------------------------------
 # run records
 
-
-@dataclass(frozen=True)
-class TrackedValues:
-    index: int
-    velocity: complex
-    breakdown: Optional[ForceBreakdown]
-    conjugate_force: Optional[complex]
-    expected_force: Optional[complex]
-    flags: tuple
-
-
-@dataclass(frozen=True)
-class StepRow:
-    t: float
-    eigenvalues: np.ndarray
-    permutation: np.ndarray  # path order -> raw sorted solver order
-    tracked: dict  # index -> TrackedValues
-    flags: tuple
+# flag names in bit order: bit b of a flag mask stands for names[b]
+STEP_FLAGS = ("degenerate", "ambiguous-match", "pairing-failed", "jump")
+VALUE_FLAGS = ("near-real", "singular-gap")
+_DEGENERATE, _AMBIGUOUS, _PAIRING_FAILED, _JUMP = 1, 2, 4, 8
+_NEAR_REAL, _SINGULAR_GAP = 1, 2
+# the complex (S, m) columns, in the order of a tracked entry's JSON keys
+_VALUES = ("velocity", "inertial", "conjugate_term", "others",
+           "conjugate_force", "expected_force")
 
 
 @dataclass(frozen=True)
@@ -349,51 +335,96 @@ class CollisionEvent:
 
 @dataclass(frozen=True)
 class RunRecord:
-    rows: list
+    """A run as columns over S = steps + 1 steps, n paths and m tracked
+    paths: ``t`` (S,); path-ordered ``eigenvalues`` and ``permutation``
+    (path -> raw solver index), (S, n); ``tracked`` (m,), sorted and
+    unique; complex (S, m) ``velocity``, ``inertial``, ``conjugate_term``,
+    ``others``, ``conjugate_force`` and ``expected_force``; the bitmasks
+    ``step_flags`` (S,) over STEP_FLAGS and ``value_flags`` (S, m) over
+    VALUE_FLAGS.  An absent value is NaN, but absence is read from the
+    masks, never from NaN: the acceleration split is absent where a value
+    flag is set, a force where its ``has_*`` mask is False.
+    """
+
+    t: np.ndarray
+    eigenvalues: np.ndarray
+    permutation: np.ndarray
+    tracked: np.ndarray
+    velocity: np.ndarray
+    inertial: np.ndarray
+    conjugate_term: np.ndarray
+    others: np.ndarray
+    conjugate_force: np.ndarray
+    expected_force: np.ndarray
+    has_conjugate_force: np.ndarray
+    has_expected_force: np.ndarray
+    step_flags: np.ndarray
+    value_flags: np.ndarray
     events: list
     provenance: dict
 
     @property
-    def times(self) -> np.ndarray:
-        return np.array([r.t for r in self.rows])
+    def total(self) -> np.ndarray:
+        return self.inertial + self.conjugate_term + self.others
 
-    def eigenvalue_path(self, j: int) -> np.ndarray:
-        return np.array([r.eigenvalues[j] for r in self.rows])
+    def flagged(self, name: str) -> np.ndarray:
+        """Where flag ``name`` is set: (S,) for a step flag, (S, m) for a
+        value flag."""
+        if name in STEP_FLAGS:
+            return self.step_flags & (1 << STEP_FLAGS.index(name)) != 0
+        return self.value_flags & (1 << VALUE_FLAGS.index(name)) != 0
 
 
-def _c2l(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
+@functools.cache
+def _flag_names(mask: int, names: tuple) -> tuple:
+    return tuple(f for b, f in enumerate(names) if mask >> b & 1)
 
 
-def _l2c(pair) -> complex:
-    return complex(pair[0], pair[1])
+def _flag_mask(flags, names: tuple) -> int:
+    unknown = [f for f in flags if f not in names]
+    if unknown:
+        raise RecordInvalid(f"unknown flags {unknown}")
+    return sum(1 << names.index(f) for f in set(flags))
+
+
+def _pairs(z, present=None) -> list:
+    """Nested [re, im] lists of a complex array; None where not ``present``."""
+    out = np.stack([z.real, z.imag], axis=-1).tolist()
+    if present is not None:
+        for k, c in np.argwhere(~present).tolist():
+            out[k][c] = None
+    return out
+
+
+def _complex(pairs, shape: tuple) -> np.ndarray:
+    """Inverse of :func:`_pairs` without nulls, bit for bit."""
+    return np.array(pairs, dtype=float).reshape(*shape, 2).view(complex)[..., 0]
 
 
 def record_to_dict(record: RunRecord) -> dict:
-    rows = []
-    for r in record.rows:
-        rows.append({
-            "t": r.t,
-            "eigenvalues": [_c2l(z) for z in r.eigenvalues],
-            "permutation": [int(p) for p in r.permutation],
-            "flags": list(r.flags),
-            "tracked": {
-                str(j): {
-                    "velocity": _c2l(tv.velocity),
-                    "inertial": _c2l(tv.breakdown.inertial) if tv.breakdown else None,
-                    "conjugate_term": _c2l(tv.breakdown.conjugate_term)
-                    if tv.breakdown else None,
-                    "others": _c2l(tv.breakdown.others) if tv.breakdown else None,
-                    "conjugate_force": _c2l(tv.conjugate_force)
-                    if tv.conjugate_force is not None else None,
-                    "expected_force": _c2l(tv.expected_force)
-                    if tv.expected_force is not None else None,
-                    "flags": list(tv.flags),
-                }
-                for j, tv in sorted(r.tracked.items())
-            },
-        })
+    """The JSON document of a record; absent values are null."""
+    intact = record.value_flags == 0
+    present = (np.ones_like(intact), intact, intact, intact,
+               record.has_conjugate_force, record.has_expected_force)
+    columns = [_pairs(getattr(record, name), mask)
+               for name, mask in zip(_VALUES, present)]
+    keys = [str(j) for j in record.tracked.tolist()]
+    value_flags = record.value_flags.tolist()
+    rows = [{
+        "t": t,
+        "eigenvalues": eigenvalues,
+        "permutation": permutation,
+        "flags": list(_flag_names(flags, STEP_FLAGS)),
+        "tracked": {
+            key: dict(zip(_VALUES, values),
+                      flags=list(_flag_names(f, VALUE_FLAGS)))
+            for key, values, f in zip(keys, zip(*(col[k] for col in columns)),
+                                      value_flags[k])
+        },
+    } for k, (t, eigenvalues, permutation, flags) in enumerate(zip(
+        record.t.tolist(), _pairs(record.eigenvalues),
+        record.permutation.tolist(), record.step_flags.tolist(),
+    ))]
     return {
         "rows": rows,
         "events": [
@@ -406,39 +437,36 @@ def record_to_dict(record: RunRecord) -> dict:
 
 
 def record_from_dict(data: dict) -> RunRecord:
-    rows = []
-    for r in data["rows"]:
-        tracked = {}
-        for j_str, tv in r["tracked"].items():
-            bd = None
-            if tv["inertial"] is not None:
-                bd = ForceBreakdown(
-                    inertial=_l2c(tv["inertial"]),
-                    conjugate_term=_l2c(tv["conjugate_term"]),
-                    others=_l2c(tv["others"]),
-                )
-            tracked[int(j_str)] = TrackedValues(
-                index=int(j_str),
-                velocity=_l2c(tv["velocity"]),
-                breakdown=bd,
-                conjugate_force=_l2c(tv["conjugate_force"])
-                if tv["conjugate_force"] is not None else None,
-                expected_force=_l2c(tv["expected_force"])
-                if tv["expected_force"] is not None else None,
-                flags=tuple(tv["flags"]),
-            )
-        rows.append(StepRow(
-            t=r["t"],
-            eigenvalues=np.array([_l2c(z) for z in r["eigenvalues"]]),
-            permutation=np.array(r["permutation"], dtype=int),
-            tracked=tracked,
-            flags=tuple(r["flags"]),
-        ))
-    events = [
-        CollisionEvent(e["t_lo"], e["t_hi"], tuple(e["pair"]), e["min_abs_im"])
-        for e in data["events"]
-    ]
-    return RunRecord(rows=rows, events=events, provenance=dict(data["provenance"]))
+    """Inverse of :func:`record_to_dict`.  Raises RecordInvalid when
+    ``data`` does not follow the record schema."""
+    try:
+        rows = data["rows"]
+        keys = sorted(rows[0]["tracked"], key=int)
+        cells = [[row["tracked"][key] for key in keys] for row in rows]
+        shape = (len(rows), len(keys))
+        values = {name: _complex([[c[name] or (np.nan, np.nan) for c in r]
+                                  for r in cells], shape) for name in _VALUES}
+        has = {f"has_{name}": np.array([[c[name] is not None for c in r]
+                                        for r in cells], dtype=bool).reshape(shape)
+               for name in ("conjugate_force", "expected_force")}
+        return RunRecord(
+            t=np.array([row["t"] for row in rows], dtype=float),
+            eigenvalues=_complex([row["eigenvalues"] for row in rows],
+                                 (len(rows), -1)),
+            permutation=np.array([row["permutation"] for row in rows], dtype=int),
+            tracked=np.array(keys, dtype=int),
+            step_flags=np.array([_flag_mask(row["flags"], STEP_FLAGS)
+                                 for row in rows], dtype=int),
+            value_flags=np.array([[_flag_mask(c["flags"], VALUE_FLAGS)
+                                   for c in r] for r in cells],
+                                 dtype=int).reshape(shape),
+            events=[CollisionEvent(e["t_lo"], e["t_hi"], tuple(e["pair"]),
+                                   e["min_abs_im"]) for e in data["events"]],
+            provenance=dict(data["provenance"]),
+            **values, **has,
+        )
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise RecordInvalid(f"malformed run record: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -446,16 +474,16 @@ def record_from_dict(data: dict) -> RunRecord:
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunRecord:
-    """Execute a scenario: steps+1 rows, path-matched eigenvalues, forces,
-    collision events.  Deterministic given (config, seed)."""
+    """Execute a scenario: steps+1 path-matched spectra, the forces of the
+    tracked paths, collision events.  Deterministic given (config, seed)."""
     trajectory = build_trajectory(cfg)
     n = trajectory.n
     ts = np.linspace(cfg.t0, cfg.t1, cfg.steps + 1)
     dt = (cfg.t1 - cfg.t0) / cfg.steps
 
-    tracked = list(range(n)) if cfg.tracked == "all" else [
-        j for j in cfg.tracked if j < n
-    ]
+    tracked = np.arange(n) if cfg.tracked == "all" else np.array(
+        sorted({j for j in cfg.tracked if j < n}), dtype=int
+    )
     proc = None
     if cfg.perturbation is not None:
         proc = stochastic.PerturbationProcess(
@@ -465,11 +493,18 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
             dt=dt,
         )
 
-    rows = []
-    prev_decomp: Optional[SpectralDecomposition] = None
+    shape = (len(ts), len(tracked))
+    eigenvalues = np.empty((len(ts), n), dtype=complex)
+    permutation = np.empty((len(ts), n), dtype=int)
+    # absent values stay NaN
+    values = {name: np.full(shape, complex(np.nan, np.nan)) for name in _VALUES}
+    has_conjugate_force = np.zeros(shape, dtype=bool)
+    step_flags = np.zeros(len(ts), dtype=int)
+    value_flags = np.zeros(shape, dtype=int)
+
+    prev_decomp = None
     prev_perm = np.arange(n)
     noise = None
-    threshold = cfg.collision_threshold
 
     for k, t in enumerate(ts):
         m = np.asarray(trajectory.value(t), dtype=complex)
@@ -484,17 +519,14 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
             noise = noise + dt * p  # applied from the next step on
 
         d = core.decompose(m)
-        step_flags = []
-        if d.degenerate:
-            step_flags.append("degenerate")
+        step_flags[k] = _DEGENERATE if d.degenerate else 0
         if prev_decomp is None:
             perm = np.arange(n)
         else:
             match = core.match_paths(prev_decomp, d)
             perm = match.permutation[prev_perm]
             if match.ambiguous:
-                step_flags.append("ambiguous-match")
-        w_path = d.eigenvalues[perm]
+                step_flags[k] |= _AMBIGUOUS
 
         real_input = core.is_real(m, 1e-10) and core.is_real(mdot, 1e-10)
         pairing = None
@@ -503,119 +535,98 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
             try:
                 pairing = core.pair_conjugates(d, 1e-7)
             except PairingFailure:
-                step_flags.append("pairing-failed")
+                step_flags[k] |= _PAIRING_FAILED
 
         raw = perm[tracked]
         # without a pairing every eigenvalue is its own partner: no
         # conjugate term is split off
         partner = np.arange(n) if pairing is None else pairing.partner
         # complex eigenvalues of a real matrix; near the axis the conjugate
-        # denominator blows up, so the record holds flagged non-numbers
+        # denominator blows up, so the record holds flagged absences
         # instead of huge values
         paired = partner[raw] != raw
-        near_real = paired & (np.abs(d.eigenvalues[raw].imag) < threshold)
+        near_real = paired & (np.abs(d.eigenvalues[raw].imag)
+                              < cfg.collision_threshold)
         # the terms of a near-real pair may overflow; they are dropped below
         with np.errstate(over="ignore", invalid="ignore"):
             forces = dynamics.force_columns(d.left, d.right, d.eigenvalues, mdot,
                                             mddot, raw, partner, gap_tol=1e-14)
+        singular = ~near_real & (forces.singular >= 0)
+        intact = ~near_real & ~singular
+        conj = paired & ~near_real
 
-        tracked_values = {}
-        for c, j in enumerate(tracked):
-            flags = ()
-            breakdown = conj_force = expected = None
-            if near_real[c]:
-                flags = ("near-real",)
-            elif forces.singular[c] >= 0:
-                flags = ("singular-gap",)
-            else:
-                breakdown = forces.breakdown(c)
-            if paired[c] and not near_real[c]:
-                conj_force = complex(forces.conjugate_term[c])
-                if proc is not None:
-                    expected = stochastic.expected_conjugate_force_iid(
-                        d, pairing, proc.sigma2, int(raw[c]), kind=proc.kind
-                    )
-            tracked_values[j] = TrackedValues(
-                index=j, velocity=complex(forces.velocity[c]),
-                breakdown=breakdown, conjugate_force=conj_force,
-                expected_force=expected, flags=flags,
-            )
-
-        rows.append(StepRow(
-            t=float(t), eigenvalues=w_path, permutation=perm,
-            tracked=tracked_values, flags=tuple(step_flags),
-        ))
+        eigenvalues[k] = d.eigenvalues[perm]
+        permutation[k] = perm
+        value_flags[k] = _NEAR_REAL * near_real + _SINGULAR_GAP * singular
+        values["velocity"][k] = forces.velocity
+        for name in ("inertial", "conjugate_term", "others"):
+            values[name][k, intact] = getattr(forces, name)[intact]
+        has_conjugate_force[k] = conj
+        values["conjugate_force"][k, conj] = forces.conjugate_term[conj]
+        if proc is not None:
+            values["expected_force"][k, conj] = [
+                stochastic.expected_conjugate_force_iid(
+                    d, pairing, proc.sigma2, j, kind=proc.kind)
+                for j in raw[conj].tolist()
+            ]
         prev_decomp = d
         prev_perm = perm
 
-    _flag_jumps(rows)
+    # a step whose largest path displacement exceeds 10x the step's median
+    # displacement is an unmatched jump, typically near a collision
+    disp = np.abs(np.diff(eigenvalues, axis=0))
+    med = np.median(disp, axis=1)
+    step_flags[1:][(med > 0) & (disp.max(axis=1) > 10 * med)] |= _JUMP
+
     record = RunRecord(
-        rows=rows,
-        events=[],
+        t=ts, eigenvalues=eigenvalues, permutation=permutation,
+        tracked=tracked, has_conjugate_force=has_conjugate_force,
+        # the expectation exists wherever the force does, given noise
+        has_expected_force=has_conjugate_force & (proc is not None),
+        step_flags=step_flags,
+        value_flags=value_flags, events=[],
         provenance={
             "config_hash": cfg.config_hash(),
             "seed": cfg.seed,
             "version": __version__,
         },
+        **values,
     )
-    events = detect_collisions(record, threshold)
-    return RunRecord(rows=rows, events=events, provenance=record.provenance)
-
-
-def _flag_jumps(rows) -> None:
-    """Flag steps whose largest path displacement exceeds 10x the step's
-    median displacement (an unmatched jump, typically near a collision)."""
-    for k in range(1, len(rows)):
-        disp = np.abs(rows[k].eigenvalues - rows[k - 1].eigenvalues)
-        med = float(np.median(disp))
-        if med > 0 and float(disp.max()) > 10 * med:
-            if "jump" not in rows[k].flags:
-                object.__setattr__(rows[k], "flags", rows[k].flags + ("jump",))
+    return replace(record,
+                   events=detect_collisions(record, cfg.collision_threshold))
 
 
 def detect_collisions(record: RunRecord, threshold: float) -> list:
-    """Bracket the time steps where a tracked eigenvalue's |Im| crosses
-    below ``threshold`` (conjugate pair reaching the real axis).
+    """Bracket the time steps where an eigenvalue path's |Im| crosses
+    below ``threshold`` (a conjugate pair reaching the real axis).  Every
+    path is scanned, tracked or not.
 
-    Brackets are reported, not root-polished.  An eigenvalue already
-    below threshold at the first step yields an event there.  Ambiguous
-    path matches (pair merging) are also recorded as events.
+    Brackets are reported, not root-polished; a conjugate pair crossing
+    together gives one event.  An eigenvalue already below threshold at
+    the first step yields an event there, unless it is exactly real.
+    Ambiguous path matches (pair merging) are also recorded as events.
     """
-    rows = record.rows
-    if not rows:
-        return []
-    n = len(rows[0].eigenvalues)
+    t, w = record.t.tolist(), record.eigenvalues
+    ims = np.abs(w.imag)
+    below = ims < threshold
+    start = below.copy()
+    start[1:] &= ~below[:-1]
+    # at the first step only a genuinely complex eigenvalue below
+    # threshold counts; permanently real ones never "reach" the axis
+    start[:1] &= ims[:1] != 0.0
     events = []
     seen = set()
-    for j in range(n):
-        ims = np.array([abs(r.eigenvalues[j].imag) for r in rows])
-        below = ims < threshold
-        for k in range(len(rows)):
-            if not below[k]:
-                continue
-            # at the first step only a genuinely complex eigenvalue below
-            # threshold counts; permanently real ones never "reach" the axis
-            if k == 0 and ims[0] == 0.0:
-                continue
-            if k == 0 or not below[k - 1]:
-                w = rows[k].eigenvalues
-                dist = np.abs(w - w[j].conjugate())
-                dist[j] = np.inf
-                partner = int(np.argmin(dist)) if n > 1 else j
-                key = (k, frozenset((j, partner)))
-                if key in seen:
-                    continue
-                seen.add(key)
-                events.append(CollisionEvent(
-                    t_lo=rows[max(k - 1, 0)].t, t_hi=rows[k].t,
-                    pair=(j, partner), min_abs_im=float(ims[k]),
-                ))
-    for k, row in enumerate(rows):
-        if "ambiguous-match" in row.flags:
-            events.append(CollisionEvent(
-                t_lo=rows[k - 1].t if k > 0 else row.t, t_hi=row.t,
-                pair=(-1, -1), min_abs_im=float("nan"),
-            ))
+    for k, j in np.argwhere(start).tolist():
+        dist = np.abs(w[k] - w[k, j].conjugate())
+        dist[j] = np.inf
+        partner = int(np.argmin(dist)) if w.shape[1] > 1 else j
+        key = (k, frozenset((j, partner)))
+        if key not in seen:
+            seen.add(key)
+            events.append(CollisionEvent(t[max(k - 1, 0)], t[k], (j, partner),
+                                         float(ims[k, j])))
+    events += [CollisionEvent(t[max(k - 1, 0)], t[k], (-1, -1), float("nan"))
+               for k in np.flatnonzero(record.flagged("ambiguous-match")).tolist()]
     events.sort(key=lambda e: (e.t_hi, e.pair))
     return events
 
@@ -630,9 +641,9 @@ _CSV_COLUMNS = [
 ]
 
 
-def _fmt(x) -> str:
+def _fmt(a) -> list:
     # 17 significant digits: round-trips double precision exactly
-    return f"{x:.17g}"
+    return [f"{x:.17g}" for x in np.ravel(a).tolist()]
 
 
 def export(record: RunRecord, format: str, path) -> None:
@@ -644,32 +655,28 @@ def export(record: RunRecord, format: str, path) -> None:
         path.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
         return
     if format == "csv":
+        m = len(record.tracked)
+        step = [_flag_names(f, STEP_FLAGS) for f in record.step_flags.tolist()]
+        flags = [";".join(step[k] + _flag_names(f, VALUE_FLAGS))
+                 for k, row in enumerate(record.value_flags.tolist()) for f in row]
+        columns = [_fmt(np.repeat(record.t, m)),
+                   np.tile(record.tracked, len(record.t)).tolist()]
+        for z in (record.eigenvalues[:, record.tracked], record.velocity,
+                  record.total, record.inertial, record.conjugate_term,
+                  record.others):
+            columns += [_fmt(z.real), _fmt(z.imag)]
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(_CSV_COLUMNS)
-            for row in record.rows:
-                for j, tv in sorted(row.tracked.items()):
-                    lam = row.eigenvalues[j]
-                    bd = tv.breakdown
-                    nan = float("nan")
-                    total = bd.total if bd else complex(nan, nan)
-                    inert = bd.inertial if bd else complex(nan, nan)
-                    conj = bd.conjugate_term if bd else complex(nan, nan)
-                    others = bd.others if bd else complex(nan, nan)
-                    writer.writerow([
-                        _fmt(row.t), j,
-                        _fmt(lam.real), _fmt(lam.imag),
-                        _fmt(tv.velocity.real), _fmt(tv.velocity.imag),
-                        _fmt(total.real), _fmt(total.imag),
-                        _fmt(inert.real), _fmt(inert.imag),
-                        _fmt(conj.real), _fmt(conj.imag),
-                        _fmt(others.real), _fmt(others.imag),
-                        ";".join(row.flags + tv.flags),
-                    ])
+            writer.writerows(zip(*columns, flags))
         return
     raise UnsupportedFormat(f"unsupported export format {format!r}")
 
 
 def load_record(path) -> RunRecord:
     """Inverse of JSON export."""
-    return record_from_dict(json.loads(Path(path).read_text()))
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise RecordInvalid(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    return record_from_dict(data)

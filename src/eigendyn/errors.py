@@ -48,5 +48,9 @@ class ConfigInvalid(EigendynError):
     """A scenario configuration failed validation."""
 
 
+class RecordInvalid(EigendynError):
+    """A stored run record does not follow the record schema."""
+
+
 class UnsupportedFormat(EigendynError):
     """Unknown export format."""

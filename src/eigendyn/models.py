@@ -55,15 +55,14 @@ class BiophysicalRing:
     """Parameters of the ring-lattice growth/diffusion model.
 
     n sites on a periodic ring, diffusion constant D > 0, uniform growth
-    rate a, saturation coefficient b (stored only: the library works with
-    the linearized matrices), convection tilt h, and per-site growth
-    fluctuations U (length n, defaults to zero).
+    rate a, convection tilt h, and per-site growth fluctuations U (length
+    n, defaults to zero).  The library works with the linearized
+    matrices, so the saturation term of the model has no parameter here.
     """
 
     n: int
     diffusion: float
     growth: float = 0.0
-    saturation: float = 0.0
     tilt: float = 0.0
     fluctuations: Optional[np.ndarray] = None
 
@@ -72,17 +71,14 @@ class BiophysicalRing:
             raise ValueError("ring needs at least 3 sites")
         if self.diffusion <= 0:
             raise ValueError("diffusion constant must be > 0")
-        if self.fluctuations is not None:
-            u = np.asarray(self.fluctuations, dtype=float)
-            if u.shape != (self.n,):
-                raise DimensionMismatch(f"fluctuations must have length {self.n}")
-            object.__setattr__(self, "fluctuations", u)
+        if self.fluctuations is not None and np.shape(self.fluctuations) != (self.n,):
+            raise DimensionMismatch(f"fluctuations must have length {self.n}")
 
     @property
     def u(self) -> np.ndarray:
         if self.fluctuations is None:
             return np.zeros(self.n)
-        return self.fluctuations
+        return np.asarray(self.fluctuations, dtype=float)
 
 
 def build_omega(ring: BiophysicalRing) -> np.ndarray:
@@ -137,16 +133,11 @@ class EffectiveHamiltonianSpec:
 
     def __post_init__(self):
         h = as_square_matrix(self.h)
-        object.__setattr__(self, "h", h)
-        ops = tuple(as_square_matrix(op) for op in self.lindblad_ops)
-        ls = tuple(complex(l) for l in self.displacements)
-        if len(ops) != len(ls):
+        if len(self.lindblad_ops) != len(self.displacements):
             raise DimensionMismatch("one displacement scalar per Lindblad operator")
-        for op in ops:
-            if op.shape != h.shape:
+        for op in self.lindblad_ops:
+            if as_square_matrix(op).shape != h.shape:
                 raise DimensionMismatch("Lindblad operator dimension mismatch")
-        object.__setattr__(self, "lindblad_ops", ops)
-        object.__setattr__(self, "displacements", ls)
 
 
 def effective_hamiltonian(spec: EffectiveHamiltonianSpec) -> np.ndarray:
@@ -159,13 +150,14 @@ def effective_hamiltonian(spec: EffectiveHamiltonianSpec) -> np.ndarray:
     frame change, and non-Hermiticity enters through a non-Hermitian H
     block (e.g. a system block dressed with decay rates).
     """
-    h = spec.h
+    h = np.asarray(spec.h, dtype=complex)
     if np.max(np.abs(h - h.conj().T)) > spec.hermiticity_tol:
         warnings.warn("H is not Hermitian to tolerance", stacklevel=2)
-    if not spec.lindblad_ops:
+    if len(spec.lindblad_ops) == 0:
         return h.copy()
     acc = np.zeros_like(h)
     for op, l in zip(spec.lindblad_ops, spec.displacements):
+        op, l = np.asarray(op, dtype=complex), complex(l)
         acc = acc + np.conjugate(l) * op - l * op.conj().T
     return h + 0.5j * acc
 

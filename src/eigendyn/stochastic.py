@@ -58,11 +58,9 @@ class PerturbationProcess:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be >= 0")
-        if self.variances is not None:
-            v = np.asarray(self.variances, dtype=float)
-            if np.any(v < 0):
-                raise ValueError("all entry variances must be >= 0")
-            object.__setattr__(self, "variances", v)
+        if self.variances is not None and np.any(
+                np.asarray(self.variances, dtype=float) < 0):
+            raise ValueError("all entry variances must be >= 0")
 
     def _rng(self, index: int) -> np.random.Generator:
         # independent substream per sample index: worker count cannot
@@ -75,11 +73,11 @@ class PerturbationProcess:
         """Draw the perturbation matrix P for sample ``index``."""
         rng = self._rng(index)
         if self.variances is not None:
-            if self.variances.shape != (n, n):
-                raise DimensionMismatch(
-                    f"variance matrix shape {self.variances.shape} != {(n, n)}"
-                )
-            scale = np.sqrt(self.variances)
+            v = np.asarray(self.variances, dtype=float)
+            if v.shape != (n, n):
+                raise DimensionMismatch(f"variance matrix shape {v.shape} "
+                                        f"!= {(n, n)}")
+            scale = np.sqrt(v)
         else:
             scale = np.sqrt(self.sigma2)
         if self.kind == "diagonal":
@@ -98,7 +96,6 @@ class MonteCarloEstimate:
     standard_error_re: float
     standard_error_im: float
     samples: int
-    excluded: int = 0  # samples dropped due to singular denominators
 
     @property
     def standard_error(self) -> float:
@@ -180,26 +177,18 @@ def monte_carlo_conjugate_force(
     m = as_square_matrix(m)
     d = core.decompose(m, tol)
     pairing = core.pair_conjugates(d, tol)
-    _check_complex(d, j)
+    # d and j are fixed: a real or self-paired j is singular on every sample
+    if pairing.partner[j] == j:
+        raise RealEigenvalue(f"lambda_{j} = {d.eigenvalues[j]} is self-paired "
+                             f"(|Im| <= {tol}): expected force singular")
 
     vals = np.empty(samples, dtype=complex)
-    excluded = 0
-    k = 0
     for i in range(samples):
-        p = proc.sample(d.n, i)
-        try:
-            vals[k] = pairwise_conjugate_summand(d, pairing, p, j)
-        except RealEigenvalue:
-            excluded += 1
-            continue
-        k += 1
-    vals = vals[:k]
-    if k == 0:
-        raise EmptyEstimate("all samples excluded")
+        vals[i] = pairwise_conjugate_summand(d, pairing, proc.sample(d.n, i), j)
     mean = complex(vals.mean())
-    if k > 1:
-        se_re = float(vals.real.std(ddof=1) / np.sqrt(k))
-        se_im = float(vals.imag.std(ddof=1) / np.sqrt(k))
+    if samples > 1:
+        se_re = float(vals.real.std(ddof=1) / np.sqrt(samples))
+        se_im = float(vals.imag.std(ddof=1) / np.sqrt(samples))
     else:
         se_re = se_im = 0.0
-    return MonteCarloEstimate(mean, se_re, se_im, samples=k, excluded=excluded)
+    return MonteCarloEstimate(mean, se_re, se_im, samples=samples)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import eigendyn
-from eigendyn import core, engine
+from eigendyn import cli, core, engine
 from eigendyn.engine import ScenarioConfig
-from eigendyn.errors import ConfigInvalid, PairingFailure, UnsupportedFormat
+from eigendyn.errors import (ConfigInvalid, PairingFailure, RecordInvalid,
+                             UnsupportedFormat)
 
 
 class TestParseComplex:
@@ -22,6 +23,7 @@ class TestParseComplex:
         ("i", 1j),
         ("-i", -1j),
         ("1e-3+2e2i", 1e-3 + 200j),
+        ("1\t+ 2i", 1 + 2j),
         (4, 4.0),
         (1.5j, 1.5j),
     ])
@@ -99,6 +101,28 @@ class TestScenarioConfig:
     def test_invalid_rejected(self, mutate, msg):
         with pytest.raises(ConfigInvalid, match=msg):
             ScenarioConfig.from_dict(base_config(**mutate))
+
+    @pytest.mark.parametrize("mutate", [
+        {"collision_threshold": "abc"},
+        {"collision_threshold": float("nan")},
+        {"seed": "x"},
+        {"perturbation": {"sigma2": "a"}},
+        {"perturbation": {"sigma2": float("nan")}},
+        {"perturbation": {"seed": 1.5}},
+        {"output": []},
+        {"time": {"t0": 0.0, "t1": float("inf"), "steps": 4}},
+        {"time": {"t0": 0.0, "t1": 1.0, "steps": 2.7}},
+        {"time": {"t0": 0.0, "t1": 1.0, "steps": True}},
+        {"tracked": [True]},
+    ], ids=repr)
+    def test_bad_scalar_rejected(self, tmp_path, mutate):
+        raw = base_config(**mutate)
+        with pytest.raises(ConfigInvalid):
+            ScenarioConfig.from_dict(raw)
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(raw))
+        argv = ["run", "--scenario", str(p), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
 
     def test_hash_stable_and_sensitive(self):
         a = ScenarioConfig.from_dict(base_config()).config_hash()
@@ -194,13 +218,11 @@ class TestRunScenario:
     def test_static_diagonal_no_events(self):
         cfg = ScenarioConfig.from_dict(base_config())
         record = engine.run_scenario(cfg)
-        assert len(record.rows) == 5
+        assert len(record.t) == 5
         assert record.events == []
-        for row in record.rows:
-            np.testing.assert_array_equal(row.eigenvalues, [1.0, 2.0])
-            for tv in row.tracked.values():
-                assert tv.velocity == 0
-                assert tv.breakdown.total == 0
+        np.testing.assert_array_equal(record.eigenvalues, [[1.0, 2.0]] * 5)
+        assert (record.velocity == 0).all()
+        assert (record.total == 0).all()
 
     def test_collision_bracketed(self):
         # M(t) = [[0, 1], [t-1, 0]] has eigenvalues +-i sqrt(1-t): the
@@ -230,9 +252,9 @@ class TestRunScenario:
         )
         record = engine.run_scenario(ScenarioConfig.from_dict(raw))
         for j in (0, 1):
-            path = record.eigenvalue_path(j)
+            path = record.eigenvalues[:, j]
             want = path[0].imag / abs(path[0].imag) * 1j * np.sqrt(
-                1.0 - record.times)
+                1.0 - record.t)
             np.testing.assert_allclose(path, want, atol=1e-10)
 
     def test_trace_conservation(self):
@@ -245,9 +267,9 @@ class TestRunScenario:
         cfg = ScenarioConfig.from_dict(raw)
         traj = engine.build_trajectory(cfg)
         record = engine.run_scenario(cfg)
-        for row in record.rows:
-            tr = np.trace(np.asarray(traj.value(row.t)))
-            assert abs(row.eigenvalues.sum() - tr) <= 1e-9
+        for t, w in zip(record.t, record.eigenvalues):
+            tr = np.trace(np.asarray(traj.value(t)))
+            assert abs(w.sum() - tr) <= 1e-9
 
     def test_stochastic_run_deterministic(self):
         raw = base_config(
@@ -268,26 +290,25 @@ class TestRunScenario:
             seed=7,
         )
         record = engine.run_scenario(ScenarioConfig.from_dict(raw))
-        tv = record.rows[0].tracked[0]
-        assert tv.expected_force is not None
-        assert tv.expected_force.imag != 0.0
+        assert record.has_expected_force[0, 0]
+        assert record.expected_force[0, 0].imag != 0.0
 
-    @pytest.mark.parametrize("tracked,want", [([1], [1]), ([2, 0, 0], [0, 2])])
-    def test_tracked_subset(self, tmp_path, tracked, want):
+    def test_tracked_subset(self, tmp_path):
         # sorted and unique in both exports
-        raw = base_config(model={"type": "explicit",
-                                 "matrix": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0],
-                                            [0.0, 0.0, 3.0]]},
-                          tracked=tracked)
-        record = engine.run_scenario(ScenarioConfig.from_dict(raw))
-        engine.export(record, "csv", tmp_path / "record.csv")
-        engine.export(record, "json", tmp_path / "record.json")
-        with (tmp_path / "record.csv").open() as fh:
-            js = [int(row["j"]) for row in csv.DictReader(fh)]
-        assert js == want * 5
-        data = json.loads((tmp_path / "record.json").read_text())
-        for row in data["rows"]:
-            assert list(row["tracked"]) == [str(j) for j in want]
+        for tracked, want in (([1], [1]), ([2, 0, 0], [0, 2])):
+            raw = base_config(model={"type": "explicit",
+                                     "matrix": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0],
+                                                [0.0, 0.0, 3.0]]},
+                              tracked=tracked)
+            record = engine.run_scenario(ScenarioConfig.from_dict(raw))
+            engine.export(record, "csv", tmp_path / "record.csv")
+            engine.export(record, "json", tmp_path / "record.json")
+            with (tmp_path / "record.csv").open() as fh:
+                js = [int(row["j"]) for row in csv.DictReader(fh)]
+            assert js == want * 5
+            data = json.loads((tmp_path / "record.json").read_text())
+            for row in data["rows"]:
+                assert list(row["tracked"]) == [str(j) for j in want]
 
     def test_jump_flagged(self):
         # the third eigenvalue moves 100x faster than the other two
@@ -319,23 +340,23 @@ class TestRunScenario:
             collision_threshold=1e-2,
         )
         record = engine.run_scenario(ScenarioConfig.from_dict(raw))
-        flagged = [tv for row in record.rows for tv in row.tracked.values()
-                   if "near-real" in tv.flags]
-        assert flagged
-        assert all(tv.breakdown is None for tv in flagged)
+        flagged = record.flagged("near-real")
+        assert flagged.any()
+        assert np.isnan(record.total[flagged]).all()
+        assert not record.has_conjugate_force[flagged].any()
 
     def test_singular_gap_flagged(self):
         raw = base_config(model={"type": "explicit",
                                  "matrix": [[1.0, 0.0], [0.0, 1.0]],
                                  "velocity": [[1.0, 2.0], [3.0, 4.0]]})
         # M(0) = I is doubly degenerate; the pair splits for t > 0
-        row = engine.run_scenario(ScenarioConfig.from_dict(raw)).rows[0]
-        assert "degenerate" in row.flags
-        for tv in row.tracked.values():
-            assert tv.flags == ("singular-gap",)
-            assert tv.breakdown is None
+        record = engine.run_scenario(ScenarioConfig.from_dict(raw))
+        assert record.flagged("degenerate")[0]
+        assert record.flagged("singular-gap")[0].all()
+        assert not record.flagged("near-real")[0].any()
+        assert np.isnan(record.total[0]).all()
         # velocities are still recorded and sum to tr Mdot
-        assert sum(tv.velocity for tv in row.tracked.values()) == pytest.approx(5.0)
+        assert record.velocity[0].sum() == pytest.approx(5.0)
 
     def test_pairing_failure_flagged(self, monkeypatch):
         def no_partner(d, tol):
@@ -345,11 +366,9 @@ class TestRunScenario:
         raw = base_config(model={"type": "explicit",
                                  "matrix": [[0.0, 1.0], [-1.0, 0.0]]})
         record = engine.run_scenario(ScenarioConfig.from_dict(raw))
-        for row in record.rows:
-            assert "pairing-failed" in row.flags
-            for tv in row.tracked.values():
-                assert tv.conjugate_force is None
-                assert tv.breakdown.conjugate_term == 0
+        assert record.flagged("pairing-failed").all()
+        assert not record.has_conjugate_force.any()
+        assert (record.conjugate_term == 0).all()
 
     def test_pairing_bug_propagates(self, monkeypatch):
         def broken(d, tol):
@@ -389,7 +408,7 @@ class TestPersistence:
         with target.open() as fh:
             next(fh)
             first = next(fh).split(",")
-        lam = record.rows[0].eigenvalues[0]
+        lam = record.eigenvalues[0, 0]
         assert float(first[2]) == lam.real
         assert float(first[3]) == lam.imag
 
@@ -452,6 +471,20 @@ class TestPersistence:
         again = engine.record_to_dict(engine.record_from_dict(data))
         assert json.dumps(again, sort_keys=True) == json.dumps(data, sort_keys=True)
         assert again["rows"][2]["tracked"]["1"]["conjugate_force"] is None
+
+    @pytest.mark.parametrize("edit", [
+        lambda data: data["rows"][1]["flags"].append("warp"),
+        lambda data: data["rows"][1]["tracked"]["0"]["flags"].append("warp"),
+        lambda data: data["rows"][1].pop("eigenvalues"),
+        lambda data: data["rows"][1]["eigenvalues"].append([0.0]),
+    ])
+    def test_malformed_record_rejected(self, tmp_path, edit):
+        data = engine.record_to_dict(self.run_sample())
+        edit(data)
+        target = tmp_path / "record.json"
+        target.write_text(json.dumps(data))
+        with pytest.raises(RecordInvalid):
+            engine.load_record(target)
 
     def test_json_export_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -182,3 +182,17 @@ class TestMonteCarlo:
         proc = PerturbationProcess(sigma2=1.0, seed=1)
         with pytest.raises(RealEigenvalue):
             stochastic.monte_carlo_conjugate_force(m, proc, 0, 10)
+
+    def test_self_paired_rejected_before_sampling(self, monkeypatch):
+        # |Im lambda| = 1e-6 lies inside the pairing tolerance, so lambda is
+        # self-paired and every sample's summand would be singular
+        m = np.array([[0.0, 1.0], [-1e-12, 0.0]])
+        j = int(np.argmax(core.decompose(m).eigenvalues.imag))
+
+        def no_draw(self, n, index):
+            raise AssertionError("drew a sample")
+
+        monkeypatch.setattr(PerturbationProcess, "sample", no_draw)
+        with pytest.raises(RealEigenvalue, match="self-paired"):
+            stochastic.monte_carlo_conjugate_force(
+                m, PerturbationProcess(seed=1), j, 10, tol=1e-5)
