@@ -1,7 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from eigendyn import core
 from eigendyn.errors import DimensionMismatch, PairingFailure
@@ -110,6 +114,69 @@ def brute_force_cost(prev, nxt):
     return best, np.array(best_perm)
 
 
+def _reference_match(prev, next, ambiguity_tol=1e-12):
+    """The pair-swap scan of ``core.match_paths`` as a Python double loop
+    over the full overlap matrix: the reference its array form must
+    reproduce bit for bit."""
+    n = prev.n
+    cost = np.abs(next.eigenvalues[None, :] - prev.eigenvalues[:, None])
+    rows, cols = linear_sum_assignment(cost)
+    perm = np.empty(n, dtype=int)
+    perm[rows] = cols
+    overlap = np.abs(prev.left.conj().T @ next.right)
+    scale = max(float(cost.max()), 1.0)
+    tol = ambiguity_tol * scale
+    ambiguous = False
+    for a in range(n):
+        for b in range(a + 1, n):
+            delta = (
+                cost[a, perm[b]] + cost[b, perm[a]]
+                - cost[a, perm[a]] - cost[b, perm[b]]
+            )
+            if abs(delta) < tol:
+                ambiguous = True
+                kept = overlap[a, perm[a]] + overlap[b, perm[b]]
+                swapped = overlap[a, perm[b]] + overlap[b, perm[a]]
+                if swapped > kept:
+                    perm[a], perm[b] = perm[b], perm[a]
+    total = float(cost[np.arange(n), perm].sum())
+    return core.PathMatch(permutation=perm, cost=total, ambiguous=ambiguous)
+
+
+# eigenvalues on a coarse lattice repeat, and lattice moves make the
+# assignment cost tie, so the eigenvector overlaps decide swaps.  With
+# the non-dyadic levels a tie may hold only to round-off; at the tight
+# tolerance the order of the sum in the swap delta then decides it
+_LEVELS = (0.0, 0.1, 0.3, 0.5, 0.7, 1.0, 2.0, 1.0 + 0.5j, 1.0 - 0.5j)
+_SHIFTS = (0.0, 0.1, 0.2, 0.5, 1.0, 1.5, 0.25j)
+_TOLS = (1e-12, 1e-17)
+
+
+@st.composite
+def tied_decompositions(draw):
+    n = draw(st.integers(2, 8))
+    base = core.decompose(random_real(n, draw(st.integers(0, 2**32 - 1))))
+    w = np.array(draw(st.lists(st.sampled_from(_LEVELS), min_size=n,
+                               max_size=n)), dtype=complex)
+    if n >= 3 and draw(st.booleans()):
+        w[:3] = w[0]  # a threefold-degenerate block
+    order = np.array(draw(st.permutations(range(n))))
+    right = base.right[:, order]
+    # rotating two columns mixes their overlaps; at pi/4 the kept and
+    # swapped overlap sums agree to the last bits
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                         unique=True))
+    theta = draw(st.sampled_from([0.0, np.pi / 4, np.pi / 3, np.pi / 2]))
+    c, s = np.cos(theta), np.sin(theta)
+    right[:, [i, j]] = right[:, [i, j]] @ np.array([[c, -s], [s, c]])
+    if draw(st.booleans()):
+        right[:, j] = right[:, i]  # equal columns: the overlaps tie exactly
+    prev = dataclasses.replace(base, eigenvalues=w)
+    nxt = dataclasses.replace(base, eigenvalues=w[order] + draw(
+        st.sampled_from(_SHIFTS)), right=right)
+    return prev, nxt, draw(st.sampled_from(_TOLS))
+
+
 class TestMatchPaths:
     def test_identity_on_identical(self):
         d = core.decompose(random_real(5, 1))
@@ -175,3 +242,30 @@ class TestMatchPaths:
         d1 = core.decompose(np.diag([1.0, 1.0 + 1e-14]))
         d2 = core.decompose(np.diag([2.0, 2.0 + 1e-14]))
         assert core.match_paths(d1, d2).ambiguous
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_decompositions())
+    def test_matches_reference_on_ties(self, case):
+        prev, nxt, tol = case
+        got = core.match_paths(prev, nxt, tol)
+        want = _reference_match(prev, nxt, tol)
+        np.testing.assert_array_equal(got.permutation, want.permutation)
+        assert got.ambiguous == want.ambiguous
+        assert got.cost == want.cost
+
+    def test_swap_seen_by_later_pairs(self):
+        # every cost is 1, so every pair ties and |right| (left = I)
+        # decides.  (0, 1) swaps; with perm [1, 0, 2] the pair (0, 2) then
+        # keeps 0.5 + 0.6 > 0.9 + 0.1, where on the identity it would
+        # have swapped (0.9 + 0.1 > 0.1 + 0.6)
+        right = np.array([[0.1, 0.5, 0.9],
+                          [0.8, 0.1, 0.1],
+                          [0.1, 0.1, 0.6]], dtype=complex)
+        base = core.decompose(np.eye(3))
+        prev = dataclasses.replace(base, eigenvalues=np.zeros(3, dtype=complex))
+        nxt = dataclasses.replace(base, eigenvalues=np.ones(3, dtype=complex),
+                                  right=right)
+        m = core.match_paths(prev, nxt)
+        np.testing.assert_array_equal(m.permutation, [1, 0, 2])
+        assert m.ambiguous
+        assert m.cost == 3.0
