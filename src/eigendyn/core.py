@@ -209,11 +209,13 @@ def match_paths(
 ) -> PathMatch:
     """Match eigenvalue indices across time steps.
 
-    Minimizes the total |lambda_next - lambda_prev| assignment cost; ties
-    are broken towards maximal left/right eigenvector overlap.  Flags the
-    match as ambiguous when swapping any matched pair changes the total
-    cost by less than ``ambiguity_tol`` times the scale of the spectrum
-    (the signature of a collision vicinity).
+    Minimizes the total |lambda_next - lambda_prev| assignment cost.  A
+    pair of indices whose swap changes the total cost by less than
+    ``ambiguity_tol`` times the scale of the spectrum is a tie (the
+    signature of a collision vicinity): it flags the match as ambiguous
+    and is swapped when that raises the left/right eigenvector overlap.
+    Tied pairs (a, b), a < b, are visited in lexicographic order, and
+    each swap is seen by every pair after it.
     """
     if prev.n != next.n:
         raise DimensionMismatch("decompositions have different dimensions")
@@ -223,23 +225,34 @@ def match_paths(
     perm = np.empty(n, dtype=int)
     perm[rows] = cols
 
-    # resolve near-ties (swap changes total cost by < tol) by eigenvector
-    # overlap and flag them: a tie is the signature of a collision vicinity
-    overlap = np.abs(prev.left.conj().T @ next.right)
     scale = max(float(cost.max()), 1.0)
     tol = ambiguity_tol * scale
     ambiguous = False
-    for a in range(n):
-        for b in range(a + 1, n):
-            delta = (
-                cost[a, perm[b]] + cost[b, perm[a]]
-                - cost[a, perm[a]] - cost[b, perm[b]]
-            )
-            if abs(delta) < tol:
-                ambiguous = True
-                kept = overlap[a, perm[a]] + overlap[b, perm[b]]
-                swapped = overlap[a, perm[b]] + overlap[b, perm[a]]
-                if swapped > kept:
-                    perm[a], perm[b] = perm[b], perm[a]
+    # the pairs a < b still to visit, flat index a * n + b: lexicographic
+    todo = np.less.outer(np.arange(n), np.arange(n)).ravel()
+    while True:
+        # delta[a, b] = cost[a, perm[b]] + cost[b, perm[a]]
+        #               - cost[a, perm[a]] - cost[b, perm[b]],
+        # summed in this order so that ties fall on the same bits as in a
+        # pair-by-pair scan
+        c = cost[:, perm]
+        own = c.diagonal()
+        delta = c + c.T - own[:, None] - own[None, :]
+        for h in np.flatnonzero(todo & (np.abs(delta.ravel()) < tol)):
+            ambiguous = True
+            a, b = divmod(h, n)
+            # rows a and b of |U^H V| as one (2, n) @ (n, n) product: ties
+            # are decided in the last bits, and this shape gives the same
+            # bits as the full product where a (2, 2) one does not
+            overlap = np.abs(prev.left[:, [a, b]].conj().T @ next.right)
+            kept = overlap[0, perm[a]] + overlap[1, perm[b]]
+            swapped = overlap[0, perm[b]] + overlap[1, perm[a]]
+            if swapped > kept:
+                perm[a], perm[b] = perm[b], perm[a]
+                # the swap moves the deltas of the pairs after (a, b)
+                todo[:h + 1] = False
+                break
+        else:
+            break
     total = float(cost[np.arange(n), perm].sum())
     return PathMatch(permutation=perm, cost=total, ambiguous=ambiguous)
