@@ -103,11 +103,10 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     try:
         cfg = _load_config(args)
-    except ConfigInvalid as exc:
-        return _fail(EXIT_INVALID, str(exc))
-    try:
         record = engine.run_scenario(cfg)
         written = _write_outputs(cfg, record)
+    except ConfigInvalid as exc:
+        return _fail(EXIT_INVALID, str(exc))
     except EigendynError as exc:
         return _fail(EXIT_RUNTIME, str(exc))
     for path in written:

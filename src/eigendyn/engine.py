@@ -105,6 +105,56 @@ def _number(value, where: str, kind=float):
     return x
 
 
+def _numbers(values, n: int, where: str) -> np.ndarray:
+    """``values`` as an array of ``n`` finite floats."""
+    if not isinstance(values, list) or len(values) != n:
+        raise ConfigInvalid(f"{where}: expected a list of {n} numbers "
+                            "(one per site)")
+    return np.array([_number(x, f"{where}[{i}]") for i, x in enumerate(values)])
+
+
+# the keys each section may hold: a misspelt key is an error, never a
+# silently applied default
+_SECTION_KEYS = {
+    "": {"model", "time", "tracked", "collision_threshold", "seed",
+         "perturbation", "output"},
+    "time": {"t0", "t1", "steps"},
+    "perturbation": {"kind", "sigma2", "seed"},
+    "output": {"dir", "formats"},
+}
+_MODEL_KEYS = {
+    "explicit": {"matrix", "velocity", "acceleration"},
+    "ring": {"sites", "diffusion", "growth", "tilt", "fluctuations",
+             "fluctuation_rate"},
+    "transfer": {"entries", "branch", "unimodular_tol"},
+    "effective_hamiltonian": {"H", "lindblad"},
+}
+_ENTRY_KEYS = {"M11", "M12", "M21", "M22"}
+_LINDBLAD_KEYS = {"L", "l", "l_rate"}
+
+
+def _known_keys(section: dict, allowed: set, where: str) -> None:
+    unknown = sorted(set(section) - allowed, key=str)
+    if unknown:
+        raise ConfigInvalid(f"{where}{unknown[0]}: unknown key")
+
+
+def _check_keys(raw: dict) -> None:
+    """Reject keys the code does not read; ``raw`` has a valid model type."""
+    for name, allowed in _SECTION_KEYS.items():
+        section = raw.get(name) if name else raw
+        if isinstance(section, dict):
+            _known_keys(section, allowed, f"{name}." if name else "")
+    model = raw["model"]
+    _known_keys(model, _MODEL_KEYS[model["type"]] | {"type"}, "model.")
+    if isinstance(model.get("entries"), dict):
+        _known_keys(model["entries"], _ENTRY_KEYS, "model.entries.")
+    if isinstance(model.get("lindblad"), list):
+        for idx, item in enumerate(model["lindblad"]):
+            if isinstance(item, dict):
+                _known_keys(item, _LINDBLAD_KEYS, f"model.lindblad[{idx}].")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     model: dict
@@ -129,6 +179,7 @@ class ScenarioConfig:
         if model["type"] not in ("explicit", "ring", "transfer",
                                  "effective_hamiltonian"):
             raise ConfigInvalid(f"model.type: unknown type {model['type']!r}")
+        _check_keys(raw)
         time = raw.get("time")
         if not isinstance(time, dict) or not {"t0", "t1", "steps"} <= time.keys():
             raise ConfigInvalid("time: required object with t0, t1, steps")
@@ -225,20 +276,22 @@ def build_trajectory(cfg: ScenarioConfig) -> MatrixTrajectory:
             raise ConfigInvalid(f"model: {exc}") from exc
 
     if kind == "ring":
+        if "sites" not in model:
+            raise ConfigInvalid("model.sites: required")
+        n = _number(model["sites"], "model.sites", int)
         try:
-            n = int(model["sites"])
             ring = models.BiophysicalRing(
                 n=n,
-                diffusion=float(model.get("diffusion", 1.0)),
-                growth=float(model.get("growth", 0.0)),
-                tilt=float(model.get("tilt", 0.0)),
+                diffusion=_number(model.get("diffusion", 1.0), "model.diffusion"),
+                growth=_number(model.get("growth", 0.0), "model.growth"),
+                tilt=_number(model.get("tilt", 0.0), "model.tilt"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigInvalid(f"model: {exc}") from exc
-        u0 = np.asarray(model.get("fluctuations", np.zeros(n)), dtype=float)
-        u1 = np.asarray(model.get("fluctuation_rate", np.zeros(n)), dtype=float)
-        if u0.shape != (n,) or u1.shape != (n,):
-            raise ConfigInvalid("model: fluctuation arrays must have length 'sites'")
+        zeros = [0.0] * n
+        u0 = _numbers(model.get("fluctuations", zeros), n, "model.fluctuations")
+        u1 = _numbers(model.get("fluctuation_rate", zeros), n,
+                      "model.fluctuation_rate")
         base_m = models.build_omega_le(ring)
         # U(t) = u0 + t*u1 enters only through the diagonal, so the
         # derivatives are exact
@@ -267,10 +320,13 @@ def build_trajectory(cfg: ScenarioConfig) -> MatrixTrajectory:
             coeffs = polys[key]
             return lambda k: sum(c * k**p for p, c in enumerate(coeffs))
 
+        tol = _number(model.get("unimodular_tol", 1e-9), "model.unimodular_tol")
+        if tol <= 0:
+            raise ConfigInvalid("model.unimodular_tol must be > 0")
         tmodel = models.TransferMatrixModel(
             entry("M11"), entry("M12"), entry("M21"), entry("M22"),
-            branch=int(model.get("branch", 1)),
-            unimodular_tol=float(model.get("unimodular_tol", 1e-9)),
+            branch=_number(model.get("branch", 1), "model.branch", int),
+            unimodular_tol=tol,
         )
 
         def s_matrix(k):
@@ -280,8 +336,11 @@ def build_trajectory(cfg: ScenarioConfig) -> MatrixTrajectory:
 
     if kind == "effective_hamiltonian":
         h = _load_matrix(model.get("H"), base, "model.H")
+        lindblad = model.get("lindblad", [])
+        if not isinstance(lindblad, list):
+            raise ConfigInvalid("model.lindblad: expected a list")
         ops, l0, l1 = [], [], []
-        for idx, item in enumerate(model.get("lindblad", [])):
+        for idx, item in enumerate(lindblad):
             if not isinstance(item, dict) or "L" not in item:
                 raise ConfigInvalid(f"model.lindblad[{idx}]: needs an 'L' matrix")
             ops.append(_load_matrix(item["L"], base, f"model.lindblad[{idx}].L"))

@@ -94,6 +94,14 @@ class TestRun:
         assert pair_events[0]["t_lo"] <= 1.02
         assert pair_events[0]["t_hi"] >= 0.98
 
+    def test_misspelt_bare_override(self, ring_scenario, tmp_path, capsys):
+        # a bare key lands in the model section, where it is unknown
+        code = cli.main(["run", "--scenario", str(ring_scenario),
+                         "--out", str(tmp_path / "out"),
+                         "--set", "colision_threshold=0.5"])
+        assert code == cli.EXIT_INVALID
+        assert "model.colision_threshold: unknown key" in capsys.readouterr().err
+
     def test_set_override(self, ring_scenario, tmp_path, capsys):
         out = tmp_path / "out"
         code = cli.main(["run", "--scenario", str(ring_scenario),

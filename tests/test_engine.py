@@ -124,6 +124,25 @@ class TestScenarioConfig:
         argv = ["run", "--scenario", str(p), "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 2
 
+    @pytest.mark.parametrize("mutate,key", [
+        ({"colision_threshold": 0.5}, "colision_threshold"),
+        ({"time": {"t0": 0.0, "t1": 1.0, "steps": 4, "step": 2}}, "time.step"),
+        ({"perturbation": {"sigma": 1.0}}, "perturbation.sigma"),
+        ({"output": {"format": ["csv"]}}, "output.format"),
+        ({"model": {"type": "ring", "sites": 4, "difusion": 2.0}},
+         "model.difusion"),
+        ({"model": {"type": "explicit", "matrix": [[1.0]], "H": [[1.0]]}},
+         "model.H"),
+        ({"model": {"type": "transfer", "entries": {"M11": ["1"], "M13": ["1"]}}},
+         "model.entries.M13"),
+        ({"model": {"type": "effective_hamiltonian", "H": [[1.0]],
+                    "lindblad": [{"L": [[1.0]], "rate": "1"}]}},
+         r"model.lindblad\[0\].rate"),
+    ], ids=repr)
+    def test_unknown_key_rejected(self, mutate, key):
+        with pytest.raises(ConfigInvalid, match=f"^{key}: unknown key"):
+            ScenarioConfig.from_dict(base_config(**mutate))
+
     def test_hash_stable_and_sensitive(self):
         a = ScenarioConfig.from_dict(base_config()).config_hash()
         b = ScenarioConfig.from_dict(base_config()).config_hash()
@@ -206,6 +225,38 @@ class TestBuildTrajectory:
         want = np.diag([0.0, 1.0]) + 0.5j * 0.5 * np.array(
             [[0.0, 1.0], [-1.0, 0.0]])
         np.testing.assert_allclose(m, want, atol=1e-15)
+
+    @pytest.mark.parametrize("model", [
+        {"type": "ring", "sites": 4, "fluctuations": [float("nan"), 0, 0, 0]},
+        {"type": "ring", "sites": 4, "fluctuation_rate": [0, "x", 0, 0]},
+        {"type": "ring", "sites": 4, "fluctuations": [0, 0, 0]},
+        {"type": "ring", "sites": 4.9},
+        {"type": "ring", "sites": True},
+        {"type": "ring", "sites": 0},
+        {"type": "ring"},
+        {"type": "ring", "sites": 4, "diffusion": float("inf")},
+        {"type": "ring", "sites": 4, "growth": "fast"},
+        {"type": "ring", "sites": 4, "tilt": float("nan")},
+        {"type": "transfer", "entries": {k: ["1"] for k in
+                                         ("M11", "M12", "M21", "M22")},
+         "branch": 0.5},
+        {"type": "transfer", "entries": {k: ["1"] for k in
+                                         ("M11", "M12", "M21", "M22")},
+         "unimodular_tol": 0.0},
+        {"type": "transfer", "entries": {k: ["1"] for k in
+                                         ("M11", "M12", "M21", "M22")},
+         "unimodular_tol": float("nan")},
+        {"type": "effective_hamiltonian", "H": [[1.0]], "lindblad": 5},
+    ], ids=repr)
+    def test_bad_model_parameter(self, tmp_path, model):
+        raw = base_config(model=model)
+        with pytest.raises(ConfigInvalid):
+            engine.build_trajectory(ScenarioConfig.from_dict(raw))
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(raw))
+        assert cli.main(["validate", "--scenario", str(p)]) == 2
+        argv = ["run", "--scenario", str(p), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
 
     def test_missing_transfer_entry(self):
         raw = base_config(model={"type": "transfer",
