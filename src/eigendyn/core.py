@@ -242,8 +242,8 @@ def match_paths(
             ambiguous = True
             a, b = divmod(h, n)
             # rows a and b of |U^H V| as one (2, n) @ (n, n) product: ties
-            # are decided in the last bits, and this shape gives the same
-            # bits as the full product where a (2, 2) one does not
+            # are decided in the last bits, and with OpenBLAS this shape
+            # gives the bits of the full product where a (2, 2) one does not
             overlap = np.abs(prev.left[:, [a, b]].conj().T @ next.right)
             kept = overlap[0, perm[a]] + overlap[1, perm[b]]
             swapped = overlap[0, perm[b]] + overlap[1, perm[a]]

@@ -115,9 +115,9 @@ def _numbers(values, n: int, where: str) -> np.ndarray:
 
 # the keys each section may hold: a misspelt key is an error, never a
 # silently applied default
+_TOP_KEYS = {"model", "time", "tracked", "collision_threshold", "seed",
+             "perturbation", "output"}
 _SECTION_KEYS = {
-    "": {"model", "time", "tracked", "collision_threshold", "seed",
-         "perturbation", "output"},
     "time": {"t0", "t1", "steps"},
     "perturbation": {"kind", "sigma2", "seed"},
     "output": {"dir", "formats"},
@@ -141,10 +141,10 @@ def _known_keys(section: dict, allowed: set, where: str) -> None:
 
 def _check_keys(raw: dict) -> None:
     """Reject keys the code does not read; ``raw`` has a valid model type."""
+    _known_keys(raw, _TOP_KEYS, "")
     for name, allowed in _SECTION_KEYS.items():
-        section = raw.get(name) if name else raw
-        if isinstance(section, dict):
-            _known_keys(section, allowed, f"{name}." if name else "")
+        if isinstance(raw.get(name), dict):
+            _known_keys(raw[name], allowed, f"{name}.")
     model = raw["model"]
     _known_keys(model, _MODEL_KEYS[model["type"]] | {"type"}, "model.")
     if isinstance(model.get("entries"), dict):
