@@ -105,8 +105,12 @@ def _number(value, where: str, kind=float):
     return x
 
 
-def _numbers(values, n: int, where: str) -> np.ndarray:
-    """``values`` as an array of ``n`` finite floats."""
+def _site_values(model: dict, key: str, n: int) -> np.ndarray:
+    """``model[key]`` as ``n`` finite floats, one per site; zeros when
+    the key is absent."""
+    if key not in model:
+        return np.zeros(n)
+    values, where = model[key], f"model.{key}"
     if not isinstance(values, list) or len(values) != n:
         raise ConfigInvalid(f"{where}: expected a list of {n} numbers "
                             "(one per site)")
@@ -288,10 +292,8 @@ def build_trajectory(cfg: ScenarioConfig) -> MatrixTrajectory:
             )
         except ValueError as exc:
             raise ConfigInvalid(f"model: {exc}") from exc
-        zeros = [0.0] * n
-        u0 = _numbers(model.get("fluctuations", zeros), n, "model.fluctuations")
-        u1 = _numbers(model.get("fluctuation_rate", zeros), n,
-                      "model.fluctuation_rate")
+        u0 = _site_values(model, "fluctuations", n)
+        u1 = _site_values(model, "fluctuation_rate", n)
         base_m = models.build_omega_le(ring)
         # U(t) = u0 + t*u1 enters only through the diagonal, so the
         # derivatives are exact
