@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from eigendyn import cli, core, engine
 from eigendyn.engine import ScenarioConfig
 from eigendyn.errors import (ConfigInvalid, PairingFailure, RecordInvalid,
                              UnsupportedFormat)
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestParseComplex:
@@ -552,3 +556,122 @@ class TestPersistence:
         assert record.provenance["seed"] == 5
         assert len(record.provenance["config_hash"]) == 64
         assert record.provenance["version"] == eigendyn.__version__ == "0.1.0"
+
+
+def _reference_json(record) -> str:
+    """The record document built as nested dicts and encoded by the
+    standard library: the reference for the bytes of JSON export."""
+    def pairs(z, present=None):
+        out = np.stack([z.real, z.imag], axis=-1).tolist()
+        if present is not None:
+            for k, c in np.argwhere(~present).tolist():
+                out[k][c] = None
+        return out
+
+    def names(mask, flags):
+        return [f for b, f in enumerate(flags) if mask >> b & 1]
+
+    intact = record.value_flags == 0
+    present = (np.ones_like(intact), intact, intact, intact,
+               record.has_conjugate_force, record.has_expected_force)
+    columns = [pairs(getattr(record, name), mask)
+               for name, mask in zip(engine._VALUES, present)]
+    keys = [str(j) for j in record.tracked.tolist()]
+    value_flags = record.value_flags.tolist()
+    rows = [{
+        "t": t,
+        "eigenvalues": eigenvalues,
+        "permutation": permutation,
+        "flags": names(flags, engine.STEP_FLAGS),
+        "tracked": {
+            key: dict(zip(engine._VALUES, values),
+                      flags=names(f, engine.VALUE_FLAGS))
+            for key, values, f in zip(keys, zip(*(col[k] for col in columns)),
+                                      value_flags[k])
+        },
+    } for k, (t, eigenvalues, permutation, flags) in enumerate(zip(
+        record.t.tolist(), pairs(record.eigenvalues),
+        record.permutation.tolist(), record.step_flags.tolist(),
+    ))]
+    data = {
+        "rows": rows,
+        "events": [
+            {"t_lo": e.t_lo, "t_hi": e.t_hi, "pair": list(e.pair),
+             "min_abs_im": e.min_abs_im}
+            for e in record.events
+        ],
+        "provenance": dict(record.provenance),
+    }
+    return json.dumps(data, sort_keys=True, indent=1)
+
+
+def _record_case(case, monkeypatch):
+    """A run record that exercises one corner of the JSON layout."""
+    two = {"type": "explicit", "matrix": [[0.0, 1.0], [-1.0, 0.0]]}
+    if case in ("ring", "collision", "noisy"):
+        return engine.run_scenario(
+            ScenarioConfig.from_file(SCENARIOS / f"{case}.json"))
+    if case == "twelve-tracked":
+        # keys "10" and "11" sort before "2"
+        raw = base_config(model={"type": "ring", "sites": 12, "tilt": 0.3,
+                                 "fluctuation_rate": [0.1, 0.0] * 6},
+                          time={"t0": 0.0, "t1": 1.0, "steps": 3})
+    elif case == "none-tracked":
+        raw = base_config(tracked=[2, 5])
+    elif case == "noisy-collision":
+        # near-real nulls, expected forces and an ambiguous-match event
+        # with NaN min_abs_im
+        raw = base_config(
+            model=dict(two, velocity=[[0.0, 0.0], [1.0, 0.0]]),
+            time={"t0": 0.0, "t1": 1.2, "steps": 12},
+            collision_threshold=0.3,
+            perturbation={"kind": "full", "sigma2": 0.5},
+        )
+    elif case == "singular-gap":
+        raw = base_config(model={"type": "explicit",
+                                 "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                                 "velocity": [[1.0, 2.0], [3.0, 4.0]]})
+    elif case == "pairing-failed":
+        def no_partner(d, tol):
+            raise PairingFailure("no conjugate partner")
+
+        monkeypatch.setattr(core, "pair_conjugates", no_partner)
+        raw = base_config(model=two)
+    else:
+        # computed NaN and infinities beside nulls, and signed zeros
+        assert case == "nan-inf-zero"
+        record = _record_case("singular-gap", monkeypatch)
+        inertial = record.inertial.copy()
+        inertial[1] = [complex(np.nan, np.inf), complex(-np.inf, -0.0)]
+        eigenvalues = record.eigenvalues.copy()
+        eigenvalues[0, 0] = complex(-0.0, -0.0)
+        return dataclasses.replace(record, inertial=inertial,
+                                   eigenvalues=eigenvalues,
+                                   t=np.where(record.t == 0, -0.0, record.t))
+    return engine.run_scenario(ScenarioConfig.from_dict(raw))
+
+
+class TestRecordJson:
+    @pytest.mark.parametrize("case,shows", [
+        ("ring", ['"events": [\n  {']),
+        ("collision", ['"pair": [']),
+        ("noisy", ['"expected_force": [']),
+        ("twelve-tracked", ['"11": {\n', '"2": {\n']),
+        ("none-tracked", ['"tracked": {}']),
+        ("noisy-collision", ['"near-real"', '"ambiguous-match"',
+                             '"min_abs_im": NaN', '"expected_force": [',
+                             '"expected_force": null']),
+        ("singular-gap", ['"singular-gap"', '"inertial": null']),
+        ("pairing-failed", ['"pairing-failed"', '"conjugate_force": null']),
+        ("nan-inf-zero", ["NaN,", "Infinity\n", "-Infinity,", "-0.0,",
+                          '"t": -0.0', "null"]),
+    ])
+    def test_export_bytes_match_reference(self, tmp_path, monkeypatch, case,
+                                          shows):
+        record = _record_case(case, monkeypatch)
+        want = _reference_json(record) + "\n"
+        for text in shows:
+            assert text in want
+        target = tmp_path / "record.json"
+        engine.export(record, "json", target)
+        assert target.read_bytes() == want.encode()
