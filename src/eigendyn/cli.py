@@ -107,7 +107,7 @@ def cmd_run(args) -> int:
         written = _write_outputs(cfg, record)
     except ConfigInvalid as exc:
         return _fail(EXIT_INVALID, str(exc))
-    except EigendynError as exc:
+    except (EigendynError, OSError) as exc:  # OSError: unwritable output
         return _fail(EXIT_RUNTIME, str(exc))
     for path in written:
         print(path)
@@ -154,7 +154,7 @@ def cmd_sweep(args) -> int:
                   f"events={len(record.events)}")
         except ConfigInvalid as exc:
             return _fail(EXIT_INVALID, f"{key}={value:g}: {exc}")
-        except EigendynError as exc:
+        except (EigendynError, OSError) as exc:
             print(f"error: {key}={value:g}: {exc}", file=sys.stderr)
             failures += 1
     return EXIT_RUNTIME if failures else EXIT_OK

@@ -9,6 +9,7 @@ of whitespace-separated rows with complex entries written as "a+bi".
 
 from __future__ import annotations
 
+import cmath
 import csv
 import functools
 import hashlib
@@ -22,7 +23,8 @@ import numpy as np
 
 from . import __version__, core, dynamics, models, stochastic
 from .dynamics import MatrixTrajectory
-from .errors import ConfigInvalid, PairingFailure, RecordInvalid, UnsupportedFormat
+from .errors import (ConfigInvalid, EigendynError, PairingFailure, RecordInvalid,
+                     UnsupportedFormat)
 
 __all__ = [
     "ScenarioConfig",
@@ -51,17 +53,30 @@ def parse_complex(text) -> complex:
         raise ValueError(f"cannot parse complex literal {text!r}") from None
 
 
+def _complex_value(value, where: str) -> complex:
+    """A number or complex literal (never a bool) as a finite complex."""
+    try:
+        z = parse_complex(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"{where}: {exc}") from exc
+    if isinstance(value, bool) or not cmath.isfinite(z):
+        raise ConfigInvalid(f"{where}: expected a finite number, got {value!r}")
+    return z
+
+
 def read_matrix_file(path) -> np.ndarray:
     """Whitespace-separated rows; complex entries as "a+bi"."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, ValueError) as exc:  # ValueError: not text
+        raise ConfigInvalid(f"cannot read matrix file {path}: {exc}") from exc
     rows = []
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            rows.append([parse_complex(tok) for tok in line.split()])
-        except ValueError as exc:
-            raise ConfigInvalid(f"{path}:{line_no}: {exc}") from exc
+        rows.append([_complex_value(tok, f"{path}:{line_no}")
+                     for tok in line.split()])
     if not rows:
         raise ConfigInvalid(f"{path}: no matrix rows found")
     widths = {len(r) for r in rows}
@@ -74,12 +89,13 @@ def _load_matrix(spec, base_dir: Path, where: str) -> np.ndarray:
     """Inline list-of-lists (entries may be complex strings) or file path."""
     if isinstance(spec, str):
         return read_matrix_file(base_dir / spec)
-    if isinstance(spec, list):
+    if isinstance(spec, list) and all(isinstance(row, list) for row in spec):
         try:
             return np.array(
-                [[parse_complex(x) for x in row] for row in spec], dtype=complex
+                [[_complex_value(x, where) for x in row] for row in spec],
+                dtype=complex,
             )
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:  # ragged rows
             raise ConfigInvalid(f"{where}: bad inline matrix: {exc}") from exc
     raise ConfigInvalid(f"{where}: expected file path or inline rows")
 
@@ -90,16 +106,16 @@ def _load_matrix(spec, base_dir: Path, where: str) -> np.ndarray:
 
 def _number(value, where: str, kind=float):
     """``value`` as a finite float, or with ``kind=int`` as an integer (an
-    integral float or an integer string, never a bool)."""
+    integral float or an integer string); never a bool."""
     try:
         x = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"{where}: {exc}") from exc
     if kind is int:
-        bad = isinstance(value, bool) or isinstance(value, float) and x != value
+        bad = isinstance(value, float) and x != value
     else:
         bad = not math.isfinite(x)
-    if bad:
+    if bad or isinstance(value, bool):
         raise ConfigInvalid(f"{where}: expected a finite {kind.__name__}, "
                             f"got {value!r}")
     return x
@@ -203,6 +219,8 @@ class ScenarioConfig:
                 type(i) is int and i >= 0 for i in tracked)):
             raise ConfigInvalid("tracked: 'all' or a list of indices")
         seed = _number(raw.get("seed", 0), "seed", int)
+        if seed < 0:  # numpy seeds are non-negative
+            raise ConfigInvalid("seed must be >= 0")
         pert = raw.get("perturbation")
         if pert is not None:
             if not isinstance(pert, dict):
@@ -212,7 +230,8 @@ class ScenarioConfig:
                 raise ConfigInvalid(f"perturbation.kind: unknown kind {kind!r}")
             if _number(pert.get("sigma2", 1.0), "perturbation.sigma2") < 0:
                 raise ConfigInvalid("perturbation.sigma2 must be >= 0")
-            _number(pert.get("seed", seed), "perturbation.seed", int)
+            if _number(pert.get("seed", seed), "perturbation.seed", int) < 0:
+                raise ConfigInvalid("perturbation.seed must be >= 0")
         output = raw.get("output", {})
         formats = isinstance(output, dict) and output.get("formats", ["json"])
         if not isinstance(formats, (list, tuple)):
@@ -220,6 +239,10 @@ class ScenarioConfig:
         for f in formats:
             if f not in ("csv", "json"):
                 raise ConfigInvalid(f"output.formats: unsupported format {f!r}")
+        output_dir = output.get("dir", "out")
+        if not isinstance(output_dir, str):
+            raise ConfigInvalid(f"output.dir: expected a path string, "
+                                f"got {output_dir!r}")
         return ScenarioConfig(
             model=model,
             t0=t0,
@@ -229,7 +252,7 @@ class ScenarioConfig:
             collision_threshold=threshold,
             seed=seed,
             perturbation=pert,
-            output_dir=str(output.get("dir", "out")),
+            output_dir=output_dir,
             output_formats=tuple(formats),
             base_dir=Path(base_dir),
         )
@@ -311,12 +334,10 @@ def build_trajectory(cfg: ScenarioConfig) -> MatrixTrajectory:
             raise ConfigInvalid("model.entries: required object M11..M22")
         polys = {}
         for key in ("M11", "M12", "M21", "M22"):
-            if key not in entries:
-                raise ConfigInvalid(f"model.entries.{key}: required")
-            try:
-                polys[key] = [parse_complex(c) for c in entries[key]]
-            except (ValueError, TypeError) as exc:
-                raise ConfigInvalid(f"model.entries.{key}: {exc}") from exc
+            where = f"model.entries.{key}"
+            if not isinstance(entries.get(key), list):
+                raise ConfigInvalid(f"{where}: required list of coefficients")
+            polys[key] = [_complex_value(c, where) for c in entries[key]]
 
         def entry(key):
             coeffs = polys[key]
@@ -334,7 +355,10 @@ def build_trajectory(cfg: ScenarioConfig) -> MatrixTrajectory:
         def s_matrix(k):
             return models.scattering_data(tmodel, k).s_matrix
 
-        return MatrixTrajectory.from_callable(s_matrix, n=2)
+        try:  # evaluates the model once, at k = 0
+            return MatrixTrajectory.from_callable(s_matrix, n=2)
+        except EigendynError as exc:
+            raise ConfigInvalid(f"model: {exc}") from exc
 
     if kind == "effective_hamiltonian":
         h = _load_matrix(model.get("H"), base, "model.H")
@@ -346,11 +370,13 @@ def build_trajectory(cfg: ScenarioConfig) -> MatrixTrajectory:
             if not isinstance(item, dict) or "L" not in item:
                 raise ConfigInvalid(f"model.lindblad[{idx}]: needs an 'L' matrix")
             ops.append(_load_matrix(item["L"], base, f"model.lindblad[{idx}].L"))
-            try:
-                l0.append(parse_complex(item.get("l", 0)))
-                l1.append(parse_complex(item.get("l_rate", 0)))
-            except ValueError as exc:
-                raise ConfigInvalid(f"model.lindblad[{idx}]: {exc}") from exc
+            l0.append(_complex_value(item.get("l", 0), f"model.lindblad[{idx}].l"))
+            l1.append(_complex_value(item.get("l_rate", 0),
+                                     f"model.lindblad[{idx}].l_rate"))
+        try:  # shapes are checked once, here
+            models.EffectiveHamiltonianSpec(h, ops, l0)
+        except EigendynError as exc:
+            raise ConfigInvalid(f"model: {exc}") from exc
 
         def h_eff(t):
             spec = models.EffectiveHamiltonianSpec(
@@ -448,57 +474,110 @@ def _flag_mask(flags, names: tuple) -> int:
     return sum(1 << names.index(f) for f in set(flags))
 
 
-def _pairs(z, present=None) -> list:
-    """Nested [re, im] lists of a complex array; None where not ``present``."""
-    out = np.stack([z.real, z.imag], axis=-1).tolist()
-    if present is not None:
-        for k, c in np.argwhere(~present).tolist():
-            out[k][c] = None
-    return out
-
-
 def _complex(pairs, shape: tuple) -> np.ndarray:
-    """Inverse of :func:`_pairs` without nulls, bit for bit."""
+    """(shape) complex array of nested [re, im] lists without nulls, bit
+    for bit."""
     return np.array(pairs, dtype=float).reshape(*shape, 2).view(complex)[..., 0]
 
 
-def record_to_dict(record: RunRecord) -> dict:
-    """The JSON document of a record; absent values are null."""
-    intact = record.value_flags == 0
-    present = (np.ones_like(intact), intact, intact, intact,
-               record.has_conjugate_force, record.has_expected_force)
-    columns = [_pairs(getattr(record, name), mask)
-               for name, mask in zip(_VALUES, present)]
-    keys = [str(j) for j in record.tracked.tolist()]
-    value_flags = record.value_flags.tolist()
-    rows = [{
-        "t": t,
-        "eigenvalues": eigenvalues,
-        "permutation": permutation,
-        "flags": list(_flag_names(flags, STEP_FLAGS)),
-        "tracked": {
-            key: dict(zip(_VALUES, values),
-                      flags=list(_flag_names(f, VALUE_FLAGS)))
-            for key, values, f in zip(keys, zip(*(col[k] for col in columns)),
-                                      value_flags[k])
-        },
-    } for k, (t, eigenvalues, permutation, flags) in enumerate(zip(
-        record.t.tolist(), _pairs(record.eigenvalues),
-        record.permutation.tolist(), record.step_flags.tolist(),
-    ))]
-    return {
-        "rows": rows,
-        "events": [
-            {"t_lo": e.t_lo, "t_hi": e.t_hi, "pair": list(e.pair),
-             "min_abs_im": e.min_abs_im}
-            for e in record.events
-        ],
-        "provenance": dict(record.provenance),
-    }
+# The JSON text is that of json.dumps(document, sort_keys=True, indent=1),
+# written column by column: each float is formatted once, each [re, im]
+# pair and each tracked entry from one template.  ``pad`` is the
+# indentation of the line a value starts on.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# a tracked entry's keys, sorted as json sorts them
+_CELL_KEYS = tuple(sorted(_VALUES + ("flags",)))
+
+
+def _dumps(value, pad: int) -> str:
+    # JSON strings hold no raw newline, so every newline starts a line
+    return json.dumps(value, sort_keys=True, indent=1).replace(
+        "\n", "\n" + " " * pad)
+
+
+def _container(items: list, pad: int, brackets: str = "[]") -> str:
+    """A JSON list (or object) of already encoded items (or members)."""
+    if not items:
+        return brackets
+    sep = "\n" + " " * (pad + 1)
+    return (brackets[0] + sep + ("," + sep).join(items)
+            + "\n" + " " * pad + brackets[1])
+
+
+def _floats(x) -> list:
+    """json's text of each float of ``x``, flattened."""
+    x = np.ravel(x)
+    out = list(map(float.__repr__, x.tolist()))
+    for i in np.flatnonzero(~np.isfinite(x)).tolist():
+        out[i] = _NONFINITE[out[i]]
+    return out
+
+
+def _pair_texts(z, pad: int, present=None) -> list:
+    """json's text of each [re, im] pair of ``z``, flattened; null where
+    not ``present``."""
+    inner = " " * (pad + 1)
+    template = f"[\n{inner}%s,\n{inner}%s\n{' ' * pad}]"
+    out = [template % p for p in zip(_floats(z.real), _floats(z.imag))]
+    if present is not None:
+        for i in np.flatnonzero(~np.ravel(present)).tolist():
+            out[i] = "null"
+    return out
+
+
+@functools.cache
+def _flags_text(mask: int, names: tuple, pad: int) -> str:
+    return _dumps(list(_flag_names(mask, names)), pad)
+
+
+def record_json(record: RunRecord) -> str:
+    """The JSON document of a record (keys ``rows``, ``events``,
+    ``provenance``); absent values are null.  Keys are sorted and indented
+    by one space per level: the bytes of ``json.dumps(document,
+    sort_keys=True, indent=1)``."""
+    steps, n = record.eigenvalues.shape
+    # tracked keys in string order: "10" sorts before "2"
+    order = sorted(range(len(record.tracked)),
+                   key=lambda c: str(record.tracked[c]))
+    keys = [str(j) for j in record.tracked[order].tolist()]
+    m = len(keys)
+    flags = record.value_flags[:, order]
+    intact = flags == 0
+    present = {"velocity": None, "inertial": intact, "conjugate_term": intact,
+               "others": intact,
+               "conjugate_force": record.has_conjugate_force[:, order],
+               "expected_force": record.has_expected_force[:, order]}
+    cells = {name: _pair_texts(getattr(record, name)[:, order], 5, mask)
+             for name, mask in present.items()}
+    cells["flags"] = [_flags_text(f, VALUE_FLAGS, 5)
+                      for f in flags.ravel().tolist()]
+    cell = "\"%s\": {\n" + ",\n".join(
+        f'     "{key}": %s' for key in _CELL_KEYS) + "\n    }"
+    tracked = [cell % values for values in
+               zip(keys * steps, *(cells[key] for key in _CELL_KEYS))]
+    eigenvalues = _pair_texts(record.eigenvalues, 4)
+    permutation = list(map(str, record.permutation.ravel().tolist()))
+    rows = [
+        "{\n"
+        f'   "eigenvalues": {_container(eigenvalues[k * n:(k + 1) * n], 3)},\n'
+        f'   "flags": {_flags_text(f, STEP_FLAGS, 3)},\n'
+        f'   "permutation": {_container(permutation[k * n:(k + 1) * n], 3)},\n'
+        f'   "t": {t},\n'
+        f'   "tracked": {_container(tracked[k * m:(k + 1) * m], 3, "{}")}\n'
+        "  }"
+        for k, (t, f) in enumerate(zip(_floats(record.t),
+                                       record.step_flags.tolist()))
+    ]
+    events = [{"t_lo": e.t_lo, "t_hi": e.t_hi, "pair": list(e.pair),
+               "min_abs_im": e.min_abs_im} for e in record.events]
+    return _container([f'"events": {_dumps(events, 1)}',
+                       f'"provenance": {_dumps(dict(record.provenance), 1)}',
+                       f'"rows": {_container(rows, 1)}'], 0, "{}")
 
 
 def record_from_dict(data: dict) -> RunRecord:
-    """Inverse of :func:`record_to_dict`.  Raises RecordInvalid when
+    """Inverse of :func:`record_json` read by ``json.loads``.  Raises
+    RecordInvalid when
     ``data`` does not follow the record schema."""
     try:
         rows = data["rows"]
@@ -712,8 +791,7 @@ def export(record: RunRecord, format: str, path) -> None:
     JSON (lossless, including events and provenance)."""
     path = Path(path)
     if format == "json":
-        data = record_to_dict(record)
-        path.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
+        path.write_text(record_json(record) + "\n")
         return
     if format == "csv":
         m = len(record.tracked)

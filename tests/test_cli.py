@@ -102,6 +102,24 @@ class TestRun:
         assert code == cli.EXIT_INVALID
         assert "model.colision_threshold: unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", ["file", "file/sub", "dir-at-target"])
+    def test_unwritable_output(self, ring_scenario, tmp_path, capsys, out):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir-at-target" / "record.json").mkdir(parents=True)
+        code = cli.main(["run", "--scenario", str(ring_scenario),
+                         "--set", "time.steps=2", "--out", str(tmp_path / out)])
+        assert code == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_string_output_dir(self, ring_scenario, tmp_path, capsys,
+                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(["run", "--scenario", str(ring_scenario),
+                         "--set", "output.dir=5"])
+        assert code == cli.EXIT_INVALID
+        assert "output.dir" in capsys.readouterr().err
+        assert not (tmp_path / "5").exists()
+
     def test_set_override(self, ring_scenario, tmp_path, capsys):
         out = tmp_path / "out"
         code = cli.main(["run", "--scenario", str(ring_scenario),
@@ -122,6 +140,16 @@ class TestSweep:
         assert len(subdirs) == 11
         assert "tilt=0" in subdirs and "tilt=1" in subdirs
         assert (out / "tilt=0.5" / "record.csv").exists()
+
+    def test_unwritable_output(self, ring_scenario, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code = cli.main(["sweep", "tilt=0:0.5:1",
+                         "--scenario", str(ring_scenario),
+                         "--set", "time.steps=2", "--out", str(tmp_path / "file")])
+        assert code == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3
+        assert all(line.startswith("error: tilt=") for line in err)
 
     def test_bad_range_spec(self, ring_scenario, capsys):
         code = cli.main(["sweep", "tilt=0:1", "--scenario",

@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import json
@@ -5,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eigendyn
 from eigendyn import cli, core, engine
@@ -101,6 +104,7 @@ class TestScenarioConfig:
         ({"perturbation": {"kind": "banana"}}, "kind"),
         ({"perturbation": {"sigma2": -1.0}}, "sigma2"),
         ({"output": {"formats": ["xml"]}}, "format"),
+        ({"output": {"dir": 5}}, "output.dir"),
     ])
     def test_invalid_rejected(self, mutate, msg):
         with pytest.raises(ConfigInvalid, match=msg):
@@ -118,6 +122,10 @@ class TestScenarioConfig:
         {"time": {"t0": 0.0, "t1": 1.0, "steps": 2.7}},
         {"time": {"t0": 0.0, "t1": 1.0, "steps": True}},
         {"tracked": [True]},
+        {"time": {"t0": 0.0, "t1": True, "steps": 4}},
+        {"collision_threshold": True},
+        {"seed": -1},
+        {"perturbation": {"seed": -3}},
     ], ids=repr)
     def test_bad_scalar_rejected(self, tmp_path, mutate):
         raw = base_config(**mutate)
@@ -251,6 +259,24 @@ class TestBuildTrajectory:
                                          ("M11", "M12", "M21", "M22")},
          "unimodular_tol": float("nan")},
         {"type": "effective_hamiltonian", "H": [[1.0]], "lindblad": 5},
+        {"type": "ring", "sites": 4, "tilt": True},
+        {"type": "explicit", "matrix": "missing.txt"},
+        {"type": "explicit", "matrix": ""},
+        {"type": "explicit", "matrix": ["1"]},
+        {"type": "explicit", "matrix": [[True]]},
+        {"type": "transfer", "entries": {"M11": [], "M12": ["1"], "M21": ["0"],
+                                         "M22": ["1"]}},
+        {"type": "transfer", "entries": {"M11": ["1"], "M12": ["nan"],
+                                         "M21": ["0"], "M22": ["1"]}},
+        {"type": "transfer", "entries": {"M11": "1", "M12": ["1"], "M21": ["0"],
+                                         "M22": ["1"]}},
+        {"type": "effective_hamiltonian", "H": [[1.0]],
+         "lindblad": [{"L": [[1.0]], "l": float("nan")}]},
+        {"type": "effective_hamiltonian", "H": [[1.0]],
+         "lindblad": [{"L": [[1.0]], "l_rate": float("inf")}]},
+        {"type": "effective_hamiltonian", "H": [[1.0]],
+         "lindblad": [{"L": [[0.0, 1.0], [0.0, 0.0]]}]},
+        {"type": "effective_hamiltonian", "H": [[1.0, 2.0]]},
     ], ids=repr)
     def test_bad_model_parameter(self, tmp_path, model):
         raw = base_config(model=model)
@@ -267,6 +293,74 @@ class TestBuildTrajectory:
                                  "entries": {"M11": ["1"]}})
         with pytest.raises(ConfigInvalid, match="M12"):
             engine.build_trajectory(ScenarioConfig.from_dict(raw))
+
+
+# shipped scenarios plus one of each model type none of them uses
+FUZZ_BASES = {
+    name: json.loads((SCENARIOS / f"{name}.json").read_text())
+    for name in ("ring", "collision", "noisy")
+}
+FUZZ_BASES["transfer"] = base_config(model={
+    "type": "transfer", "branch": 1, "unimodular_tol": 1e-9,
+    "entries": {"M11": ["1.5", "0.5"], "M12": ["1"], "M21": ["0.5", "0.5"],
+                "M22": ["1"]},
+}, time={"t0": 0.5, "t1": 2.0, "steps": 4})
+FUZZ_BASES["effective_hamiltonian"] = base_config(model={
+    "type": "effective_hamiltonian", "H": [[0.0, "1+1i"], ["1-1i", 2.0]],
+    "lindblad": [{"L": [[0.0, 1.0], [0.0, 0.0]], "l": "0.5", "l_rate": "0.1i"}],
+})
+FUZZ_VALUES = [float("nan"), float("inf"), -float("inf"), True, False, None,
+               [], [1.0], [float("nan")], [[1.0]], ["x"], "x", "", "1", 0, -1,
+               2.5, {}]
+DROP = object()
+
+
+def _fuzz_sections(raw: dict) -> list:
+    """(section, keys it may hold or holds) for each object in ``raw``."""
+    out = [(raw, engine._TOP_KEYS | set(raw))]
+    out += [(raw[name], keys | set(raw[name]))
+            for name, keys in engine._SECTION_KEYS.items()
+            if isinstance(raw.get(name), dict)]
+    model = raw.get("model")
+    if isinstance(model, dict):
+        kind = model.get("type")
+        keys = engine._MODEL_KEYS.get(kind, set()) if isinstance(kind, str) else set()
+        out.append((model, keys | set(model) | {"type"}))
+        if isinstance(model.get("entries"), dict):
+            out.append((model["entries"], engine._ENTRY_KEYS | set(model["entries"])))
+        for item in model.get("lindblad", []) if isinstance(
+                model.get("lindblad"), list) else []:
+            if isinstance(item, dict):
+                out.append((item, engine._LINDBLAD_KEYS | set(item)))
+    return out
+
+
+class TestScenarioFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_only_config_invalid_escapes(self, data):
+        raw = copy.deepcopy(FUZZ_BASES[data.draw(st.sampled_from(sorted(FUZZ_BASES)))])
+        for _ in range(data.draw(st.integers(1, 3))):
+            sections = _fuzz_sections(raw)
+            section, keys = sections[data.draw(st.integers(0, len(sections) - 1))]
+            key = data.draw(st.sampled_from(sorted(keys)))
+            value = data.draw(st.sampled_from(FUZZ_VALUES + [DROP]))
+            if value is DROP:
+                section.pop(key, None)
+            else:
+                section[key] = copy.deepcopy(value)
+        try:
+            cfg = ScenarioConfig.from_dict(raw, base_dir=SCENARIOS)
+            trajectory = engine.build_trajectory(cfg)
+        except ConfigInvalid:
+            return
+        # what `eigendyn validate` and a short run do next may fail only as
+        # a package error
+        try:
+            core.decompose(np.asarray(trajectory.value(cfg.t0), dtype=complex))
+            engine.run_scenario(dataclasses.replace(cfg, steps=min(cfg.steps, 2)))
+        except eigendyn.errors.EigendynError:
+            pass
 
 
 class TestRunScenario:
@@ -335,7 +429,8 @@ class TestRunScenario:
         )
         r1 = engine.run_scenario(ScenarioConfig.from_dict(raw))
         r2 = engine.run_scenario(ScenarioConfig.from_dict(raw))
-        assert engine.record_to_dict(r1) == engine.record_to_dict(r2)
+        assert (json.loads(engine.record_json(r1))
+                == json.loads(engine.record_json(r2)))
 
     def test_stochastic_expected_force_present(self):
         raw = base_config(
@@ -373,7 +468,8 @@ class TestRunScenario:
                                  "velocity": [[0.01, 0.0, 0.0], [0.0, 0.01, 0.0],
                                               [0.0, 0.0, 1.0]]})
         record = engine.run_scenario(ScenarioConfig.from_dict(raw))
-        flags = [row["flags"] for row in engine.record_to_dict(record)["rows"]]
+        flags = [row["flags"]
+                 for row in json.loads(engine.record_json(record))["rows"]]
         assert flags == [[], ["jump"], ["jump"], ["jump"], ["jump"]]
 
     @pytest.mark.parametrize("matrix,want", [
@@ -472,7 +568,8 @@ class TestPersistence:
         target = tmp_path / "record.json"
         engine.export(record, "json", target)
         loaded = engine.load_record(target)
-        assert engine.record_to_dict(loaded) == engine.record_to_dict(record)
+        assert (json.loads(engine.record_json(loaded))
+                == json.loads(engine.record_json(record)))
 
     @pytest.mark.parametrize("case", ["noisy-collision", "degenerate-start",
                                       "pairing-failed"])
@@ -503,7 +600,7 @@ class TestPersistence:
                                      "matrix": [[0.0, 1.0], [-1.0, 0.0]]})
             want = {"pairing-failed"}
         record = engine.run_scenario(ScenarioConfig.from_dict(raw))
-        data = engine.record_to_dict(record)
+        data = json.loads(engine.record_json(record))
         seen = {f for row in data["rows"] for f in row["flags"]}
         seen |= {f for row in data["rows"] for tv in row["tracked"].values()
                  for f in tv["flags"]}
@@ -520,10 +617,10 @@ class TestPersistence:
         assert first.read_bytes() == second.read_bytes()
 
     def test_null_and_nan_stay_distinct(self):
-        data = engine.record_to_dict(self.run_sample())
+        data = json.loads(engine.record_json(self.run_sample()))
         data["rows"][1]["tracked"]["0"]["inertial"] = [float("nan"), float("nan")]
         data["rows"][2]["tracked"]["1"]["conjugate_force"] = None
-        again = engine.record_to_dict(engine.record_from_dict(data))
+        again = json.loads(engine.record_json(engine.record_from_dict(data)))
         assert json.dumps(again, sort_keys=True) == json.dumps(data, sort_keys=True)
         assert again["rows"][2]["tracked"]["1"]["conjugate_force"] is None
 
@@ -534,7 +631,7 @@ class TestPersistence:
         lambda data: data["rows"][1]["eigenvalues"].append([0.0]),
     ])
     def test_malformed_record_rejected(self, tmp_path, edit):
-        data = engine.record_to_dict(self.run_sample())
+        data = json.loads(engine.record_json(self.run_sample()))
         edit(data)
         target = tmp_path / "record.json"
         target.write_text(json.dumps(data))
