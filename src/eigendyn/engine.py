@@ -500,8 +500,7 @@ def _container(items: list, pad: int, brackets: str = "[]") -> str:
     if not items:
         return brackets
     sep = "\n" + " " * (pad + 1)
-    return (brackets[0] + sep + ("," + sep).join(items)
-            + "\n" + " " * pad + brackets[1])
+    return f"{brackets[0]}{sep}{(',' + sep).join(items)}\n{' ' * pad}{brackets[1]}"
 
 
 def _floats(x) -> list:
@@ -530,31 +529,33 @@ def _flags_text(mask: int, names: tuple, pad: int) -> str:
     return _dumps(list(_flag_names(mask, names)), pad)
 
 
-def record_json(record: RunRecord) -> str:
-    """The JSON document of a record (keys ``rows``, ``events``,
-    ``provenance``); absent values are null.  Keys are sorted and indented
-    by one space per level: the bytes of ``json.dumps(document,
-    sort_keys=True, indent=1)``."""
-    steps, n = record.eigenvalues.shape
-    # tracked keys in string order: "10" sorts before "2"
+def _tracked_json(record: RunRecord) -> list:
+    """The members of every step's "tracked" object, step by step, each
+    from one template over the formatted columns; keys in string order
+    ("10" sorts before "2")."""
     order = sorted(range(len(record.tracked)),
                    key=lambda c: str(record.tracked[c]))
     keys = [str(j) for j in record.tracked[order].tolist()]
-    m = len(keys)
     flags = record.value_flags[:, order]
     intact = flags == 0
     present = {"velocity": None, "inertial": intact, "conjugate_term": intact,
                "others": intact,
                "conjugate_force": record.has_conjugate_force[:, order],
                "expected_force": record.has_expected_force[:, order]}
-    cells = {name: _pair_texts(getattr(record, name)[:, order], 5, mask)
-             for name, mask in present.items()}
-    cells["flags"] = [_flags_text(f, VALUE_FLAGS, 5)
-                      for f in flags.ravel().tolist()]
-    cell = "\"%s\": {\n" + ",\n".join(
+    columns = {name: _pair_texts(getattr(record, name)[:, order], 5, mask)
+               for name, mask in present.items()}
+    columns["flags"] = [_flags_text(f, VALUE_FLAGS, 5)
+                        for f in flags.ravel().tolist()]
+    entry = "\"%s\": {\n" + ",\n".join(
         f'     "{key}": %s' for key in _CELL_KEYS) + "\n    }"
-    tracked = [cell % values for values in
-               zip(keys * steps, *(cells[key] for key in _CELL_KEYS))]
+    return [entry % values for values in zip(
+        keys * len(record.t), *(columns[key] for key in _CELL_KEYS))]
+
+
+def _rows_json(record: RunRecord) -> str:
+    """The list under a record document's "rows" key."""
+    n, m = record.eigenvalues.shape[1], len(record.tracked)
+    tracked = _tracked_json(record)
     eigenvalues = _pair_texts(record.eigenvalues, 4)
     permutation = list(map(str, record.permutation.ravel().tolist()))
     rows = [
@@ -568,17 +569,25 @@ def record_json(record: RunRecord) -> str:
         for k, (t, f) in enumerate(zip(_floats(record.t),
                                        record.step_flags.tolist()))
     ]
+    return _container(rows, 1)
+
+
+def record_json(record: RunRecord) -> str:
+    """The JSON document of a record (keys ``rows``, ``events``,
+    ``provenance``); absent values are null.  Keys are sorted and indented
+    by one space per level: the bytes of ``json.dumps(document,
+    sort_keys=True, indent=1)``."""
     events = [{"t_lo": e.t_lo, "t_hi": e.t_hi, "pair": list(e.pair),
                "min_abs_im": e.min_abs_im} for e in record.events]
-    return _container([f'"events": {_dumps(events, 1)}',
-                       f'"provenance": {_dumps(dict(record.provenance), 1)}',
-                       f'"rows": {_container(rows, 1)}'], 0, "{}")
+    # the rows text is the one large part; it is copied once, here
+    return (f'{{\n "events": {_dumps(events, 1)},\n'
+            f' "provenance": {_dumps(dict(record.provenance), 1)},\n'
+            f' "rows": {_rows_json(record)}\n}}')
 
 
 def record_from_dict(data: dict) -> RunRecord:
     """Inverse of :func:`record_json` read by ``json.loads``.  Raises
-    RecordInvalid when
-    ``data`` does not follow the record schema."""
+    RecordInvalid when ``data`` does not follow the record schema."""
     try:
         rows = data["rows"]
         keys = sorted(rows[0]["tracked"], key=int)
@@ -791,7 +800,9 @@ def export(record: RunRecord, format: str, path) -> None:
     JSON (lossless, including events and provenance)."""
     path = Path(path)
     if format == "json":
-        path.write_text(record_json(record) + "\n")
+        with path.open("w") as fh:  # no copy of the text to append "\n"
+            fh.write(record_json(record))
+            fh.write("\n")
         return
     if format == "csv":
         m = len(record.tracked)
