@@ -61,6 +61,8 @@ def _load_config(args) -> ScenarioConfig:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigInvalid(f"cannot read scenario file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigInvalid("scenario root must be an object")
     for item in args.set or []:

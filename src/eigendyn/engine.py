@@ -9,7 +9,6 @@ of whitespace-separated rows with complex entries written as "a+bi".
 
 from __future__ import annotations
 
-import cmath
 import csv
 import functools
 import hashlib
@@ -34,6 +33,7 @@ __all__ = [
     "read_matrix_file",
     "run_scenario",
     "export",
+    "record_json",
     "load_record",
     "detect_collisions",
 ]
@@ -59,7 +59,7 @@ def _complex_value(value, where: str) -> complex:
         z = parse_complex(value)
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"{where}: {exc}") from exc
-    if isinstance(value, bool) or not cmath.isfinite(z):
+    if isinstance(value, bool) or not np.isfinite(z):
         raise ConfigInvalid(f"{where}: expected a finite number, got {value!r}")
     return z
 

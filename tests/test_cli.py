@@ -34,6 +34,17 @@ class TestValidate:
         assert code == cli.EXIT_INVALID
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe{"])
+    def test_unreadable_scenario(self, tmp_path, capsys, content):
+        target = tmp_path / "scn.json"
+        if content is None:
+            target.mkdir()
+        else:
+            target.write_bytes(content)
+        code = cli.main(["validate", "--scenario", str(target)])
+        assert code == cli.EXIT_INVALID
+        assert "cannot read scenario file" in capsys.readouterr().err
+
     def test_corrupted_matrix_file(self, collision_scenario, capsys):
         (collision_scenario.parent / "collision_m.txt").write_text("1 2\nbad\n")
         code = cli.main(["validate", "--scenario", str(collision_scenario)])
