@@ -322,16 +322,17 @@ def _fuzz_sections(raw: dict) -> list:
             for name, keys in engine._SECTION_KEYS.items()
             if isinstance(raw.get(name), dict)]
     model = raw.get("model")
-    if isinstance(model, dict):
-        kind = model.get("type")
-        keys = engine._MODEL_KEYS.get(kind, set()) if isinstance(kind, str) else set()
-        out.append((model, keys | set(model) | {"type"}))
-        if isinstance(model.get("entries"), dict):
-            out.append((model["entries"], engine._ENTRY_KEYS | set(model["entries"])))
-        for item in model.get("lindblad", []) if isinstance(
-                model.get("lindblad"), list) else []:
-            if isinstance(item, dict):
-                out.append((item, engine._LINDBLAD_KEYS | set(item)))
+    if not isinstance(model, dict):
+        return out
+    kind = model.get("type")
+    keys = engine._MODEL_KEYS.get(kind, set()) if isinstance(kind, str) else set()
+    out.append((model, keys | set(model) | {"type"}))
+    entries, lindblad = model.get("entries"), model.get("lindblad")
+    if isinstance(entries, dict):
+        out.append((entries, engine._ENTRY_KEYS | set(entries)))
+    if isinstance(lindblad, list):
+        out += [(item, engine._LINDBLAD_KEYS | set(item))
+                for item in lindblad if isinstance(item, dict)]
     return out
 
 
