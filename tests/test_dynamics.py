@@ -240,6 +240,38 @@ class TestForceColumns:
                                    rtol=1e-12,
                                    atol=1e-12 * max(np.abs(full.pairwise).max(), 1.0))
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+           t=st.floats(-1.0, 1.0), data=st.data())
+    def test_whole_spectrum_columns(self, n, seed, t, data):
+        # n columns that are not arange(n): a permutation, or indices with
+        # repeats, under a non-diagonal complex Mdot and a nonzero Mddot
+        d, mdot, mddot, partner = kernel_case(n, seed, t)
+        mdot = mdot + 1j * np.random.default_rng(seed).standard_normal((n, n))
+        assert np.abs(mddot).max() > 0
+        cols = np.array(data.draw(st.one_of(
+            st.permutations(range(n)),
+            st.lists(st.integers(0, n - 1), min_size=n, max_size=n))), dtype=int)
+        f = kernel(d, mdot, mddot, cols, partner)
+        np.testing.assert_array_equal(f.cols, cols)
+        for c, j in enumerate(cols):
+            vel, inertial, conj, others, scale = reference_terms(
+                d, mdot, mddot, j, partner)
+            tol = 1e-12 * (scale + abs(vel))
+            assert abs(f.velocity[c] - vel) <= tol
+            assert abs(f.inertial[c] - inertial) <= tol
+            assert abs(f.conjugate_term[c] - conj) <= tol
+            assert abs(f.others[c] - others) <= tol
+
+            one = kernel(d, mdot, mddot, [j], partner)
+            assert f.singular[c] == one.singular[0]
+            assert f.gap_tol == one.gap_tol
+            for name in ("velocity", "inertial", "conjugate_term", "others"):
+                assert abs(getattr(f, name)[c] - getattr(one, name)[0]) <= tol
+            np.testing.assert_allclose(
+                f.pairwise[:, c], one.pairwise[:, 0], rtol=1e-12,
+                atol=1e-12 * max(np.abs(one.pairwise).max(), 1.0))
+
     def test_conjugate_term_is_conjugate_force(self):
         d, mdot, mddot, partner = kernel_case(8, 3, 0.2)
         pairing = core.ConjugatePairing(partner=partner, tol=1e-7)
