@@ -23,6 +23,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+# numpy and scipy may each bundle their own OpenBLAS with its own thread
+# pool; a threaded numpy product leaves its workers spinning against the
+# next step's eigensolve, so the n x n x n products run on the BLAS that
+# scipy's LAPACK (core.decompose) already uses
+from scipy.linalg.blas import zgemm
 
 from .core import ConjugatePairing, SpectralDecomposition, as_square_matrix
 from .errors import DimensionMismatch, RealEigenvalue, SingularGap
@@ -187,8 +192,8 @@ def force_columns(
 ) -> ForceColumns:
     """The acceleration sum for the eigenvalues ``cols``, all i at once.
 
-    With C = U^H Mdot V (only the rows and columns ``cols`` are formed):
-    velocity C[j, j], inertial u_j^H Mddot v_j, and the pairwise terms
+    With C = U^H Mdot V (formed once when ``cols`` has one entry per
+    eigenvalue, else only its rows and columns ``cols``): velocity C[j, j], inertial u_j^H Mddot v_j, and the pairwise terms
     T[i, j] = 2 C[i, j] C[j, i] / (lambda_j - lambda_i).  T is
     antisymmetric, so over the whole spectrum the totals sum to tr Mddot
     and the velocities to tr Mdot.  With ``partner`` (an index per
@@ -203,13 +208,19 @@ def force_columns(
     w = np.asarray(eigenvalues)
     cols = np.asarray(cols, dtype=int)
     n, k = len(w), len(cols)
-    ucols = u[:, cols].conj().T
-
-    # rows and columns ``cols`` of C, same products as the bilinear forms
-    c_col = u.conj().T @ (mdot @ v[:, cols])  # C[i, j]
-    c_row = (ucols @ mdot) @ v                # C[j, i]
+    if k == n:
+        # trans_a=2: U^H; indexing keeps any order of cols, repeats too
+        c = zgemm(1.0, u, zgemm(1.0, mdot, v), trans_a=2)
+        c_col, c_row = c[:, cols], c[cols]    # C[i, j], C[j, i]
+        u_mddot = zgemm(1.0, u[:, cols], mddot, trans_a=2)
+    else:
+        # thin products, below the BLAS threading threshold
+        ucols = u[:, cols].conj().T
+        c_col = u.conj().T @ (mdot @ v[:, cols])
+        c_row = (ucols @ mdot) @ v
+        u_mddot = ucols @ mddot
     velocity = c_row[np.arange(k), cols]
-    inertial = np.einsum("ci,ic->c", ucols @ mddot, v[:, cols])
+    inertial = np.einsum("ci,ic->c", u_mddot, v[:, cols])
 
     gap = w[cols][None, :] - w[:, None]       # lambda_j - lambda_i
     own = np.arange(n)[:, None] == cols[None, :]
