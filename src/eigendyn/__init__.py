@@ -61,5 +61,4 @@ from .stochastic import (
     expected_conjugate_force_general,
     expected_conjugate_force_iid,
     monte_carlo_conjugate_force,
-    sample_step,
 )

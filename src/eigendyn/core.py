@@ -88,9 +88,6 @@ class ConjugatePairing:
     partner: np.ndarray  # int array, involutive
     tol: float
 
-    def is_real_eig(self, j: int) -> bool:
-        return int(self.partner[j]) == j
-
 
 @dataclass(frozen=True)
 class PathMatch:

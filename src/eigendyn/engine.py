@@ -146,7 +146,7 @@ _MODEL_KEYS = {
     "explicit": {"matrix", "velocity", "acceleration"},
     "ring": {"sites", "diffusion", "growth", "tilt", "fluctuations",
              "fluctuation_rate"},
-    "transfer": {"entries", "branch", "unimodular_tol"},
+    "transfer": {"entries", "unimodular_tol"},
     "effective_hamiltonian": {"H", "lindblad"},
 }
 _ENTRY_KEYS = {"M11", "M12", "M21", "M22"}
@@ -348,7 +348,6 @@ def build_trajectory(cfg: ScenarioConfig) -> MatrixTrajectory:
             raise ConfigInvalid("model.unimodular_tol must be > 0")
         tmodel = models.TransferMatrixModel(
             entry("M11"), entry("M12"), entry("M21"), entry("M22"),
-            branch=_number(model.get("branch", 1), "model.branch", int),
             unimodular_tol=tol,
         )
 

@@ -172,20 +172,17 @@ class TransferMatrixModel:
 
     The transfer matrix relates field amplitudes on the two sides of a
     1D scatterer, E+ = M E-.  det M(k) must equal 1 to ``unimodular_tol``
-    at every queried k.  ``branch`` selects which root s+ or s- is
-    reported as primary (both are always computed).
+    at every queried k.
     """
 
     m11: Callable[[float], complex]
     m12: Callable[[float], complex]
     m21: Callable[[float], complex]
     m22: Callable[[float], complex]
-    branch: int = +1
     unimodular_tol: float = 1e-9
 
     @staticmethod
-    def from_constant(m, branch: int = +1,
-                      unimodular_tol: float = 1e-9) -> "TransferMatrixModel":
+    def from_constant(m, unimodular_tol: float = 1e-9) -> "TransferMatrixModel":
         m = as_square_matrix(m)
         if m.shape != (2, 2):
             raise DimensionMismatch("transfer matrix must be 2x2")
@@ -194,7 +191,6 @@ class TransferMatrixModel:
             lambda k: complex(m[0, 1]),
             lambda k: complex(m[1, 0]),
             lambda k: complex(m[1, 1]),
-            branch=branch,
             unimodular_tol=unimodular_tol,
         )
 
@@ -227,9 +223,6 @@ class ScatteringData:
             [[self.t_left, self.r_right], [self.r_left, self.t_right]],
             dtype=complex,
         )
-
-    def primary(self, branch: int) -> complex:
-        return self.s_plus if branch >= 0 else self.s_minus
 
 
 def scattering_data(model: TransferMatrixModel, k: float,

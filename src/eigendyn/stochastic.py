@@ -27,7 +27,6 @@ from .errors import DimensionMismatch, EmptyEstimate, RealEigenvalue
 __all__ = [
     "PerturbationProcess",
     "MonteCarloEstimate",
-    "sample_step",
     "expected_conjugate_force_iid",
     "expected_conjugate_force_general",
     "monte_carlo_conjugate_force",
@@ -100,12 +99,6 @@ class MonteCarloEstimate:
     @property
     def standard_error(self) -> float:
         return max(self.standard_error_re, self.standard_error_im)
-
-
-def sample_step(m, proc: PerturbationProcess, index: int) -> np.ndarray:
-    """One stochastic step M + dt * P with P drawn for ``index``."""
-    m = as_square_matrix(m)
-    return m + proc.dt * proc.sample(m.shape[0], index)
 
 
 def _check_complex(d: SpectralDecomposition, j: int) -> complex:

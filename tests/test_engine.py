@@ -251,9 +251,6 @@ class TestBuildTrajectory:
         {"type": "ring", "sites": 4, "tilt": float("nan")},
         {"type": "transfer", "entries": {k: ["1"] for k in
                                          ("M11", "M12", "M21", "M22")},
-         "branch": 0.5},
-        {"type": "transfer", "entries": {k: ["1"] for k in
-                                         ("M11", "M12", "M21", "M22")},
          "unimodular_tol": 0.0},
         {"type": "transfer", "entries": {k: ["1"] for k in
                                          ("M11", "M12", "M21", "M22")},
@@ -288,6 +285,19 @@ class TestBuildTrajectory:
         argv = ["run", "--scenario", str(p), "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 2
 
+    def test_transfer_branch_is_unknown_key(self, tmp_path):
+        # the key selected nothing and is no longer accepted
+        raw = base_config(model={
+            "type": "transfer", "branch": 0.5,
+            "entries": {k: ["1"] for k in ("M11", "M12", "M21", "M22")}})
+        with pytest.raises(ConfigInvalid, match="^model.branch: unknown key"):
+            ScenarioConfig.from_dict(raw)
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(raw))
+        assert cli.main(["validate", "--scenario", str(p)]) == 2
+        argv = ["run", "--scenario", str(p), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+
     def test_missing_transfer_entry(self):
         raw = base_config(model={"type": "transfer",
                                  "entries": {"M11": ["1"]}})
@@ -301,7 +311,7 @@ FUZZ_BASES = {
     for name in ("ring", "collision", "noisy")
 }
 FUZZ_BASES["transfer"] = base_config(model={
-    "type": "transfer", "branch": 1, "unimodular_tol": 1e-9,
+    "type": "transfer", "unimodular_tol": 1e-9,
     "entries": {"M11": ["1.5", "0.5"], "M12": ["1"], "M21": ["0.5", "0.5"],
                 "M22": ["1"]},
 }, time={"t0": 0.5, "t1": 2.0, "steps": 4})

@@ -21,19 +21,17 @@ def real_8x8():
     return m, d, pairing
 
 
-class TestSampleStep:
-    def test_zero_variance_identity(self):
-        m = np.arange(9.0).reshape(3, 3)
+class TestSample:
+    def test_zero_variance_zero(self):
         proc = PerturbationProcess(sigma2=0.0, seed=1)
-        np.testing.assert_array_equal(stochastic.sample_step(m, proc, 0), m)
+        np.testing.assert_array_equal(proc.sample(3, 0), np.zeros((3, 3)))
 
     def test_replays_byte_identically(self):
-        m = np.zeros((4, 4))
         proc = PerturbationProcess(kind="full", sigma2=2.0, seed=7, dt=0.1)
-        a = stochastic.sample_step(m, proc, 3)
-        b = stochastic.sample_step(m, proc, 3)
+        a = proc.sample(4, 3)
+        b = proc.sample(4, 3)
         assert np.array_equal(a, b)
-        c = stochastic.sample_step(m, proc, 4)
+        c = proc.sample(4, 4)
         assert not np.array_equal(a, c)
 
     def test_diagonal_kind_off_diagonals_zero(self):
@@ -42,12 +40,11 @@ class TestSampleStep:
         assert not (p - np.diag(np.diag(p))).any()
 
     def test_diagonal_variance_law_of_large_numbers(self):
-        n, dt = 4, 0.1
-        proc = PerturbationProcess(kind="diagonal", sigma2=1.0, seed=11, dt=dt)
-        m = np.zeros((n, n))
+        n = 4
+        proc = PerturbationProcess(kind="diagonal", sigma2=1.0, seed=11, dt=0.1)
         draws = np.empty((100_000, n))
         for i in range(draws.shape[0]):
-            draws[i] = np.diag(stochastic.sample_step(m, proc, i)).real / dt
+            draws[i] = np.diag(proc.sample(n, i)).real
         var = draws.var(axis=0, ddof=1)
         np.testing.assert_allclose(var, 1.0, atol=0.02)
 
