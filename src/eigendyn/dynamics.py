@@ -192,8 +192,9 @@ def force_columns(
 ) -> ForceColumns:
     """The acceleration sum for the eigenvalues ``cols``, all i at once.
 
-    With C = U^H Mdot V (formed once when ``cols`` has one entry per
-    eigenvalue, else only its rows and columns ``cols``): velocity C[j, j], inertial u_j^H Mddot v_j, and the pairwise terms
+    With C = U^H Mdot V (formed whole when ``cols`` has n entries, else
+    only its rows and columns ``cols``): velocity C[j, j], inertial
+    u_j^H Mddot v_j, and the pairwise terms
     T[i, j] = 2 C[i, j] C[j, i] / (lambda_j - lambda_i).  T is
     antisymmetric, so over the whole spectrum the totals sum to tr Mddot
     and the velocities to tr Mdot.  With ``partner`` (an index per
@@ -214,7 +215,8 @@ def force_columns(
         c_col, c_row = c[:, cols], c[cols]    # C[i, j], C[j, i]
         u_mddot = zgemm(1.0, u[:, cols], mddot, trans_a=2)
     else:
-        # thin products, below the BLAS threading threshold
+        # n x n x k products: with few columns they stay below
+        # OpenBLAS's threading threshold, where numpy's BLAS costs nothing
         ucols = u[:, cols].conj().T
         c_col = u.conj().T @ (mdot @ v[:, cols])
         c_row = (ucols @ mdot) @ v
