@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -119,45 +120,66 @@ def cmd_run(args) -> int:
 
 
 def _sweep_values(spec: str):
+    """The key, values and run directory names of KEY=START:STEP:STOP."""
     key, _, rng = spec.partition("=")
     parts = rng.split(":")
     if len(parts) != 3:
         raise ConfigInvalid(f"sweep expects key=start:step:stop, got {spec!r}")
-    start, step, stop = (float(p) for p in parts)
+    try:
+        start, step, stop = (float(p) for p in parts)
+    except ValueError:
+        raise ConfigInvalid(f"sweep range {rng!r}: START, STEP and STOP must "
+                            f"be numbers") from None
+    if not all(map(math.isfinite, (start, step, stop))):
+        raise ConfigInvalid(f"sweep range {rng!r}: START, STEP and STOP must "
+                            f"be finite")
     if step == 0:
         raise ConfigInvalid("sweep step must be nonzero")
-    count = int(round((stop - start) / step)) + 1
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise ConfigInvalid(f"sweep range {rng!r} has no finite count")
+    count = int(round(span)) + 1
     if count < 1:
         raise ConfigInvalid("empty sweep range")
-    return key, [start + i * step for i in range(count)]
+    # runs are named at 6 significant digits and passed the exact value.
+    # The rounding is monotone, so only neighbours can share a name; a
+    # range too fine for the names fails within a few million values
+    names = (f"{key}={start + i * step:g}" for i in range(count))
+    previous = None
+    for name in names:
+        if name == previous:
+            raise ConfigInvalid(f"sweep range {rng!r}: two values share the "
+                                f"run directory {name!r}")
+        previous = name
+    values = [start + i * step for i in range(count)]
+    return key, values, [f"{key}={value:g}" for value in values]
 
 
 def cmd_sweep(args) -> int:
     try:
-        key, values = _sweep_values(args.range)
+        key, values, names = _sweep_values(args.range)
         base_cfg = _load_config(args)
     except ConfigInvalid as exc:
         return _fail(EXIT_INVALID, str(exc))
     out_root = Path(args.out or base_cfg.output_dir)
     failures = 0
-    for value in values:
+    for value, name in zip(values, names):
         sub_args = argparse.Namespace(
             scenario=args.scenario,
-            set=(args.set or []) + [f"{key}={value:g}"],
+            set=(args.set or []) + [f"{key}={value!r}"],
             seed=args.seed,
             format=args.format,
-            out=str(out_root / f"{key}={value:g}"),
+            out=str(out_root / name),
         )
         try:
             cfg = _load_config(sub_args)
             record = engine.run_scenario(cfg)
             _write_outputs(cfg, record)
-            print(f"{key}={value:g}: rows={len(record.t)} "
-                  f"events={len(record.events)}")
+            print(f"{name}: rows={len(record.t)} events={len(record.events)}")
         except ConfigInvalid as exc:
-            return _fail(EXIT_INVALID, f"{key}={value:g}: {exc}")
+            return _fail(EXIT_INVALID, f"{name}: {exc}")
         except (EigendynError, OSError) as exc:
-            print(f"error: {key}={value:g}: {exc}", file=sys.stderr)
+            print(f"error: {name}: {exc}", file=sys.stderr)
             failures += 1
     return EXIT_RUNTIME if failures else EXIT_OK
 

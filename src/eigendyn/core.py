@@ -12,10 +12,11 @@ left set.  All downstream force formulas assume this convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionMismatch, NonConvergence, PairingFailure
@@ -32,19 +33,23 @@ __all__ = [
 ]
 
 
-def as_square_matrix(entries) -> np.ndarray:
-    """Validate and return a finite complex square matrix."""
+def as_square_matrix(entries, stacked: bool = False) -> np.ndarray:
+    """Validate and return a finite, non-empty complex square matrix;
+    with ``stacked``, a (S, n, n) stack of them is accepted too."""
     m = np.asarray(entries, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if (m.ndim not in ((2, 3) if stacked else (2,))
+            or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0):
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains NaN/Inf entries")
     return m
 
 
-def is_real(m, tol: float = 1e-12) -> bool:
-    """True when every imaginary part is below ``tol`` (absolute)."""
-    return bool(np.max(np.abs(np.asarray(m, dtype=complex).imag), initial=0.0) <= tol)
+def is_real(m, tol: float = 1e-12):
+    """True when every imaginary part is below ``tol`` (absolute); one
+    answer per matrix of a (S, n, n) stack."""
+    m = np.asarray(m, dtype=complex)
+    return np.max(np.abs(m.imag), axis=(-2, -1), initial=0.0) <= tol
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,9 @@ class SpectralDecomposition:
     ``right[:, j]`` is the unit-norm right vector of ``eigenvalues[j]``;
     ``left[:, j]`` the matching left vector scaled so left^H right = I.
     ``condition_flags[j]`` marks eigenvalues whose nearest neighbour in
-    the spectrum is closer than the decomposition tolerance.
+    the spectrum is closer than the decomposition tolerance.  A stacked
+    decomposition carries a leading step axis on every field; ``d[s]``
+    is the decomposition of step s.
     """
 
     eigenvalues: np.ndarray
@@ -66,7 +73,12 @@ class SpectralDecomposition:
 
     @property
     def n(self) -> int:
-        return len(self.eigenvalues)
+        return self.eigenvalues.shape[-1]
+
+    def __getitem__(self, s) -> "SpectralDecomposition":
+        return SpectralDecomposition(
+            self.eigenvalues[s], self.right[s], self.left[s],
+            self.condition_flags[s], self.min_gap[s], self.degenerate[s])
 
     def residual(self, m) -> float:
         """max over j of ||M v_j - lambda_j v_j||_2 (right residual)."""
@@ -94,25 +106,31 @@ class PathMatch:
     """Assignment of eigenvalue indices across two snapshots.
 
     ``permutation[i]`` is the index in the next decomposition matched to
-    index ``i`` of the previous one.  ``ambiguous`` is set when a pair
-    swap changes the total cost by less than ``tol`` (collision vicinity).
+    index ``i`` of the previous one.  ``ambiguous_steps`` is set where a
+    pair swap changes the total cost by less than ``tol`` (collision
+    vicinity).  A match over a step axis carries it on every field.
     """
 
     permutation: np.ndarray
-    cost: float
-    ambiguous: bool
+    cost: np.ndarray
+    ambiguous_steps: np.ndarray
+
+    @property
+    def ambiguous(self) -> bool:
+        """Whether any step's match is ambiguous."""
+        return bool(np.any(self.ambiguous_steps))
 
 
-def _fix_phases(vr: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive.
+_ZGEEV, _ZGEEV_LWORK = get_lapack_funcs(("geev", "geev_lwork"),
+                                        dtype=np.complex128)
 
-    Removes the arbitrary LAPACK phase so identical inputs give identical
-    outputs and conjugate relations are stable across calls.
-    """
-    idx = np.argmax(np.abs(vr), axis=0)
-    pivots = vr[idx, np.arange(vr.shape[1])]
-    phases = np.where(np.abs(pivots) > 0, pivots / np.abs(pivots), 1.0)
-    return vr / phases[None, :]
+
+@functools.cache
+def _zgeev_lwork(n: int) -> int:
+    # the workspace scipy.linalg.eig asks for: zgeev's blocking, and so
+    # its bits, depend on it
+    work, _ = _ZGEEV_LWORK(n, compute_vl=1, compute_vr=1)
+    return int(work.real)
 
 
 def decompose(m, tol: float = 1e-9) -> SpectralDecomposition:
@@ -123,46 +141,65 @@ def decompose(m, tol: float = 1e-9) -> SpectralDecomposition:
     formulas carry 1/(lambda_i - lambda_j) singularities and this library
     reports them rather than regularizing.
 
+    ``m`` may be a (S, n, n) stack: LAPACK's zgeev runs once per matrix,
+    the rest once over the stack, and every field gains the step axis.
+
     Raises NonConvergence if LAPACK fails.
     """
-    m = as_square_matrix(m)
-    try:
-        w, vl, vr = scipy.linalg.eig(m, left=True, right=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NonConvergence(str(exc)) from exc
+    m = as_square_matrix(m, stacked=True)
+    steps, n = m.shape[:-2], m.shape[-1]
+    lwork = _zgeev_lwork(n)
+    w = np.empty(steps + (n,), dtype=complex)
+    # the vectors are kept as rows, vl_rows[..., j, :] = u_j: each step
+    # then lies in memory as zgeev's Fortran-ordered columns do, so the
+    # reductions over a vector run in the order of a single matrix
+    vl_rows = np.empty(steps + (n, n), dtype=complex)
+    vr_rows = np.empty(steps + (n, n), dtype=complex)
+    for s in np.ndindex(steps):
+        w[s], vl, vr, info = _ZGEEV(m[s], compute_vl=1, compute_vr=1,
+                                    lwork=lwork)
+        if info:
+            raise NonConvergence(f"zgeev did not converge (info={info})")
+        vl_rows[s], vr_rows[s] = vl.T, vr.T
 
-    order = np.lexsort((w.imag, w.real))
-    w, vl, vr = w[order], vl[:, order], vr[:, order]
+    order = np.lexsort((w.imag, w.real), axis=-1)
+    w = np.take_along_axis(w, order, axis=-1)
+    vl_rows = np.take_along_axis(vl_rows, order[..., None], axis=-2)
+    vr_rows = np.take_along_axis(vr_rows, order[..., None], axis=-2)
 
-    vr = vr / np.linalg.norm(vr, axis=0)[None, :]
-    vr = _fix_phases(vr)
-    # scipy's vl satisfies vl^H M = w vl^H columnwise; rescale so that
-    # left^H right = I exactly on the diagonal.
-    overlaps = np.einsum("ij,ij->j", vl.conj(), vr)
+    vr_rows = vr_rows / np.linalg.norm(vr_rows, axis=-1)[..., None]
+    # rotate each vector so its largest-magnitude entry is real positive:
+    # removes the arbitrary LAPACK phase, so identical inputs give
+    # identical outputs and conjugate relations are stable across calls
+    idx = np.argmax(np.abs(vr_rows), axis=-1)[..., None]
+    pivots = np.take_along_axis(vr_rows, idx, axis=-1)
+    phases = np.where(np.abs(pivots) > 0, pivots / np.abs(pivots), 1.0)
+    vr_rows = vr_rows / phases
+    right = vr_rows.swapaxes(-1, -2)
+
+    # zgeev's vl satisfies vl^H M = w vl^H columnwise; rescale so that
+    # left^H right = I exactly on the diagonal
+    overlaps = np.einsum("...ji,...ji->...j", vl_rows.conj(), vr_rows)
+    vl = vl_rows.swapaxes(-1, -2)
     # near-defective pairs have vanishing overlap; keep the unscaled left
     # vector there (the pair is flagged below) instead of overflowing
     safe = np.abs(overlaps) > 0
-    scaled = np.divide(vl, overlaps.conj()[None, :], where=safe[None, :], out=vl.astype(complex).copy())
-    bad = ~np.all(np.isfinite(scaled), axis=0) | ~safe
-    vl = np.where(bad[None, :], vl, scaled)
+    left = np.divide(vl, overlaps.conj()[..., None, :], where=safe[..., None, :],
+                     out=vl.copy())
+    bad = ~np.all(np.isfinite(left), axis=-2) | ~safe
+    np.copyto(left, vl, where=bad[..., None, :])
 
-    n = len(w)
-    if n > 1:
-        gaps = np.abs(w[None, :] - w[:, None]) + np.diag(np.full(n, np.inf))
-        nearest = gaps.min(axis=0)
-        min_gap = float(nearest.min())
-        flags = (nearest < tol) | bad
-    else:
-        min_gap = np.inf
-        flags = bad.copy()
+    gaps = np.abs(w[..., None, :] - w[..., :, None]) + np.diag(np.full(n, np.inf))
+    nearest = gaps.min(axis=-2, initial=np.inf)
+    flags = (nearest < tol) | bad
 
     return SpectralDecomposition(
         eigenvalues=w,
-        right=vr,
-        left=vl,
+        right=right,
+        left=left,
         condition_flags=flags,
-        min_gap=min_gap,
-        degenerate=bool(flags.any()),
+        min_gap=nearest.min(axis=-1, initial=np.inf),
+        degenerate=flags.any(axis=-1),
     )
 
 
@@ -213,35 +250,56 @@ def match_paths(
     and is swapped when that raises the left/right eigenvector overlap.
     Tied pairs (a, b), a < b, are visited in lexicographic order, and
     each swap is seen by every pair after it.
+
+    ``next`` may be a stacked decomposition: its step s is then matched
+    to its step s - 1, and its first step to ``prev``.  The assignment
+    and the tie scan run per step, the costs and swap deltas once.
     """
     if prev.n != next.n:
         raise DimensionMismatch("decompositions have different dimensions")
-    n = prev.n
-    cost = np.abs(next.eigenvalues[None, :] - prev.eigenvalues[:, None])
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(n, dtype=int)
-    perm[rows] = cols
+    n = next.n
+    w = next.eigenvalues
+    before = (prev.eigenvalues if w.ndim == 1
+              else np.concatenate([prev.eigenvalues[None], w[:-1]]))
+    cost = np.abs(w[..., None, :] - before[..., :, None])
+    perm = np.empty(w.shape, dtype=int)
+    for s in np.ndindex(w.shape[:-1]):
+        perm[s] = linear_sum_assignment(cost[s])[1]
 
-    scale = max(float(cost.max()), 1.0)
-    tol = ambiguity_tol * scale
-    ambiguous = False
+    tol = ambiguity_tol * np.maximum(cost.max(axis=(-2, -1)), 1.0)
+    tied = np.less.outer(np.arange(n), np.arange(n)) & (
+        np.abs(_swap_deltas(cost, perm)) < tol[..., None, None])
+    ambiguous = tied.any(axis=(-2, -1))
+    for s in map(tuple, np.argwhere(ambiguous)):
+        left = prev.left if not s or s[0] == 0 else next.left[s[0] - 1]
+        _break_ties(cost[s], perm[s], tol[s], left, next.right[s])
+    total = np.take_along_axis(cost, perm[..., None], axis=-1)[..., 0].sum(axis=-1)
+    return PathMatch(permutation=perm, cost=total, ambiguous_steps=ambiguous)
+
+
+def _swap_deltas(cost: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """delta[a, b] = cost[a, perm[b]] + cost[b, perm[a]]
+    - cost[a, perm[a]] - cost[b, perm[b]], summed in this order so that
+    ties fall on the same bits as in a pair-by-pair scan."""
+    c = np.take_along_axis(cost, perm[..., None, :], axis=-1)
+    own = np.diagonal(c, axis1=-2, axis2=-1)
+    return c + c.swapaxes(-1, -2) - own[..., :, None] - own[..., None, :]
+
+
+def _break_ties(cost, perm, tol, left, right) -> None:
+    """Swap the tied pairs of one step's ``perm`` in place, in
+    lexicographic order, where a swap raises the overlap |U^H V|."""
+    n = len(perm)
     # the pairs a < b still to visit, flat index a * n + b: lexicographic
     todo = np.less.outer(np.arange(n), np.arange(n)).ravel()
     while True:
-        # delta[a, b] = cost[a, perm[b]] + cost[b, perm[a]]
-        #               - cost[a, perm[a]] - cost[b, perm[b]],
-        # summed in this order so that ties fall on the same bits as in a
-        # pair-by-pair scan
-        c = cost[:, perm]
-        own = c.diagonal()
-        delta = c + c.T - own[:, None] - own[None, :]
+        delta = _swap_deltas(cost, perm)
         for h in np.flatnonzero(todo & (np.abs(delta.ravel()) < tol)):
-            ambiguous = True
             a, b = divmod(h, n)
             # rows a and b of |U^H V| as one (2, n) @ (n, n) product: ties
             # are decided in the last bits, and with OpenBLAS this shape
             # gives the bits of the full product where a (2, 2) one does not
-            overlap = np.abs(prev.left[:, [a, b]].conj().T @ next.right)
+            overlap = np.abs(left[:, [a, b]].conj().T @ right)
             kept = overlap[0, perm[a]] + overlap[1, perm[b]]
             swapped = overlap[0, perm[b]] + overlap[1, perm[a]]
             if swapped > kept:
@@ -250,6 +308,4 @@ def match_paths(
                 todo[:h + 1] = False
                 break
         else:
-            break
-    total = float(cost[np.arange(n), perm].sum())
-    return PathMatch(permutation=perm, cost=total, ambiguous=ambiguous)
+            return

@@ -203,44 +203,69 @@ def force_columns(
     subtracting it from the column sum, which would cancel near the real
     axis.  Works for any left/right vector sets, not only a
     decomposition's.
-    """
-    u = np.asarray(left)
-    v = np.asarray(right)
-    w = np.asarray(eigenvalues)
-    cols = np.asarray(cols, dtype=int)
-    n, k = len(w), len(cols)
-    if k == n:
-        # trans_a=2: U^H; indexing keeps any order of cols, repeats too
-        c = zgemm(1.0, u, zgemm(1.0, mdot, v), trans_a=2)
-        c_col, c_row = c[:, cols], c[cols]    # C[i, j], C[j, i]
-        u_mddot = zgemm(1.0, u[:, cols], mddot, trans_a=2)
-    else:
-        # n x n x k products: with few columns they stay below
-        # OpenBLAS's threading threshold, where numpy's BLAS costs nothing
-        ucols = u[:, cols].conj().T
-        c_col = u.conj().T @ (mdot @ v[:, cols])
-        c_row = (ucols @ mdot) @ v
-        u_mddot = ucols @ mddot
-    velocity = c_row[np.arange(k), cols]
-    inertial = np.einsum("ci,ic->c", u_mddot, v[:, cols])
 
-    gap = w[cols][None, :] - w[:, None]       # lambda_j - lambda_i
-    own = np.arange(n)[:, None] == cols[None, :]
+    Every argument may carry a leading step axis, as a stacked
+    decomposition's fields do (``cols`` (S, k), ``partner`` (S, n)): the
+    matrix products run per step, the terms once over the stack, and
+    every field of the result gains the step axis.
+    """
+    u, v, w = np.asarray(left), np.asarray(right), np.asarray(eigenvalues)
+    mdot, mddot = np.asarray(mdot), np.asarray(mddot)
+    steps, n = w.shape[:-1], w.shape[-1]
+    cols = np.broadcast_to(np.asarray(cols, dtype=int), steps + np.shape(cols)[-1:])
+    k = cols.shape[-1]
+    # an all-zero Mddot (every ring and effective-Hamiltonian model) has
+    # zero inertial terms: its products are skipped
+    moving = mddot.any(axis=(-2, -1))
+    u_mddot = np.zeros(steps + (k, n), dtype=complex)
+    if k == n:
+        c = np.empty(steps + (n, n), dtype=complex)
+        for s in np.ndindex(steps):
+            # trans_a=2: U^H
+            c[s] = zgemm(1.0, u[s], zgemm(1.0, mdot[s], v[s]), trans_a=2)
+            if moving[s]:
+                u_mddot[s] = zgemm(1.0, u[s][:, cols[s]], mddot[s], trans_a=2)
+        # gathers keep any order of cols, repeats too
+        c_col = np.take_along_axis(c, cols[..., None, :], axis=-1)  # C[i, j]
+        c_row = np.take_along_axis(c, cols[..., :, None], axis=-2)  # C[j, i]
+    else:
+        c_col = np.empty(steps + (n, k), dtype=complex)
+        c_row = np.empty(steps + (k, n), dtype=complex)
+        for s in np.ndindex(steps):
+            # n x n x k products: with few columns they stay below
+            # OpenBLAS's threading threshold, where numpy's BLAS costs
+            # nothing
+            us, vs, cs = u[s], v[s], cols[s]
+            ucols = us[:, cs].conj().T
+            c_col[s] = us.conj().T @ (mdot[s] @ vs[:, cs])
+            c_row[s] = (ucols @ mdot[s]) @ vs
+            if moving[s]:
+                u_mddot[s] = ucols @ mddot[s]
+    velocity = np.take_along_axis(c_row, cols[..., :, None], axis=-1)[..., 0]
+    inertial = np.zeros(steps + (k,), dtype=complex)
+    if np.any(moving):
+        inertial = np.einsum("...ci,...ic->...c", u_mddot,
+                             np.take_along_axis(v, cols[..., None, :], axis=-1))
+
+    # lambda_j - lambda_i
+    gap = np.take_along_axis(w, cols, axis=-1)[..., None, :] - w[..., :, None]
+    own = np.arange(n)[:, None] == cols[..., None, :]
     small = (np.abs(gap) < gap_tol) & ~own
-    pairwise = np.divide(2.0 * c_col * c_row.T, gap,
-                         out=np.zeros((n, k), dtype=complex),
+    pairwise = np.divide(2.0 * c_col * c_row.swapaxes(-1, -2), gap,
+                         out=np.zeros(steps + (n, k), dtype=complex),
                          where=~(own | small))
-    singular = np.where(small.any(axis=0), small.argmax(axis=0), -1)
+    singular = np.where(small.any(axis=-2), small.argmax(axis=-2), -1)
 
     rest = pairwise
-    conjugate_term = np.zeros(k, dtype=complex)
+    conjugate_term = np.zeros(steps + (k,), dtype=complex)
     if partner is not None:
-        jbar = np.asarray(partner)[cols]
-        conjugate_term = pairwise[jbar, np.arange(k)]
-        rest = np.where(np.arange(n)[:, None] == jbar[None, :], 0.0, pairwise)
+        jbar = np.take_along_axis(np.asarray(partner), cols, axis=-1)
+        conjugate_term = np.take_along_axis(pairwise, jbar[..., None, :],
+                                            axis=-2)[..., 0, :]
+        rest = np.where(np.arange(n)[:, None] == jbar[..., None, :], 0.0, pairwise)
     return ForceColumns(cols=cols, velocity=velocity, inertial=inertial,
                         pairwise=pairwise, conjugate_term=conjugate_term,
-                        others=rest.sum(axis=0), singular=singular,
+                        others=rest.sum(axis=-2), singular=singular,
                         gap_tol=gap_tol)
 
 

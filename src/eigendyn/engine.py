@@ -620,6 +620,30 @@ def record_from_dict(data: dict) -> RunRecord:
 # ---------------------------------------------------------------------------
 # execution
 
+# a run steps in blocks of about this many complex entries per (B, n, n)
+# stack: the model, the noise draw, LAPACK, the assignment and the BLAS
+# products run per step, everything else once per block
+_BLOCK_ENTRIES = 2**14
+
+
+def _block_inputs(trajectory: MatrixTrajectory, proc, ts, rows: slice, noise):
+    """M, Mdot and Mddot at the times ``ts[rows]`` as (B, n, n) stacks,
+    with the noise walk applied, and the walk's state after them."""
+    m = np.empty((rows.stop - rows.start, trajectory.n, trajectory.n),
+                 dtype=complex)
+    mdot, mddot = np.empty_like(m), np.empty_like(m)
+    for s, k in enumerate(range(rows.start, rows.stop)):
+        t = ts[k]
+        m[s] = trajectory.value(t)
+        mdot[s] = trajectory.first_derivative(t)
+        mddot[s] = trajectory.second_derivative(t)
+        if proc is not None:
+            p = proc.sample(trajectory.n, k)
+            m[s] += noise
+            mdot[s] += p
+            noise = noise + proc.dt * p  # applied from the next step on
+    return m, mdot, mddot, noise
+
 
 def run_scenario(cfg: ScenarioConfig) -> RunRecord:
     """Execute a scenario: steps+1 path-matched spectra, the forces of the
@@ -650,51 +674,49 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
     step_flags = np.zeros(len(ts), dtype=int)
     value_flags = np.zeros(shape, dtype=int)
 
-    prev_decomp = None
-    prev_perm = np.arange(n)
-    noise = None
-
-    for k, t in enumerate(ts):
-        m = np.asarray(trajectory.value(t), dtype=complex)
-        mdot = np.asarray(trajectory.first_derivative(t), dtype=complex)
-        mddot = np.asarray(trajectory.second_derivative(t), dtype=complex)
-        if proc is not None:
-            p = proc.sample(n, k)
-            if noise is None:
-                noise = np.zeros((n, n), dtype=complex)
-            m = m + noise
-            mdot = mdot + p
-            noise = noise + dt * p  # applied from the next step on
-
+    block = max(1, _BLOCK_ENTRIES // n**2)
+    prev = None  # the decomposition of the step before the block
+    perm = np.arange(n)  # path -> raw index at that step
+    noise = np.zeros((n, n), dtype=complex)
+    for start in range(0, len(ts), block):
+        rows = slice(start, min(start + block, len(ts)))
+        m, mdot, mddot, noise = _block_inputs(trajectory, proc, ts, rows, noise)
         d = core.decompose(m)
-        step_flags[k] = _DEGENERATE if d.degenerate else 0
-        if prev_decomp is None:
-            perm = np.arange(n)
-        else:
-            match = core.match_paths(prev_decomp, d)
-            perm = match.permutation[prev_perm]
-            if match.ambiguous:
-                step_flags[k] |= _AMBIGUOUS
+        # per step, raw index at the step before -> raw index; the first
+        # step of the run fixes the path order
+        moves = np.tile(np.arange(n), (len(m), 1))
+        ambiguous = np.zeros(len(m), dtype=bool)
+        first = int(prev is None)
+        if first < len(m):
+            match = core.match_paths(d[0] if prev is None else prev, d[first:])
+            moves[first:] = match.permutation
+            ambiguous[first:] = match.ambiguous_steps
+        perms = np.empty_like(moves)
+        for s, move in enumerate(moves):
+            perm = perms[s] = move[perm]
 
-        real_input = core.is_real(m, 1e-10) and core.is_real(mdot, 1e-10)
-        pairing = None
-        if real_input:
-            mdot = mdot.real
-            try:
-                pairing = core.pair_conjugates(d, 1e-7)
-            except PairingFailure:
-                step_flags[k] |= _PAIRING_FAILED
-
-        raw = perm[tracked]
+        real_input = core.is_real(m, 1e-10) & core.is_real(mdot, 1e-10)
+        mdot = np.where(real_input[:, None, None], mdot.real, mdot)
         # without a pairing every eigenvalue is its own partner: no
         # conjugate term is split off
-        partner = np.arange(n) if pairing is None else pairing.partner
+        partner = np.tile(np.arange(n), (len(m), 1))
+        pairings = {}
+        failed = np.zeros(len(m), dtype=bool)
+        for s in np.flatnonzero(real_input).tolist():
+            try:
+                pairings[s] = core.pair_conjugates(d[s], 1e-7)
+            except PairingFailure:
+                failed[s] = True
+            else:
+                partner[s] = pairings[s].partner
+
+        raw = perms[:, tracked]
         # complex eigenvalues of a real matrix; near the axis the conjugate
         # denominator blows up, so the record holds flagged absences
         # instead of huge values
-        paired = partner[raw] != raw
-        near_real = paired & (np.abs(d.eigenvalues[raw].imag)
-                              < cfg.collision_threshold)
+        paired = np.take_along_axis(partner, raw, axis=-1) != raw
+        near_real = paired & (np.abs(np.take_along_axis(
+            d.eigenvalues, raw, axis=-1).imag) < cfg.collision_threshold)
         # the terms of a near-real pair may overflow; they are dropped below
         with np.errstate(over="ignore", invalid="ignore"):
             forces = dynamics.force_columns(d.left, d.right, d.eigenvalues, mdot,
@@ -703,22 +725,23 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
         intact = ~near_real & ~singular
         conj = paired & ~near_real
 
-        eigenvalues[k] = d.eigenvalues[perm]
-        permutation[k] = perm
-        value_flags[k] = _NEAR_REAL * near_real + _SINGULAR_GAP * singular
-        values["velocity"][k] = forces.velocity
+        eigenvalues[rows] = np.take_along_axis(d.eigenvalues, perms, axis=-1)
+        permutation[rows] = perms
+        step_flags[rows] = (_DEGENERATE * d.degenerate + _AMBIGUOUS * ambiguous
+                            + _PAIRING_FAILED * failed)
+        value_flags[rows] = _NEAR_REAL * near_real + _SINGULAR_GAP * singular
+        values["velocity"][rows] = forces.velocity
         for name in ("inertial", "conjugate_term", "others"):
-            values[name][k, intact] = getattr(forces, name)[intact]
-        has_conjugate_force[k] = conj
-        values["conjugate_force"][k, conj] = forces.conjugate_term[conj]
+            values[name][rows][intact] = getattr(forces, name)[intact]
+        has_conjugate_force[rows] = conj
+        values["conjugate_force"][rows][conj] = forces.conjugate_term[conj]
         if proc is not None:
-            values["expected_force"][k, conj] = [
+            values["expected_force"][rows][conj] = [
                 stochastic.expected_conjugate_force_iid(
-                    d, pairing, proc.sigma2, j, kind=proc.kind)
-                for j in raw[conj].tolist()
+                    d[s], pairings[s], proc.sigma2, j, kind=proc.kind)
+                for s, j in zip(np.nonzero(conj)[0].tolist(), raw[conj].tolist())
             ]
-        prev_decomp = d
-        prev_perm = perm
+        prev = d[-1]
 
     # a step whose largest path displacement exceeds 10x the step's median
     # displacement is an unmatched jump, typically near a collision

@@ -162,10 +162,40 @@ class TestSweep:
         assert len(err) == 3
         assert all(line.startswith("error: tilt=") for line in err)
 
-    def test_bad_range_spec(self, ring_scenario, capsys):
-        code = cli.main(["sweep", "tilt=0:1", "--scenario",
-                         str(ring_scenario)])
+    @pytest.mark.parametrize("spec", [
+        "tilt=0:1", "tilt=a:0.1:1", "tilt=0:b:1", "tilt=0:0.1:",
+        "tilt=0:nan:1", "tilt=nan:0.1:1", "tilt=0:1e308:inf",
+        "tilt=-inf:1:0", "tilt=-1e308:1e-308:1e308",
+    ])
+    def test_bad_range_spec(self, ring_scenario, tmp_path, capsys, spec):
+        out = tmp_path / "sweep"
+        code = cli.main(["sweep", spec, "--scenario", str(ring_scenario),
+                         "--out", str(out)])
         assert code == cli.EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_values_passed_exactly(self, ring_scenario, tmp_path, capsys,
+                                   monkeypatch):
+        seen = []
+        run = cli.engine.run_scenario
+        monkeypatch.setattr(cli.engine, "run_scenario",
+                            lambda cfg: seen.append(cfg.model["tilt"]) or run(cfg))
+        code = cli.main(["sweep", "tilt=0:0.1:0.3", "--scenario",
+                         str(ring_scenario), "--set", "time.steps=2",
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        # 0.1 * 3 is 0.30000000000000004; its run is still named at :g
+        assert seen == [0.0, 0.1, 0.2, 0.1 * 3]
+        assert (tmp_path / "tilt=0.3" / "record.json").exists()
+
+    def test_values_sharing_a_directory_rejected(self, ring_scenario, tmp_path,
+                                                 capsys):
+        code = cli.main(["sweep", "tilt=0.5:0.0000001:0.5000002", "--scenario",
+                         str(ring_scenario), "--out", str(tmp_path / "sweep")])
+        assert code == cli.EXIT_INVALID
+        assert "tilt=0.5" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
 
 
 class TestOracle:

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from eigendyn import core
-from eigendyn.errors import DimensionMismatch, PairingFailure
+from eigendyn import core, models
+from eigendyn.errors import DimensionMismatch, NonConvergence, PairingFailure
 
 
 def random_real(n, seed):
@@ -55,9 +56,10 @@ class TestDecompose:
         assert d.degenerate
         assert d.condition_flags.all()
 
-    def test_rejects_non_square(self):
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (3,)])
+    def test_rejects_non_square(self, shape):
         with pytest.raises(DimensionMismatch):
-            core.decompose(np.ones((2, 3)))
+            core.decompose(np.ones(shape))
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -73,6 +75,94 @@ class TestDecompose:
     def test_biorthogonality_n50(self):
         d = core.decompose(random_real(50, 2))
         assert d.biorthogonality_defect() <= 1e-8
+
+
+def _scipy_decompose(m, tol=1e-9):
+    """``core.decompose`` on ``scipy.linalg.eig``, one matrix at a time:
+    the reference its direct zgeev call and stacked steps reproduce."""
+    w, vl, vr = scipy.linalg.eig(np.asarray(m, dtype=complex), left=True,
+                                 right=True)
+    order = np.lexsort((w.imag, w.real))
+    w, vl, vr = w[order], vl[:, order], vr[:, order]
+    vr = vr / np.linalg.norm(vr, axis=0)[None, :]
+    idx = np.argmax(np.abs(vr), axis=0)
+    pivots = vr[idx, np.arange(vr.shape[1])]
+    vr = vr / np.where(np.abs(pivots) > 0, pivots / np.abs(pivots), 1.0)[None, :]
+    overlaps = np.einsum("ij,ij->j", vl.conj(), vr)
+    safe = np.abs(overlaps) > 0
+    scaled = np.divide(vl, overlaps.conj()[None, :], where=safe[None, :],
+                       out=vl.astype(complex).copy())
+    bad = ~np.all(np.isfinite(scaled), axis=0) | ~safe
+    vl = np.where(bad[None, :], vl, scaled)
+    gaps = np.abs(w[None, :] - w[:, None]) + np.diag(np.full(len(w), np.inf))
+    nearest = gaps.min(axis=0)
+    flags = (nearest < tol) | bad
+    return core.SpectralDecomposition(w, vr, vl, flags, float(nearest.min()),
+                                      bool(flags.any()))
+
+
+def _ring_stack(n, steps, seed):
+    rng = np.random.default_rng(seed)
+    base = models.build_omega_le(models.BiophysicalRing(n=n, diffusion=0.8,
+                                                        growth=0.2, tilt=0.3))
+    rate = rng.normal(0.0, 0.2, n)
+    return np.array([base + np.diag(t * rate)
+                     for t in np.linspace(0.0, 1.0, steps)])
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStackedDecompose:
+    """A (S, n, n) stack decomposes to the bits of S single calls, and a
+    single call to the bits of ``scipy.linalg.eig`` with the same steps.
+    n >= 9 is where numpy's pairwise summation makes a reduction's order
+    depend on the memory layout."""
+
+    @pytest.mark.parametrize("kind,n", [
+        *((kind, n) for kind in ("random", "complex")
+          for n in (1, 2, 6, 8, 9, 12, 33)),
+        *(("ring", n) for n in (3, 6, 8, 9, 12, 33))])
+    def test_stack_matches_single_calls(self, kind, n):
+        rng = np.random.default_rng(n)
+        if kind == "ring":
+            ms = _ring_stack(n, 25, n)
+        else:
+            ms = rng.standard_normal((25, n, n))
+            if kind == "complex":
+                ms = ms + 1j * rng.standard_normal((25, n, n))
+        stacked = core.decompose(ms)
+        for s, m in enumerate(ms):
+            one, ref = core.decompose(m), _scipy_decompose(m)
+            for name in ("eigenvalues", "right", "left", "condition_flags"):
+                assert _same_bits(getattr(stacked, name)[s], getattr(one, name)), name
+                assert _same_bits(getattr(one, name), getattr(ref, name)), name
+            assert stacked.min_gap[s] == one.min_gap == ref.min_gap
+            assert stacked.degenerate[s] == one.degenerate == ref.degenerate
+            assert _same_bits(stacked[s].right, one.right)
+
+    def test_degenerate_steps_flagged_per_step(self):
+        ms = np.array([np.diag([1.0, 2.0]), np.eye(2), np.diag([1.0, 1.0 + 1e-12])])
+        d = core.decompose(ms)
+        np.testing.assert_array_equal(d.degenerate, [False, True, True])
+        assert d.min_gap[0] == 1.0 and d.min_gap[1] == 0.0
+
+    def test_rejects_bad_stacks(self):
+        with pytest.raises(DimensionMismatch):
+            core.decompose(np.ones((2, 2, 3)))
+        with pytest.raises(DimensionMismatch):
+            core.decompose(np.ones((2, 2, 2, 2)))
+        with pytest.raises(ValueError):
+            core.decompose(np.array([np.eye(2), np.full((2, 2), np.nan)]))
+
+    def test_nonconvergence_raised(self, monkeypatch):
+        def failing(a, **kwargs):
+            return np.zeros(2, complex), a, a, 1
+        monkeypatch.setattr(core, "_ZGEEV", failing)
+        with pytest.raises(NonConvergence):
+            core.decompose(np.eye(2))
 
 
 class TestPairConjugates:
@@ -139,7 +229,7 @@ def _reference_match(prev, next, ambiguity_tol=1e-12):
                 if swapped > kept:
                     perm[a], perm[b] = perm[b], perm[a]
     total = float(cost[np.arange(n), perm].sum())
-    return core.PathMatch(permutation=perm, cost=total, ambiguous=ambiguous)
+    return core.PathMatch(permutation=perm, cost=total, ambiguous_steps=ambiguous)
 
 
 # eigenvalues on a coarse lattice repeat, and lattice moves make the
@@ -268,3 +358,46 @@ class TestMatchPaths:
         np.testing.assert_array_equal(m.permutation, [1, 0, 2])
         assert m.ambiguous
         assert m.cost == 3.0
+
+
+class TestStackedMatchPaths:
+    """A stacked ``next`` matches each step to the one before it, to the
+    bits of one call per pair of steps."""
+
+    def _chain(self, prev, stacked, tol=1e-12):
+        return [core.match_paths(prev if s == 0 else stacked[s - 1],
+                                 stacked[s], tol)
+                for s in range(len(stacked.eigenvalues))]
+
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_ring_chain(self, n):
+        ms = _ring_stack(n, 30, n)
+        d = core.decompose(ms[1:])
+        got = core.match_paths(core.decompose(ms[0]), d)
+        want = self._chain(core.decompose(ms[0]), d)
+        for s, one in enumerate(want):
+            assert _same_bits(got.permutation[s], one.permutation)
+            assert got.cost[s] == one.cost
+            assert got.ambiguous_steps[s] == one.ambiguous
+        assert got.ambiguous == any(one.ambiguous for one in want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(tied_decompositions(), min_size=1, max_size=4))
+    def test_tied_chain(self, cases):
+        # steps of tied decompositions of one size, each matched to the
+        # step before: swaps happen on some steps and not on others
+        n = cases[0][0].n
+        steps = [nxt for prev, nxt, tol in cases if nxt.n == n]
+        stacked = core.SpectralDecomposition(
+            np.array([d.eigenvalues for d in steps]),
+            np.array([d.right for d in steps]),
+            np.array([d.left for d in steps]),
+            np.array([d.condition_flags for d in steps]),
+            np.array([d.min_gap for d in steps]),
+            np.array([d.degenerate for d in steps]))
+        prev, tol = cases[0][0], cases[0][2]
+        got = core.match_paths(prev, stacked, tol)
+        for s, one in enumerate(self._chain(prev, stacked, tol)):
+            assert _same_bits(got.permutation[s], one.permutation)
+            assert got.cost[s] == one.cost
+            assert got.ambiguous_steps[s] == one.ambiguous

@@ -1,11 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigendyn import core, dynamics
+from eigendyn import core, dynamics, engine
 from eigendyn.dynamics import MatrixTrajectory
 from eigendyn.errors import PairingFailure, RealEigenvalue, SingularGap
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def fd_velocity(traj, d0, t, delta=1e-4):
@@ -292,6 +296,69 @@ class TestForceColumns:
         np.testing.assert_array_equal(f.singular, [1, 0, 0, -1])
         np.testing.assert_array_equal(f.pairwise[:3, :3], np.zeros((3, 3)))
         assert np.all(np.isfinite(f.pairwise))
+
+
+class TestStackedForceColumns:
+    """Every argument with a step axis: the bits of one call per step."""
+
+    @pytest.mark.parametrize("n,k", [(2, 2), (3, 1), (6, 6), (6, 2), (9, 9),
+                                     (12, 3), (12, 12)])
+    def test_matches_single_calls(self, n, k):
+        rng = np.random.default_rng(n * 100 + k)
+        steps = [kernel_case(n, seed, t) for seed, t in
+                 zip(rng.integers(0, 2**32, 6), rng.uniform(-1, 1, 6))]
+        # per-step columns; one step complex, with no pairing
+        cols = np.array([rng.choice(n, k, replace=k > n // 2) for _ in steps])
+        steps[2] = (steps[2][0], steps[2][1] + 1j * np.eye(n), steps[2][2], None)
+        partner = np.array([np.arange(n) if p is None else p
+                            for _, _, _, p in steps])
+        stacked = dynamics.force_columns(
+            np.array([s[0].left for s in steps]),
+            np.array([s[0].right for s in steps]),
+            np.array([s[0].eigenvalues for s in steps]),
+            np.array([s[1] for s in steps], dtype=complex),
+            np.array([s[2] for s in steps], dtype=complex), cols, partner)
+        for s, (d, mdot, mddot, _) in enumerate(steps):
+            one = dynamics.force_columns(d.left, d.right, d.eigenvalues,
+                                         np.asarray(mdot, dtype=complex),
+                                         np.asarray(mddot, dtype=complex),
+                                         cols[s], partner[s])
+            for name in ("velocity", "inertial", "pairwise", "conjugate_term",
+                         "others", "singular"):
+                got, want = getattr(stacked, name)[s], getattr(one, name)
+                assert got.tobytes() == want.tobytes(), name
+
+
+class TestZeroMddot:
+    """An all-zero Mddot skips the U^H Mddot products; the inertial
+    terms stay exact zeros."""
+
+    @pytest.mark.parametrize("cols", [np.arange(5), np.array([3, 0])])
+    def test_products_skipped(self, monkeypatch, cols):
+        d, mdot, mddot, partner = kernel_case(5, 4, 0.3)
+        calls = []
+        zgemm = dynamics.zgemm
+        monkeypatch.setattr(dynamics, "zgemm",
+                            lambda *a, **kw: calls.append(1) or zgemm(*a, **kw))
+        zero = kernel(d, mdot, np.zeros((5, 5)), cols, partner)
+        skipped = len(calls)
+        full = kernel(d, mdot, mddot, cols, partner)
+        # over the whole spectrum: two zgemm calls for C, a third for Mddot
+        assert (skipped, len(calls) - skipped) == ((2, 3) if len(cols) == 5
+                                                   else (0, 0))
+        assert zero.inertial.tobytes() == bytes(16 * len(cols))  # +0.0 + 0.0j
+        for name in ("velocity", "pairwise", "conjugate_term", "others"):
+            assert getattr(zero, name).tobytes() == getattr(full, name).tobytes()
+        assert np.abs(full.inertial).max() > 0
+
+    def test_ring_inertial_bytes(self):
+        # the ring model's Mddot is zero: all 816 doubles of the shipped
+        # ring record's inertial column are +0.0
+        record = engine.run_scenario(
+            engine.ScenarioConfig.from_file(SCENARIOS / "ring.json"))
+        doubles = record.inertial.view(float)
+        assert doubles.size == 816
+        assert doubles.tobytes() == bytes(8 * 816)
 
 
 class TestConjugateForce:

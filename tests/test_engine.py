@@ -783,3 +783,178 @@ class TestRecordJson:
         target = tmp_path / "record.json"
         engine.export(record, "json", target)
         assert target.read_bytes() == want.encode()
+
+
+def _per_step_run(cfg):
+    """``engine.run_scenario`` as a loop over single steps: the reference
+    the blocked engine must reproduce bit for bit."""
+    trajectory = engine.build_trajectory(cfg)
+    n = trajectory.n
+    ts = np.linspace(cfg.t0, cfg.t1, cfg.steps + 1)
+    dt = (cfg.t1 - cfg.t0) / cfg.steps
+    tracked = np.arange(n) if cfg.tracked == "all" else np.array(
+        sorted({j for j in cfg.tracked if j < n}), dtype=int)
+    proc = None
+    if cfg.perturbation is not None:
+        proc = eigendyn.PerturbationProcess(
+            kind=cfg.perturbation.get("kind", "diagonal"),
+            sigma2=float(cfg.perturbation.get("sigma2", 1.0)),
+            seed=int(cfg.perturbation.get("seed", cfg.seed)), dt=dt)
+    shape = (len(ts), len(tracked))
+    eigenvalues = np.empty((len(ts), n), dtype=complex)
+    permutation = np.empty((len(ts), n), dtype=int)
+    values = {name: np.full(shape, complex(np.nan, np.nan))
+              for name in engine._VALUES}
+    has_conjugate_force = np.zeros(shape, dtype=bool)
+    step_flags = np.zeros(len(ts), dtype=int)
+    value_flags = np.zeros(shape, dtype=int)
+    prev_decomp, prev_perm, noise = None, np.arange(n), None
+    for k, t in enumerate(ts):
+        m = np.asarray(trajectory.value(t), dtype=complex)
+        mdot = np.asarray(trajectory.first_derivative(t), dtype=complex)
+        mddot = np.asarray(trajectory.second_derivative(t), dtype=complex)
+        if proc is not None:
+            p = proc.sample(n, k)
+            if noise is None:
+                noise = np.zeros((n, n), dtype=complex)
+            m = m + noise
+            mdot = mdot + p
+            noise = noise + dt * p
+        d = core.decompose(m)
+        step_flags[k] = engine._DEGENERATE if d.degenerate else 0
+        if prev_decomp is None:
+            perm = np.arange(n)
+        else:
+            match = core.match_paths(prev_decomp, d)
+            perm = match.permutation[prev_perm]
+            if match.ambiguous:
+                step_flags[k] |= engine._AMBIGUOUS
+        pairing = None
+        if core.is_real(m, 1e-10) and core.is_real(mdot, 1e-10):
+            mdot = mdot.real
+            try:
+                pairing = core.pair_conjugates(d, 1e-7)
+            except PairingFailure:
+                step_flags[k] |= engine._PAIRING_FAILED
+        raw = perm[tracked]
+        partner = np.arange(n) if pairing is None else pairing.partner
+        paired = partner[raw] != raw
+        near_real = paired & (np.abs(d.eigenvalues[raw].imag)
+                              < cfg.collision_threshold)
+        with np.errstate(over="ignore", invalid="ignore"):
+            forces = eigendyn.force_columns(d.left, d.right, d.eigenvalues,
+                                            mdot, mddot, raw, partner,
+                                            gap_tol=1e-14)
+        singular = ~near_real & (forces.singular >= 0)
+        intact = ~near_real & ~singular
+        conj = paired & ~near_real
+        eigenvalues[k] = d.eigenvalues[perm]
+        permutation[k] = perm
+        value_flags[k] = (engine._NEAR_REAL * near_real
+                          + engine._SINGULAR_GAP * singular)
+        values["velocity"][k] = forces.velocity
+        for name in ("inertial", "conjugate_term", "others"):
+            values[name][k, intact] = getattr(forces, name)[intact]
+        has_conjugate_force[k] = conj
+        values["conjugate_force"][k, conj] = forces.conjugate_term[conj]
+        if proc is not None:
+            values["expected_force"][k, conj] = [
+                eigendyn.expected_conjugate_force_iid(
+                    d, pairing, proc.sigma2, j, kind=proc.kind)
+                for j in raw[conj].tolist()]
+        prev_decomp, prev_perm = d, perm
+    disp = np.abs(np.diff(eigenvalues, axis=0))
+    med = np.median(disp, axis=1)
+    step_flags[1:][(med > 0) & (disp.max(axis=1) > 10 * med)] |= engine._JUMP
+    record = engine.RunRecord(
+        t=ts, eigenvalues=eigenvalues, permutation=permutation, tracked=tracked,
+        has_conjugate_force=has_conjugate_force,
+        has_expected_force=has_conjugate_force & (proc is not None),
+        step_flags=step_flags, value_flags=value_flags, events=[],
+        provenance={}, **values)
+    return dataclasses.replace(record, events=engine.detect_collisions(
+        record, cfg.collision_threshold))
+
+
+def _complex_rows(rng, n):
+    return [[f"{z.real:.17g}{z.imag:+.17g}i" for z in row]
+            for row in rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))]
+
+
+def _blocked_case(case):
+    """The raw scenario of one case of the blocked-engine comparison."""
+    if case in ("ring", "collision", "noisy"):
+        return json.loads((SCENARIOS / f"{case}.json").read_text())
+    ring = {"type": "ring", "sites": 8, "diffusion": 0.8, "growth": 0.2,
+            "tilt": 0.3, "fluctuation_rate": [0.05, 0.0, -0.05, 0.1] * 2}
+    if case == "ring-noisy":
+        return base_config(model=ring, tracked="all",
+                           time={"t0": 0.0, "t1": 1.0, "steps": 40},
+                           perturbation={"kind": "full", "sigma2": 0.05})
+    if case == "ring-tracked":
+        return base_config(model=dict(ring, sites=12, fluctuation_rate=[0.1] * 12),
+                           tracked=[1, 4, 11],
+                           time={"t0": 0.0, "t1": 1.0, "steps": 40},
+                           perturbation={"kind": "diagonal", "sigma2": 0.05})
+    if case == "transfer":
+        return base_config(model={
+            "type": "transfer",
+            # det M = 1 for every k: M11 = (1 + M12 M21) / M22
+            "entries": {"M11": [repr(1.3 / 1.2), "0.5"], "M12": ["1"],
+                        "M21": ["0.3", "0.6"], "M22": ["1.2"]}},
+            tracked="all", time={"t0": 0.5, "t1": 2.0, "steps": 40})
+    assert case == "effective-hamiltonian"
+    rng = np.random.default_rng(5)
+    return base_config(model={
+        "type": "effective_hamiltonian",
+        "H": _complex_rows(rng, 4),
+        "lindblad": [{"L": _complex_rows(rng, 4), "l": "0.3+0.1i",
+                      "l_rate": "-0.2+0.4i"}]},
+        tracked="all", time={"t0": 0.0, "t1": 1.0, "steps": 40})
+
+
+def _assert_same_record(got, want):
+    for field in dataclasses.fields(engine.RunRecord):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            assert a.tobytes() == b.tobytes(), field.name
+    # repr: NaN min_abs_im compares equal, and every float is exact
+    assert repr(got.events) == repr(want.events)
+
+
+class TestBlockedEngine:
+    """The blocked engine against the per-step loop, bit for bit."""
+
+    @pytest.mark.parametrize("case", [
+        "ring", "collision", "noisy", "ring-noisy", "ring-tracked", "transfer",
+        "effective-hamiltonian"])
+    # 2**14 entries is one block per run here.  4, 8 and 28 give blocks
+    # of 1, 2 and 7 steps at n = 2 and of one step at n >= 6; 192 gives
+    # 48 steps at n = 2, 12 at n = 4, 3 at n = 8 and 1 at n = 12
+    @pytest.mark.parametrize("entries", [2**14, 4, 8, 28, 64 * 3])
+    def test_matches_per_step_loop(self, monkeypatch, case, entries):
+        monkeypatch.setattr(engine, "_BLOCK_ENTRIES", entries)
+        cfg = ScenarioConfig.from_dict(_blocked_case(case), base_dir=SCENARIOS)
+        _assert_same_record(engine.run_scenario(cfg), _per_step_run(cfg))
+
+    def test_one_pairing_failure_in_a_block(self, monkeypatch):
+        # the fifth step's pairing fails inside a block of 51 steps: only
+        # that step is flagged, and only its conjugate forces are absent
+        pair = core.pair_conjugates
+
+        def fail_fifth(d, tol):
+            calls.append(1)
+            if len(calls) == 5:
+                raise PairingFailure("no conjugate partner")
+            return pair(d, tol)
+
+        monkeypatch.setattr(core, "pair_conjugates", fail_fifth)
+        cfg = ScenarioConfig.from_file(SCENARIOS / "ring.json")
+        calls = []
+        record = engine.run_scenario(cfg)
+        calls = []
+        _assert_same_record(record, _per_step_run(cfg))
+        np.testing.assert_array_equal(np.flatnonzero(record.flagged("pairing-failed")), [4])
+        assert not record.has_conjugate_force[4].any()
+        assert record.has_conjugate_force[[3, 5]].any()
