@@ -193,6 +193,90 @@ class TestPairConjugates:
             core.pair_conjugates(d, tol=1e-9)
 
 
+def _reference_pairing(w, tol):
+    """The greedy per-eigenvalue pairing loop: the partners of one
+    spectrum, or None where some complex eigenvalue has no partner."""
+    n = len(w)
+    partner = np.full(n, -1, dtype=int)
+    for j in range(n):
+        if partner[j] >= 0:
+            continue
+        if abs(w[j].imag) <= tol:
+            partner[j] = j
+            continue
+        dist = np.abs(w - w[j].conjugate())
+        dist[j] = np.inf
+        for i in np.argsort(dist):
+            if dist[i] > tol:
+                break
+            if partner[i] < 0:
+                partner[j] = i
+                partner[i] = j
+                break
+        if partner[j] < 0:
+            return None
+    return partner
+
+
+_PAIR_TOL = 1e-7
+# |Im| at, just above and well above the tolerance
+_PAIR_IMS = (1e-7, np.nextafter(1e-7, 1.0), 1.0000001e-7, 1.5e-7, 0.3, 1.0)
+# the conjugate's offset from the exact conjugate: within, near and
+# beyond the tolerance
+_PAIR_OFFSETS = (0.0, 0.0, 0.0, 4e-8, -9e-8, 3e-8j, 7e-8 - 7e-8j, 2e-7)
+
+
+@st.composite
+def conjugate_spectra(draw):
+    """(S, n) spectra of real values (|Im| up to tol), conjugate pairs
+    whose |Im| sits at or just above tol, pairs whose conjugate is off by
+    up to 2 tol, repeated eigenvalues and complex values without a
+    partner, in (Re, Im) order as decompose gives them."""
+    n, steps = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    rows = []
+    for _ in range(steps):
+        w = []
+        while len(w) < n:
+            kind = draw(st.sampled_from(["real", "real", "pair", "pair",
+                                         "pair", "repeat", "lone"]))
+            x = draw(st.sampled_from([-1.0, 0.0, 3e-8, 0.5]))
+            if kind == "real":
+                w.append(complex(x, draw(st.sampled_from(
+                    [0.0, 5e-8, -1e-7, np.nextafter(-1e-7, 0.0)]))))
+            elif kind == "pair":
+                y = draw(st.sampled_from(_PAIR_IMS))
+                w += [complex(x, y),
+                      complex(x, -y) + draw(st.sampled_from(_PAIR_OFFSETS))]
+            elif kind == "repeat" and w:
+                w += w[-draw(st.integers(1, 2)):]
+            elif kind == "lone":
+                w.append(complex(x, draw(st.sampled_from(_PAIR_IMS))))
+        w = np.array(w[:n])
+        rows.append(w[np.lexsort((w.imag, w.real))])
+    return np.array(rows)
+
+
+def _spectrum(w):
+    # the pairing reads only the eigenvalues
+    return core.SpectralDecomposition(w, None, None, None, None, None)
+
+
+class TestPairingReference:
+    """``pair_conjugates`` against the greedy per-eigenvalue loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(w=conjugate_spectra())
+    def test_matches_greedy_loop(self, w):
+        for row in w:
+            want = _reference_pairing(row, _PAIR_TOL)
+            if want is None:
+                with pytest.raises(PairingFailure):
+                    core.pair_conjugates(_spectrum(row), _PAIR_TOL)
+            else:
+                got = core.pair_conjugates(_spectrum(row), _PAIR_TOL).partner
+                np.testing.assert_array_equal(got, want)
+
+
 def brute_force_cost(prev, nxt):
     n = len(prev)
     best, best_perm = np.inf, None

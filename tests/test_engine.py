@@ -305,6 +305,108 @@ class TestBuildTrajectory:
             engine.build_trajectory(ScenarioConfig.from_dict(raw))
 
 
+_ENTRY_NAMES = ("M11", "M12", "M21", "M22")
+# det M = 1 for every k: M11 = (1 + M12 M21) / M22, here a cubic in k
+_CUBIC_ENTRIES = {
+    "M11": [repr(c / 1.2) for c in (1.3, 0.75, 0.375, 0.15)],
+    "M12": ["1", "0.5", "0.25"], "M21": ["0.3", "0.6"], "M22": ["1.2"]}
+
+
+def _model_case(case):
+    """A scenario of each model type, with every derivative nonzero where
+    the type allows it."""
+    rng = np.random.default_rng(11)
+    if case == "explicit":
+        model = {"type": "explicit", "matrix": _complex_rows(rng, 3),
+                 "velocity": _complex_rows(rng, 3),
+                 "acceleration": _complex_rows(rng, 3)}
+    elif case == "ring":
+        model = {"type": "ring", "sites": 6, "diffusion": 0.8, "growth": 0.2,
+                 "tilt": 0.3, "fluctuations": rng.normal(size=6).tolist(),
+                 "fluctuation_rate": rng.normal(size=6).tolist()}
+    elif case == "transfer":
+        model = {"type": "transfer", "entries": _CUBIC_ENTRIES}
+    else:
+        model = {"type": "effective_hamiltonian", "H": _complex_rows(rng, 4),
+                 "lindblad": [{"L": _complex_rows(rng, 4), "l": "0.3+0.1i",
+                               "l_rate": "-0.2+0.4i"},
+                              {"L": _complex_rows(rng, 4), "l": "-0.7i",
+                               "l_rate": "1.1-0.3i"}]}
+    return base_config(model=model, time={"t0": 0.5, "t1": 2.0, "steps": 8})
+
+
+def _reference_model(cfg):
+    """M, Mdot and Mddot of a scenario at one time, by the per-time
+    formulas of each model type."""
+    model = cfg.model
+    kind = model["type"]
+    if kind == "explicit":
+        a, b, c = (np.array([[engine.parse_complex(x) for x in row]
+                             for row in model[key]])
+                   for key in ("matrix", "velocity", "acceleration"))
+        return lambda t: (a + t * b + t * t * c, b + 2 * t * c, 2 * c)
+    if kind == "ring":
+        n = model["sites"]
+        base = eigendyn.build_omega_le(eigendyn.BiophysicalRing(
+            n=n, diffusion=model["diffusion"], growth=model["growth"],
+            tilt=model["tilt"]))
+        u0, u1 = (np.array(model[key])
+                  for key in ("fluctuations", "fluctuation_rate"))
+        return lambda t: (base + np.diag(u0 + t * u1), np.diag(u1),
+                          np.zeros((n, n)))
+    if kind == "transfer":
+        coeffs = {key: [engine.parse_complex(c) for c in model["entries"][key]]
+                  for key in _ENTRY_NAMES}
+
+        def s_matrix(k):
+            m = np.array([sum(c * k**p for p, c in enumerate(coeffs[key]))
+                          for key in _ENTRY_NAMES], dtype=complex)
+            m11, m12, m21, m22 = m
+            return np.array([[complex(1.0 / m22), complex(m12 / m22)],
+                             [complex(-m21 / m22), complex(1.0 / m22)]])
+
+        scale = max(1.0, float(np.linalg.norm(s_matrix(0.0))))
+        h1, h2 = 1e-4 * scale, 1e-3 * scale
+        return lambda t: (
+            s_matrix(t), (s_matrix(t + h1) - s_matrix(t - h1)) / (2 * h1),
+            (s_matrix(t + h2) - 2 * s_matrix(t) + s_matrix(t - h2)) / h2**2)
+    assert kind == "effective_hamiltonian"
+    h = np.array([[engine.parse_complex(x) for x in row] for row in model["H"]])
+    terms = [(np.array([[engine.parse_complex(x) for x in row]
+                        for row in item["L"]]),
+              engine.parse_complex(item["l"]),
+              engine.parse_complex(item["l_rate"]))
+             for item in model["lindblad"]]
+
+    def value(t):
+        acc = np.zeros_like(h)
+        for op, l0, l1 in terms:
+            l = complex(l0 + t * l1)
+            acc = acc + np.conjugate(l) * op - l * op.conj().T
+        return h + 0.5j * acc
+
+    rate = np.zeros_like(h)
+    for op, _, l1 in terms:
+        rate = rate + np.conjugate(l1) * op - l1 * op.conj().T
+    return lambda t: (value(t), 0.5j * rate, np.zeros_like(h))
+
+
+class TestModelReference:
+    @pytest.mark.parametrize("case", ["explicit", "ring", "transfer",
+                                      "effective-hamiltonian"])
+    def test_callables_match_per_time_formulas(self, case):
+        cfg = ScenarioConfig.from_dict(_model_case(case))
+        traj, reference = engine.build_trajectory(cfg), _reference_model(cfg)
+        times = [*np.linspace(cfg.t0, cfg.t1, cfg.steps + 1), 0.75]
+        for t in times:
+            got = (traj.value(t), traj.first_derivative(t),
+                   traj.second_derivative(t))
+            for g, w in zip(got, reference(t)):
+                assert np.shape(g) == (traj.n, traj.n)
+                assert (np.asarray(g, dtype=complex).tobytes()
+                        == np.asarray(w, dtype=complex).tobytes())
+
+
 # shipped scenarios plus one of each model type none of them uses
 FUZZ_BASES = {
     name: json.loads((SCENARIOS / f"{name}.json").read_text())
@@ -713,6 +815,73 @@ def _reference_json(record) -> str:
     return json.dumps(data, sort_keys=True, indent=1)
 
 
+def _reference_csv(record, path) -> None:
+    """The CSV export written row by row with ``csv.writer``: the
+    reference for the bytes of CSV export."""
+    m = len(record.tracked)
+    flags = [";".join(engine._flag_names(s, engine.STEP_FLAGS)
+                      + engine._flag_names(f, engine.VALUE_FLAGS))
+             for s, row in zip(record.step_flags.tolist(),
+                               record.value_flags.tolist()) for f in row]
+
+    def fmt(a):
+        return [f"{x:.17g}" for x in np.ravel(a).tolist()]
+
+    columns = [fmt(np.repeat(record.t, m)),
+               np.tile(record.tracked, len(record.t)).tolist()]
+    for z in (record.eigenvalues[:, record.tracked], record.velocity,
+              record.total, record.inertial, record.conjugate_term,
+              record.others):
+        columns += [fmt(z.real), fmt(z.imag)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(engine._CSV_COLUMNS)
+        writer.writerows(zip(*columns, flags))
+
+
+def _reference_from_dict(data):
+    """``record_from_dict`` built row by row and cell by cell: the
+    reference for reading a record back."""
+    def pairs(cells, shape):
+        return np.array(cells, dtype=float).reshape(*shape, 2).view(complex)[..., 0]
+
+    def mask(flags, names):
+        unknown = [f for f in flags if f not in names]
+        if unknown:
+            raise RecordInvalid(f"unknown flags {unknown}")
+        return sum(1 << names.index(f) for f in set(flags))
+
+    try:
+        rows = data["rows"]
+        keys = sorted(rows[0]["tracked"], key=int)
+        cells = [[row["tracked"][key] for key in keys] for row in rows]
+        shape = (len(rows), len(keys))
+        values = {name: pairs([[c[name] or (np.nan, np.nan) for c in r]
+                               for r in cells], shape)
+                  for name in engine._VALUES}
+        has = {f"has_{name}": np.array([[c[name] is not None for c in r]
+                                        for r in cells], dtype=bool).reshape(shape)
+               for name in ("conjugate_force", "expected_force")}
+        return engine.RunRecord(
+            t=np.array([row["t"] for row in rows], dtype=float),
+            eigenvalues=pairs([row["eigenvalues"] for row in rows],
+                              (len(rows), -1)),
+            permutation=np.array([row["permutation"] for row in rows], dtype=int),
+            tracked=np.array(keys, dtype=int),
+            step_flags=np.array([mask(row["flags"], engine.STEP_FLAGS)
+                                 for row in rows], dtype=int),
+            value_flags=np.array([[mask(c["flags"], engine.VALUE_FLAGS)
+                                   for c in r] for r in cells],
+                                 dtype=int).reshape(shape),
+            events=[engine.CollisionEvent(e["t_lo"], e["t_hi"], tuple(e["pair"]),
+                                          e["min_abs_im"]) for e in data["events"]],
+            provenance=dict(data["provenance"]),
+            **values, **has,
+        )
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise RecordInvalid(f"malformed run record: {exc!r}") from exc
+
+
 def _record_case(case, monkeypatch):
     """A run record that exercises one corner of the JSON layout."""
     two = {"type": "explicit", "matrix": [[0.0, 1.0], [-1.0, 0.0]]}
@@ -759,6 +928,11 @@ def _record_case(case, monkeypatch):
     return engine.run_scenario(ScenarioConfig.from_dict(raw))
 
 
+_RECORD_CASES = ("ring", "collision", "noisy", "twelve-tracked", "none-tracked",
+                 "noisy-collision", "singular-gap", "pairing-failed",
+                 "nan-inf-zero")
+
+
 class TestRecordJson:
     @pytest.mark.parametrize("case,shows", [
         ("ring", ['"events": [\n  {']),
@@ -783,6 +957,59 @@ class TestRecordJson:
         target = tmp_path / "record.json"
         engine.export(record, "json", target)
         assert target.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("case", _RECORD_CASES)
+    def test_csv_bytes_match_reference(self, tmp_path, monkeypatch, case):
+        record = _record_case(case, monkeypatch)
+        engine.export(record, "csv", tmp_path / "got.csv")
+        _reference_csv(record, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (
+            tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("case", _RECORD_CASES)
+    def test_read_back_matches_reference(self, monkeypatch, case):
+        data = json.loads(engine.record_json(_record_case(case, monkeypatch)))
+        got, want = engine.record_from_dict(data), _reference_from_dict(data)
+        _assert_same_record(got, want)
+        assert got.provenance == want.provenance
+
+    @pytest.mark.parametrize("edit", [
+        lambda data: data["rows"][1]["flags"].append("warp"),
+        lambda data: data["rows"][1]["tracked"]["0"]["flags"].append("warp"),
+        lambda data: data["rows"][1]["tracked"]["1"].update(flags="near-real"),
+        lambda data: data["rows"][1]["tracked"]["1"].update(flags=None),
+        lambda data: data["rows"][1].update(flags=[["degenerate"]]),
+        lambda data: data["rows"][1].pop("eigenvalues"),
+        lambda data: data["rows"][1]["eigenvalues"].append([0.0]),
+        lambda data: data["rows"][1]["eigenvalues"][0].append(0.0),
+        lambda data: data["rows"][2]["tracked"].pop("1"),
+        lambda data: data["rows"][2]["tracked"]["1"].pop("others"),
+        lambda data: data["rows"][2]["tracked"]["0"].update(velocity=[1.0]),
+        lambda data: data["rows"][2]["tracked"]["0"].update(velocity="x"),
+        lambda data: data["rows"][2]["tracked"]["0"].update(inertial=[]),
+        lambda data: data["rows"][2]["tracked"]["0"].update(others=None),
+        lambda data: data["rows"][2].update(t="0.5"),
+        lambda data: data["rows"][2].update(t=None),
+        lambda data: data["rows"][2]["tracked"].update({"7": {}}),
+        lambda data: data["rows"].clear(),
+        lambda data: data.update(rows={}),
+        lambda data: data.pop("events"),
+    ])
+    def test_malformed_like_reference(self, edit):
+        raw = base_config(model={"type": "explicit",
+                                 "matrix": [[0.0, 1.0], [-1.0, 0.0]],
+                                 "velocity": [[0.1, 0.0], [0.0, -0.1]]},
+                          time={"t0": 0.0, "t1": 1.0, "steps": 3})
+        data = json.loads(engine.record_json(
+            engine.run_scenario(ScenarioConfig.from_dict(raw))))
+        edit(data)
+        try:
+            want = _reference_from_dict(data)
+        except RecordInvalid:
+            with pytest.raises(RecordInvalid):
+                engine.record_from_dict(data)
+        else:
+            _assert_same_record(engine.record_from_dict(data), want)
 
 
 def _per_step_run(cfg):
