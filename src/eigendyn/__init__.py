@@ -53,7 +53,6 @@ from .models import (
     main_result_acceleration,
     omega_le_spectrum,
     scattering_data,
-    scattering_state,
 )
 from .stochastic import (
     MonteCarloEstimate,

@@ -95,7 +95,7 @@ def cmd_validate(args) -> int:
     try:
         cfg = _load_config(args)
         trajectory = engine.build_trajectory(cfg)
-        core.decompose(np.asarray(trajectory.value(cfg.t0), dtype=complex))
+        core.decompose(trajectory.at(cfg.t0)[0])
     except EigendynError as exc:
         return _fail(EXIT_INVALID, str(exc))
     print(f"OK: model={cfg.model['type']} n={trajectory.n} "

@@ -19,7 +19,8 @@ import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 from scipy.optimize import linear_sum_assignment
 
-from .errors import DimensionMismatch, NonConvergence, PairingFailure
+from .errors import (DimensionMismatch, NonConvergence, NonFiniteMatrix,
+                     PairingFailure)
 
 __all__ = [
     "as_square_matrix",
@@ -41,7 +42,7 @@ def as_square_matrix(entries, stacked: bool = False) -> np.ndarray:
             or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0):
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains NaN/Inf entries")
+        raise NonFiniteMatrix("matrix contains NaN/Inf entries")
     return m
 
 
@@ -95,10 +96,17 @@ class SpectralDecomposition:
 @dataclass(frozen=True)
 class ConjugatePairing:
     """For each index j, the index of the eigenvalue closest to
-    conj(lambda_j).  Real eigenvalues are self-paired."""
+    conj(lambda_j).  Real eigenvalues are self-paired.  A pairing over a
+    step axis carries it on ``partner`` and ``failed_steps``; a failed
+    step is self-paired throughout, and ``p[s]`` is the pairing of step
+    s."""
 
     partner: np.ndarray  # int array, involutive
     tol: float
+    failed_steps: np.ndarray = np.False_
+
+    def __getitem__(self, s) -> "ConjugatePairing":
+        return ConjugatePairing(self.partner[s], self.tol, self.failed_steps[s])
 
 
 @dataclass(frozen=True)
@@ -209,8 +217,42 @@ def pair_conjugates(d: SpectralDecomposition, tol: float = 1e-9) -> ConjugatePai
     Requires the spectrum of a real matrix (conjugate-closed).  Eigenvalues
     with |Im| <= tol are self-paired.  Raises PairingFailure when some
     complex eigenvalue has no partner within ``tol``.
+
+    ``d`` may be stacked: a step whose every complex eigenvalue has one
+    candidate within ``tol``, complex and choosing it back, is paired
+    from the (S, n, n) distances; the greedy loop runs only on the other
+    steps.  A stacked call raises nothing: ``failed_steps`` marks the
+    steps with no pairing.
     """
     w = d.eigenvalues
+    n = w.shape[-1]
+    index = np.arange(n)
+    # dist[..., j, i] = |lambda_i - conj(lambda_j)|, a candidate i != j
+    # for j where it is within tol
+    near = np.abs(w[..., None, :] - w.conj()[..., :, None]) <= tol
+    near[..., index, index] = False
+    complex_ = np.abs(w.imag) > tol
+    cand = near.argmax(axis=-1)
+    direct = np.all(~complex_ | (
+        (near.sum(axis=-1) == 1)
+        & np.take_along_axis(complex_, cand, axis=-1)
+        & (np.take_along_axis(cand, cand, axis=-1) == index)), axis=-1)
+    partner = np.where(complex_, cand, index)
+    failed = np.zeros(w.shape[:-1], dtype=bool)
+    for s in map(tuple, np.argwhere(~direct)):
+        try:
+            partner[s] = _pair_greedy(w[s], tol)
+        except PairingFailure:
+            if not s:
+                raise
+            failed[s] = True
+            partner[s] = index
+    return ConjugatePairing(partner=partner, tol=tol, failed_steps=failed)
+
+
+def _pair_greedy(w: np.ndarray, tol: float) -> np.ndarray:
+    """One spectrum's partners, eigenvalue by eigenvalue, each complex
+    one taking its nearest still unpaired candidate."""
     n = len(w)
     partner = np.full(n, -1, dtype=int)
     for j in range(n):
@@ -233,7 +275,7 @@ def pair_conjugates(d: SpectralDecomposition, tol: float = 1e-9) -> ConjugatePai
             raise PairingFailure(
                 f"eigenvalue {w[j]} has no conjugate partner within {tol}"
             )
-    return ConjugatePairing(partner=partner, tol=tol)
+    return partner
 
 
 def match_paths(

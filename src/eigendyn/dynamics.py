@@ -30,10 +30,11 @@ import numpy as np
 from scipy.linalg.blas import zgemm
 
 from .core import ConjugatePairing, SpectralDecomposition, as_square_matrix
-from .errors import DimensionMismatch, RealEigenvalue, SingularGap
+from .errors import DimensionMismatch, NonFiniteMatrix, RealEigenvalue, SingularGap
 
 __all__ = [
     "MatrixTrajectory",
+    "constant_in_time",
     "ForceBreakdown",
     "ForceColumns",
     "force_columns",
@@ -48,10 +49,24 @@ __all__ = [
 ]
 
 
+def constant_in_time(m) -> Callable:
+    """A callable giving ``m`` at a time, or a stack of copies of ``m``
+    with the shape of an array of times in front."""
+    m = np.asarray(m)
+    return lambda t: np.broadcast_to(m, np.shape(t) + m.shape).copy()
+
+
+def _times(t) -> np.ndarray:
+    # a time, or an array of times, broadcasting against (n, n)
+    return np.asarray(t)[..., None, None]
+
+
 @dataclass(frozen=True)
 class MatrixTrajectory:
     """A time-parametrized matrix family with first and second derivatives.
 
+    Each callable takes a time, giving one (n, n) matrix, or an array of
+    times, giving a stack with the array's shape in front.
     ``derivative_mode`` is "analytic" when derivative callables were
     supplied, else "finite-difference" with central differences of
     ``value`` at the stored step.
@@ -64,6 +79,21 @@ class MatrixTrajectory:
     derivative_mode: str
     fd_step: Optional[float] = None
 
+    def at(self, t) -> tuple:
+        """M, Mdot and Mddot at ``t`` (a time or an array of times) as
+        complex arrays.  Raises NonFiniteMatrix naming the first time at
+        which one of them has a NaN or infinite entry."""
+        out = tuple(np.array(f(t), dtype=complex) for f in (
+            self.value, self.first_derivative, self.second_derivative))
+        bad = [~np.isfinite(x).all(axis=(-2, -1)).ravel() for x in out]
+        if np.any(bad):
+            s = int(np.flatnonzero(np.logical_or.reduce(bad))[0])
+            name = next(name for name, b in zip(("M", "Mdot", "Mddot"), bad)
+                        if b[s])
+            raise NonFiniteMatrix(f"{name}(t={np.ravel(t)[s]}) has NaN/Inf "
+                                  "entries")
+        return out
+
     @staticmethod
     def from_callable(
         value: Callable[[float], np.ndarray],
@@ -73,7 +103,7 @@ class MatrixTrajectory:
         n: Optional[int] = None,
     ) -> "MatrixTrajectory":
         """Wrap callables; missing derivatives fall back to central
-        differences of ``value``.
+        differences of ``value``, which then runs on arrays of times too.
 
         The default steps scale with the Frobenius norm at t=0:
         1e-4 * max(1, ||M||_F) for the first derivative and a 1e-3 scale
@@ -87,13 +117,15 @@ class MatrixTrajectory:
                                     second_derivative, "analytic")
 
         scale = max(1.0, float(np.linalg.norm(m0)))
+        # both steps are products with the scale: a difference quotient
+        # magnifies a last-bit change of the step by up to 1/h2**2
         h1 = fd_step if fd_step is not None else 1e-4 * scale
         h2 = fd_step if fd_step is not None else 1e-3 * scale
 
-        def fd1(t: float) -> np.ndarray:
+        def fd1(t):
             return (value(t + h1) - value(t - h1)) / (2 * h1)
 
-        def fd2(t: float) -> np.ndarray:
+        def fd2(t):
             return (value(t + h2) - 2 * value(t) + value(t - h2)) / h2**2
 
         return MatrixTrajectory(
@@ -116,9 +148,9 @@ class MatrixTrajectory:
             raise DimensionMismatch("polynomial coefficients must share shape")
         return MatrixTrajectory(
             n,
-            lambda t: a + t * b + t * t * c,
-            lambda t: b + 2 * t * c,
-            lambda t: 2 * c,
+            lambda t: a + _times(t) * b + _times(t) * _times(t) * c,
+            lambda t: b + 2 * _times(t) * c,
+            constant_in_time(2 * c),
             "analytic",
         )
 

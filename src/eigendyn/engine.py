@@ -9,9 +9,9 @@ of whitespace-separated rows with complex entries written as "a+bi".
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, core, dynamics, models, stochastic
 from .dynamics import MatrixTrajectory
-from .errors import (ConfigInvalid, EigendynError, PairingFailure, RecordInvalid,
+from .errors import (ConfigInvalid, EigendynError, RecordInvalid,
                      UnsupportedFormat)
 
 __all__ = [
@@ -286,6 +286,15 @@ class ScenarioConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
+def _power(k, p: int):
+    """k**p; for p >= 2 each entry of an array k is raised by Python's
+    float power, as a scalar k is: numpy's array power rounds some
+    entries differently."""
+    if p < 2 or np.ndim(k) == 0:
+        return k**p
+    return np.reshape([x**p for x in np.ravel(k).tolist()], np.shape(k))
+
+
 def build_trajectory(cfg: ScenarioConfig) -> MatrixTrajectory:
     """Instantiate the scenario's model as a matrix trajectory."""
     model = cfg.model
@@ -318,13 +327,20 @@ def build_trajectory(cfg: ScenarioConfig) -> MatrixTrajectory:
         u0 = _site_values(model, "fluctuations", n)
         u1 = _site_values(model, "fluctuation_rate", n)
         base_m = models.build_omega_le(ring)
+        sites = np.arange(n)
+
+        def ring_value(t):
+            m = np.broadcast_to(base_m, np.shape(t) + (n, n)).copy()
+            m[..., sites, sites] += u0 + np.asarray(t)[..., None] * u1
+            return m
+
         # U(t) = u0 + t*u1 enters only through the diagonal, so the
         # derivatives are exact
         return MatrixTrajectory(
             n,
-            lambda t: base_m + np.diag(u0 + t * u1),
-            lambda t: np.diag(u1),
-            lambda t: np.zeros((n, n)),
+            ring_value,
+            dynamics.constant_in_time(np.diag(u1)),
+            dynamics.constant_in_time(np.zeros((n, n))),
             "analytic",
         )
 
@@ -341,7 +357,7 @@ def build_trajectory(cfg: ScenarioConfig) -> MatrixTrajectory:
 
         def entry(key):
             coeffs = polys[key]
-            return lambda k: sum(c * k**p for p, c in enumerate(coeffs))
+            return lambda k: sum(c * _power(k, p) for p, c in enumerate(coeffs))
 
         tol = _number(model.get("unimodular_tol", 1e-9), "model.unimodular_tol")
         if tol <= 0:
@@ -372,27 +388,17 @@ def build_trajectory(cfg: ScenarioConfig) -> MatrixTrajectory:
             l0.append(_complex_value(item.get("l", 0), f"model.lindblad[{idx}].l"))
             l1.append(_complex_value(item.get("l_rate", 0),
                                      f"model.lindblad[{idx}].l_rate"))
-        try:  # shapes are checked once, here
-            models.EffectiveHamiltonianSpec(h, ops, l0)
+        try:  # shapes and Hermiticity are checked once, here
+            spec = models.EffectiveHamiltonianSpec(h, ops, l0, l1)
         except EigendynError as exc:
             raise ConfigInvalid(f"model: {exc}") from exc
-
-        def h_eff(t):
-            spec = models.EffectiveHamiltonianSpec(
-                h, ops, [a + t * b for a, b in zip(l0, l1)]
-            )
-            return models.effective_hamiltonian(spec)
-
-        def h_eff_dot(t):
-            acc = np.zeros_like(h)
-            for op, rate in zip(ops, l1):
-                acc = acc + np.conjugate(rate) * op - rate * op.conj().T
-            return 0.5j * acc
-
-        n = h.shape[0]
+        acc = np.zeros_like(h)
+        for op, rate in zip(ops, l1):
+            acc = acc + np.conjugate(rate) * op - rate * op.conj().T
         return MatrixTrajectory(
-            n, h_eff, h_eff_dot, lambda t: np.zeros((n, n), dtype=complex),
-            "analytic",
+            h.shape[0], lambda t: models.effective_hamiltonian(spec, t),
+            dynamics.constant_in_time(0.5j * acc),
+            dynamics.constant_in_time(np.zeros_like(h)), "analytic",
         )
 
     raise ConfigInvalid(f"unknown model type {kind!r}")
@@ -466,17 +472,36 @@ def _flag_names(mask: int, names: tuple) -> tuple:
     return tuple(f for b, f in enumerate(names) if mask >> b & 1)
 
 
-def _flag_mask(flags, names: tuple) -> int:
+@functools.cache
+def _flag_mask(flags: tuple, names: tuple) -> int:
     unknown = [f for f in flags if f not in names]
     if unknown:
         raise RecordInvalid(f"unknown flags {unknown}")
     return sum(1 << names.index(f) for f in set(flags))
 
 
-def _complex(pairs, shape: tuple) -> np.ndarray:
-    """(shape) complex array of nested [re, im] lists without nulls, bit
-    for bit."""
-    return np.array(pairs, dtype=float).reshape(*shape, 2).view(complex)[..., 0]
+def _complex(pairs: list, shape: tuple) -> np.ndarray:
+    """(shape) complex array of a flat list of [re, im] lists, bit for
+    bit."""
+    if set(map(len, pairs)) - {2}:
+        raise ValueError("expected [re, im] pairs")
+    return np.fromiter(itertools.chain.from_iterable(pairs), dtype=float,
+                       count=2 * len(pairs)).view(complex).reshape(shape)
+
+
+def _float_texts(x, fmt, nonfinite=None) -> np.ndarray:
+    """``fmt(v)`` for each float v of ``x``, flattened, as an object
+    array; with ``nonfinite``, the text of a NaN or infinity is mapped
+    through it.  ``fmt`` runs once per distinct bit pattern, so -0.0 and
+    0.0 keep their own texts."""
+    x = np.ascontiguousarray(x, dtype=float).reshape(-1)
+    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
+    values = bits.view(float)
+    texts = np.array(list(map(fmt, values.tolist())), dtype=object)
+    if nonfinite is not None:
+        bad = ~np.isfinite(values)
+        texts[bad] = [nonfinite[text] for text in texts[bad]]
+    return texts[inverse]
 
 
 # The JSON text is that of json.dumps(document, sort_keys=True, indent=1),
@@ -502,25 +527,23 @@ def _container(items: list, pad: int, brackets: str = "[]") -> str:
     return f"{brackets[0]}{sep}{(',' + sep).join(items)}\n{' ' * pad}{brackets[1]}"
 
 
-def _floats(x) -> list:
+def _json_floats(x) -> list:
     """json's text of each float of ``x``, flattened."""
-    x = np.ravel(x)
-    out = list(map(float.__repr__, x.tolist()))
-    for i in np.flatnonzero(~np.isfinite(x)).tolist():
-        out[i] = _NONFINITE[out[i]]
-    return out
+    return _float_texts(x, float.__repr__, _NONFINITE).tolist()
 
 
 def _pair_texts(z, pad: int, present=None) -> list:
     """json's text of each [re, im] pair of ``z``, flattened; null where
-    not ``present``."""
+    not ``present``, and those are never formatted."""
     inner = " " * (pad + 1)
     template = f"[\n{inner}%s,\n{inner}%s\n{' ' * pad}]"
-    out = [template % p for p in zip(_floats(z.real), _floats(z.imag))]
-    if present is not None:
-        for i in np.flatnonzero(~np.ravel(present)).tolist():
-            out[i] = "null"
-    return out
+    z = np.ravel(z)
+    out = np.full(z.shape, "null", dtype=object)
+    keep = slice(None) if present is None else np.ravel(present)
+    re, im = _float_texts(np.stack([z[keep].real, z[keep].imag]), float.__repr__,
+                          _NONFINITE).reshape(2, -1).tolist()
+    out[keep] = list(map(template.__mod__, zip(re, im)))
+    return out.tolist()
 
 
 @functools.cache
@@ -537,12 +560,16 @@ def _tracked_json(record: RunRecord) -> list:
     keys = [str(j) for j in record.tracked[order].tolist()]
     flags = record.value_flags[:, order]
     intact = flags == 0
-    present = {"velocity": None, "inertial": intact, "conjugate_term": intact,
-               "others": intact,
-               "conjugate_force": record.has_conjugate_force[:, order],
-               "expected_force": record.has_expected_force[:, order]}
-    columns = {name: _pair_texts(getattr(record, name)[:, order], 5, mask)
-               for name, mask in present.items()}
+    present = [np.ones_like(intact), intact, intact, intact,
+               record.has_conjugate_force[:, order],
+               record.has_expected_force[:, order]]
+    # one pass over the value columns: conjugate_force repeats
+    # conjugate_term, and a repeated float is formatted once
+    texts = _pair_texts(np.stack([getattr(record, name)[:, order]
+                                  for name in _VALUES]), 5, np.stack(present))
+    size = flags.size
+    columns = {name: texts[c * size:(c + 1) * size]
+               for c, name in enumerate(_VALUES)}
     columns["flags"] = [_flags_text(f, VALUE_FLAGS, 5)
                         for f in flags.ravel().tolist()]
     entry = "\"%s\": {\n" + ",\n".join(
@@ -565,7 +592,7 @@ def _rows_json(record: RunRecord) -> str:
         f'   "t": {t},\n'
         f'   "tracked": {_container(tracked[k * m:(k + 1) * m], 3, "{}")}\n'
         "  }"
-        for k, (t, f) in enumerate(zip(_floats(record.t),
+        for k, (t, f) in enumerate(zip(_json_floats(record.t),
                                        record.step_flags.tolist()))
     ]
     return _container(rows, 1)
@@ -590,24 +617,31 @@ def record_from_dict(data: dict) -> RunRecord:
     try:
         rows = data["rows"]
         keys = sorted(rows[0]["tracked"], key=int)
-        cells = [[row["tracked"][key] for key in keys] for row in rows]
         shape = (len(rows), len(keys))
-        values = {name: _complex([[c[name] or (np.nan, np.nan) for c in r]
-                                  for r in cells], shape) for name in _VALUES}
-        has = {f"has_{name}": np.array([[c[name] is not None for c in r]
-                                        for r in cells], dtype=bool).reshape(shape)
-               for name in ("conjugate_force", "expected_force")}
+        # every step's tracked entries, step by step: each column is read
+        # in one pass over them
+        cells = [row["tracked"][key] for row in rows for key in keys]
+        eigenvalues = [row["eigenvalues"] for row in rows]
+        if len(set(map(len, eigenvalues))) != 1:
+            raise ValueError("rows hold different numbers of eigenvalues")
+        values, has = {}, {}
+        for name in _VALUES:
+            column = [cell[name] for cell in cells]
+            values[name] = _complex([v or (np.nan, np.nan) for v in column],
+                                    shape)
+            if name in ("conjugate_force", "expected_force"):
+                has[f"has_{name}"] = np.array(
+                    [v is not None for v in column], dtype=bool).reshape(shape)
         return RunRecord(
             t=np.array([row["t"] for row in rows], dtype=float),
-            eigenvalues=_complex([row["eigenvalues"] for row in rows],
+            eigenvalues=_complex(list(itertools.chain.from_iterable(eigenvalues)),
                                  (len(rows), -1)),
             permutation=np.array([row["permutation"] for row in rows], dtype=int),
             tracked=np.array(keys, dtype=int),
-            step_flags=np.array([_flag_mask(row["flags"], STEP_FLAGS)
+            step_flags=np.array([_flag_mask(tuple(row["flags"]), STEP_FLAGS)
                                  for row in rows], dtype=int),
-            value_flags=np.array([[_flag_mask(c["flags"], VALUE_FLAGS)
-                                   for c in r] for r in cells],
-                                 dtype=int).reshape(shape),
+            value_flags=np.array([_flag_mask(tuple(cell["flags"]), VALUE_FLAGS)
+                                  for cell in cells], dtype=int).reshape(shape),
             events=[CollisionEvent(e["t_lo"], e["t_hi"], tuple(e["pair"]),
                                    e["min_abs_im"]) for e in data["events"]],
             provenance=dict(data["provenance"]),
@@ -621,23 +655,17 @@ def record_from_dict(data: dict) -> RunRecord:
 # execution
 
 # a run steps in blocks of about this many complex entries per (B, n, n)
-# stack: the model, the noise draw, LAPACK, the assignment and the BLAS
-# products run per step, everything else once per block
+# stack: the noise draw, LAPACK, the assignment and the BLAS products run
+# per step, everything else once per block
 _BLOCK_ENTRIES = 2**14
 
 
 def _block_inputs(trajectory: MatrixTrajectory, proc, ts, rows: slice, noise):
     """M, Mdot and Mddot at the times ``ts[rows]`` as (B, n, n) stacks,
     with the noise walk applied, and the walk's state after them."""
-    m = np.empty((rows.stop - rows.start, trajectory.n, trajectory.n),
-                 dtype=complex)
-    mdot, mddot = np.empty_like(m), np.empty_like(m)
-    for s, k in enumerate(range(rows.start, rows.stop)):
-        t = ts[k]
-        m[s] = trajectory.value(t)
-        mdot[s] = trajectory.first_derivative(t)
-        mddot[s] = trajectory.second_derivative(t)
-        if proc is not None:
+    m, mdot, mddot = trajectory.at(ts[rows])
+    if proc is not None:
+        for s, k in enumerate(range(rows.start, rows.stop)):
             p = proc.sample(trajectory.n, k)
             m[s] += noise
             mdot[s] += p
@@ -700,15 +728,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
         # without a pairing every eigenvalue is its own partner: no
         # conjugate term is split off
         partner = np.tile(np.arange(n), (len(m), 1))
-        pairings = {}
         failed = np.zeros(len(m), dtype=bool)
-        for s in np.flatnonzero(real_input).tolist():
-            try:
-                pairings[s] = core.pair_conjugates(d[s], 1e-7)
-            except PairingFailure:
-                failed[s] = True
-            else:
-                partner[s] = pairings[s].partner
+        if real_input.any():
+            pairing = core.pair_conjugates(d[real_input], 1e-7)
+            partner[real_input] = pairing.partner
+            failed[real_input] = pairing.failed_steps
 
         raw = perms[:, tracked]
         # complex eigenvalues of a real matrix; near the axis the conjugate
@@ -738,7 +762,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
         if proc is not None:
             values["expected_force"][rows][conj] = [
                 stochastic.expected_conjugate_force_iid(
-                    d[s], pairings[s], proc.sigma2, j, kind=proc.kind)
+                    d[s], core.ConjugatePairing(partner[s], 1e-7), proc.sigma2,
+                    j, kind=proc.kind)
                 for s, j in zip(np.nonzero(conj)[0].tolist(), raw[conj].tolist())
             ]
         prev = d[-1]
@@ -812,9 +837,33 @@ _CSV_COLUMNS = [
 ]
 
 
-def _fmt(a) -> list:
-    # 17 significant digits: round-trips double precision exactly
-    return [f"{x:.17g}" for x in np.ravel(a).tolist()]
+# one CSV line: no field ever needs quoting
+_CSV_LINE = ",".join(["%s"] * len(_CSV_COLUMNS)) + "\r\n"
+
+
+@functools.cache
+def _csv_flags(step: int, value: int) -> str:
+    return ";".join(_flag_names(step, STEP_FLAGS) + _flag_names(value, VALUE_FLAGS))
+
+
+def _csv_columns(record: RunRecord) -> list:
+    """The CSV fields column by column, one entry per step and tracked
+    index; floats at 17 significant digits, which round-trips double
+    precision exactly."""
+    m = len(record.tracked)
+    fmt = "%.17g".__mod__
+    # t is formatted once per step, every other float once per distinct
+    # value over all the complex columns
+    t = np.repeat(_float_texts(record.t, fmt), m).tolist()
+    j = list(map(str, record.tracked.tolist())) * len(record.t)
+    parts = [part for z in (record.eigenvalues[:, record.tracked],
+                            record.velocity, record.total, record.inertial,
+                            record.conjugate_term, record.others)
+             for part in (z.real, z.imag)]
+    floats = _float_texts(np.stack(parts), fmt).reshape(len(parts), -1).tolist()
+    flags = [_csv_flags(step, value) for step, row in zip(
+        record.step_flags.tolist(), record.value_flags.tolist()) for value in row]
+    return [t, j, *floats, flags]
 
 
 def export(record: RunRecord, format: str, path) -> None:
@@ -827,20 +876,9 @@ def export(record: RunRecord, format: str, path) -> None:
             fh.write("\n")
         return
     if format == "csv":
-        m = len(record.tracked)
-        step = [_flag_names(f, STEP_FLAGS) for f in record.step_flags.tolist()]
-        flags = [";".join(step[k] + _flag_names(f, VALUE_FLAGS))
-                 for k, row in enumerate(record.value_flags.tolist()) for f in row]
-        columns = [_fmt(np.repeat(record.t, m)),
-                   np.tile(record.tracked, len(record.t)).tolist()]
-        for z in (record.eigenvalues[:, record.tracked], record.velocity,
-                  record.total, record.inertial, record.conjugate_term,
-                  record.others):
-            columns += [_fmt(z.real), _fmt(z.imag)]
         with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_CSV_COLUMNS)
-            writer.writerows(zip(*columns, flags))
+            fh.write(_CSV_LINE % tuple(_CSV_COLUMNS))
+            fh.writelines(map(_CSV_LINE.__mod__, zip(*_csv_columns(record))))
         return
     raise UnsupportedFormat(f"unsupported export format {format!r}")
 

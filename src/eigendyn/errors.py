@@ -9,6 +9,10 @@ class DimensionMismatch(EigendynError):
     """Operands do not have compatible shapes."""
 
 
+class NonFiniteMatrix(EigendynError, ValueError):
+    """A matrix has NaN or infinite entries (also a ValueError)."""
+
+
 class NonConvergence(EigendynError):
     """The underlying eigensolver failed to converge."""
 

@@ -4,8 +4,7 @@
   a periodic ring (circulant), and its convective/disordered variant with
   asymmetric hops D e^{+-h} and per-site growth fluctuations U_i.
 * 1D scattering: 2x2 transfer matrices M with det M = 1, the scattering
-  matrix S assembled from them, its closed-form eigenvalues s+-, and the
-  asymptotic scattering states.
+  matrix S assembled from them, and its closed-form eigenvalues s+-.
 * Open quantum systems: the non-Hermitian effective Hamiltonian obtained
   by displacing Lindblad operators by scalars,
   H + (i/2) sum_k (conj(l_k) L_k - l_k L_k^dagger).
@@ -38,9 +37,7 @@ __all__ = [
     "effective_hamiltonian",
     "TransferMatrixModel",
     "ScatteringData",
-    "ScatteringState",
     "scattering_data",
-    "scattering_state",
     "main_result_acceleration",
     "MainResultDiagnostic",
 ]
@@ -124,40 +121,50 @@ def omega_le_spectrum(ring: BiophysicalRing) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EffectiveHamiltonianSpec:
-    """Hermitian H plus Lindblad operators L_k displaced by scalars l_k."""
+    """Hermitian H plus Lindblad operators L_k displaced by scalars
+    l_k(t) = l_k + t r_k; the rates r_k default to zero.
+
+    Warns when H is not Hermitian to tolerance.
+    """
 
     h: np.ndarray
     lindblad_ops: Sequence[np.ndarray] = field(default_factory=tuple)
     displacements: Sequence[complex] = field(default_factory=tuple)
+    rates: Sequence[complex] = field(default_factory=tuple)
     hermiticity_tol: float = 1e-10
 
     def __post_init__(self):
         h = as_square_matrix(self.h)
         if len(self.lindblad_ops) != len(self.displacements):
             raise DimensionMismatch("one displacement scalar per Lindblad operator")
+        if self.rates and len(self.rates) != len(self.displacements):
+            raise DimensionMismatch("one displacement rate per Lindblad operator")
         for op in self.lindblad_ops:
             if as_square_matrix(op).shape != h.shape:
                 raise DimensionMismatch("Lindblad operator dimension mismatch")
+        if np.max(np.abs(h - h.conj().T)) > self.hermiticity_tol:
+            warnings.warn("H is not Hermitian to tolerance", stacklevel=3)
 
 
-def effective_hamiltonian(spec: EffectiveHamiltonianSpec) -> np.ndarray:
-    """H + (i/2) sum_k (conj(l_k) L_k - l_k L_k^dagger).
+def effective_hamiltonian(spec: EffectiveHamiltonianSpec, t=0.0) -> np.ndarray:
+    """H + (i/2) sum_k (conj(l_k(t)) L_k - l_k(t) L_k^dagger) at time t,
+    or a stack with the shape of an array of times in front.
 
-    Warns when H is not Hermitian to tolerance.  With all l_k = 0 the
-    result is H itself; with Hermitian L_k and real l_k the displacement
-    terms cancel.  Each displacement term (i/2)(conj(l) L - l L^dagger)
-    is Hermitian, so Hermitian H stays Hermitian: the displacement is a
-    frame change, and non-Hermiticity enters through a non-Hermitian H
-    block (e.g. a system block dressed with decay rates).
+    With all l_k = 0 the result is H itself; with Hermitian L_k and real
+    l_k the displacement terms cancel.  Each displacement term
+    (i/2)(conj(l) L - l L^dagger) is Hermitian, so Hermitian H stays
+    Hermitian: the displacement is a frame change, and non-Hermiticity
+    enters through a non-Hermitian H block (e.g. a system block dressed
+    with decay rates).
     """
     h = np.asarray(spec.h, dtype=complex)
-    if np.max(np.abs(h - h.conj().T)) > spec.hermiticity_tol:
-        warnings.warn("H is not Hermitian to tolerance", stacklevel=2)
+    t = np.asarray(t, dtype=float)[..., None, None]
     if len(spec.lindblad_ops) == 0:
-        return h.copy()
+        return np.broadcast_to(h, t.shape[:-2] + h.shape).copy()
     acc = np.zeros_like(h)
-    for op, l in zip(spec.lindblad_ops, spec.displacements):
-        op, l = np.asarray(op, dtype=complex), complex(l)
+    for op, l0, rate in zip(spec.lindblad_ops, spec.displacements,
+                            spec.rates or [0.0] * len(spec.displacements)):
+        op, l = np.asarray(op, dtype=complex), complex(l0) + t * complex(rate)
         acc = acc + np.conjugate(l) * op - l * op.conj().T
     return h + 0.5j * acc
 
@@ -194,16 +201,18 @@ class TransferMatrixModel:
             unimodular_tol=unimodular_tol,
         )
 
-    def matrix(self, k: float) -> np.ndarray:
-        return np.array(
-            [[self.m11(k), self.m12(k)], [self.m21(k), self.m22(k)]],
-            dtype=complex,
-        )
+    def matrix(self, k) -> np.ndarray:
+        """M(k), or a stack with the shape of an array ``k`` in front."""
+        entries = [np.broadcast_to(f(k), np.shape(k))
+                   for f in (self.m11, self.m12, self.m21, self.m22)]
+        return np.stack(entries, axis=-1).astype(complex).reshape(
+            np.shape(k) + (2, 2))
 
 
 @dataclass(frozen=True)
 class ScatteringData:
-    """S-matrix blocks and closed-form eigenvalues at one wavenumber.
+    """S-matrix blocks and closed-form eigenvalues at one wavenumber, or
+    arrays of them over an array of wavenumbers.
 
     T_l = T_r = 1/M22, R_r = M12/M22, R_l = -M21/M22;
     s+- = (1 +- sqrt(1 - M11 M22)) / M22.
@@ -219,80 +228,42 @@ class ScatteringData:
 
     @property
     def s_matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.t_left, self.r_right], [self.r_left, self.t_right]],
-            dtype=complex,
-        )
+        return np.stack([np.stack([self.t_left, self.r_right], axis=-1),
+                         np.stack([self.r_left, self.t_right], axis=-1)],
+                        axis=-2)
 
 
-def scattering_data(model: TransferMatrixModel, k: float,
+def scattering_data(model: TransferMatrixModel, k,
                     singularity_tol: float = 1e-12) -> ScatteringData:
-    """Assemble the scattering data of the transfer matrix at wavenumber k.
+    """Assemble the scattering data of the transfer matrix at wavenumber
+    k, or at each wavenumber of an array k.
 
     Raises NotUnimodular when |det M - 1| exceeds the model tolerance and
     SpectralSingularity when M22 vanishes (divergent transmission, a
-    distinguished physical event).
+    distinguished physical event), each at the first offending k.
     """
     m = model.matrix(k)
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det - 1.0) > model.unimodular_tol:
-        raise NotUnimodular(f"|det M(k={k}) - 1| = {abs(det - 1.0):.3e}")
-    m22 = m[1, 1]
-    if abs(m22) <= singularity_tol:
-        raise SpectralSingularity(f"M22(k={k}) = {m22}: spectral singularity")
-    root = np.sqrt(complex(1.0 - m[0, 0] * m22))  # principal branch
-    return ScatteringData(
-        k=k,
-        t_left=complex(1.0 / m22),
-        r_left=complex(-m[1, 0] / m22),
-        t_right=complex(1.0 / m22),
-        r_right=complex(m[0, 1] / m22),
-        s_plus=complex((1.0 + root) / m22),
-        s_minus=complex((1.0 - root) / m22),
-    )
-
-
-@dataclass(frozen=True)
-class ScatteringState:
-    """Asymptotic scattering state sampled over a position grid.
-
-    Left incidence:  N_l (e^{ikx} + R_l e^{-ikx}) as x -> -inf,
-                     N_l T_l e^{ikx}              as x -> +inf.
-    Right incidence: mirrored with N_r, R_r, T_r.
-    The free-space model treats the asymptotic forms as exact on the two
-    half-lines (split at x = 0).
-    """
-
-    side: str
-    k: float
-    amplitude: complex
-    reflection: complex
-    transmission: complex
-    x: np.ndarray
-    psi: np.ndarray
-
-
-def scattering_state(model: TransferMatrixModel, k: float, side: str,
-                     x_grid, amplitude: complex = 1.0) -> ScatteringState:
-    """Sample the asymptotic scattering state on ``x_grid``."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    data = scattering_data(model, k)
-    x = np.asarray(x_grid, dtype=float)
-    n0 = complex(amplitude)
-    psi = np.empty(len(x), dtype=complex)
-    if side == "left":
-        refl, trans = data.r_left, data.t_left
-        neg = x < 0
-        psi[neg] = n0 * (np.exp(1j * k * x[neg]) + refl * np.exp(-1j * k * x[neg]))
-        psi[~neg] = n0 * trans * np.exp(1j * k * x[~neg])
-    else:
-        refl, trans = data.r_right, data.t_right
-        neg = x < 0
-        psi[neg] = n0 * trans * np.exp(-1j * k * x[neg])
-        psi[~neg] = n0 * (np.exp(-1j * k * x[~neg]) + refl * np.exp(1j * k * x[~neg]))
-    return ScatteringState(side=side, k=k, amplitude=n0, reflection=refl,
-                           transmission=trans, x=x, psi=psi)
+    # numpy scalars for a scalar k, arrays for an array k
+    m11, m12, m21, m22 = np.moveaxis(m.reshape(m.shape[:-2] + (4,)), -1, 0)
+    det = m11 * m22 - m12 * m21
+    off = np.abs(det - 1.0)
+    bad = np.flatnonzero(off > model.unimodular_tol)
+    if bad.size:
+        i = bad[0]
+        raise NotUnimodular(f"|det M(k={np.ravel(k)[i]}) - 1| = "
+                            f"{np.ravel(off)[i]:.3e}")
+    bad = np.flatnonzero(np.abs(m22) <= singularity_tol)
+    if bad.size:
+        i = bad[0]
+        raise SpectralSingularity(f"M22(k={np.ravel(k)[i]}) = "
+                                  f"{np.ravel(m22)[i]}: spectral singularity")
+    root = np.sqrt(1.0 - m11 * m22)  # principal branch
+    fields = {"t_left": 1.0 / m22, "r_left": -m21 / m22,
+              "t_right": 1.0 / m22, "r_right": m12 / m22,
+              "s_plus": (1.0 + root) / m22, "s_minus": (1.0 - root) / m22}
+    if np.ndim(k) == 0:
+        fields = {name: complex(v) for name, v in fields.items()}
+    return ScatteringData(k=k, **fields)
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,42 @@ class TestRun:
         assert "rows=11" in capsys.readouterr().out
 
 
+# values that overflow to inf: M(2.5) of the first, M(1) of the ring,
+# and Mddot of the third everywhere
+NON_FINITE = {
+    "matrix": {"model": {"type": "explicit", "matrix": [[1e308, 0], [0, 1]],
+                         "velocity": [[1e308, 0], [0, 0]]},
+               "time": {"t0": 0, "t1": 10, "steps": 4}},
+    "ring": {"model": {"type": "ring", "sites": 4,
+                       "fluctuations": [1e308, 0, 0, 0],
+                       "fluctuation_rate": [1e308, 0, 0, 0]},
+             "time": {"t0": 1, "t1": 2, "steps": 4}},
+    "acceleration": {"model": {"type": "explicit", "matrix": [[0, 1], [-1, 0]],
+                               "acceleration": [[1e308, 0], [0, 0]]},
+                     "time": {"t0": 0, "t1": 0.5, "steps": 4}},
+}
+
+
+class TestNonFiniteModel:
+    @pytest.mark.parametrize("case,command,code,named", [
+        ("matrix", "run", cli.EXIT_RUNTIME, "M(t=2.5)"),
+        ("ring", "validate", cli.EXIT_INVALID, "M(t=1.0)"),
+        ("ring", "run", cli.EXIT_RUNTIME, "M(t=1.0)"),
+        ("acceleration", "run", cli.EXIT_RUNTIME, "Mddot(t=0.0)"),
+        ("acceleration", "validate", cli.EXIT_INVALID, "Mddot(t=0.0)"),
+    ])
+    def test_named_error_not_traceback(self, tmp_path, capsys, case, command,
+                                       code, named):
+        scenario = tmp_path / "scn.json"
+        scenario.write_text(json.dumps(NON_FINITE[case]))
+        argv = [command, "--scenario", str(scenario)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == code
+        assert f"error: {named} has NaN/Inf entries" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestSweep:
     def test_tilt_sweep_creates_subdirs(self, ring_scenario, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -267,14 +267,30 @@ class TestPairingReference:
     @settings(max_examples=300, deadline=None)
     @given(w=conjugate_spectra())
     def test_matches_greedy_loop(self, w):
-        for row in w:
+        stacked = core.pair_conjugates(_spectrum(w), _PAIR_TOL)
+        for s, row in enumerate(w):
             want = _reference_pairing(row, _PAIR_TOL)
+            assert stacked.failed_steps[s] == (want is None)
             if want is None:
                 with pytest.raises(PairingFailure):
                     core.pair_conjugates(_spectrum(row), _PAIR_TOL)
+                # a failed step is self-paired throughout
+                np.testing.assert_array_equal(stacked.partner[s],
+                                              np.arange(len(row)))
             else:
-                got = core.pair_conjugates(_spectrum(row), _PAIR_TOL).partner
-                np.testing.assert_array_equal(got, want)
+                got = core.pair_conjugates(_spectrum(row), _PAIR_TOL)
+                np.testing.assert_array_equal(got.partner, want)
+                np.testing.assert_array_equal(stacked.partner[s], want)
+                assert not got.failed_steps
+            np.testing.assert_array_equal(stacked[s].partner, stacked.partner[s])
+
+    def test_stacked_call_raises_nothing(self):
+        w = np.array([[1j, 2j], [-1j, 1j]])
+        p = core.pair_conjugates(_spectrum(w), _PAIR_TOL)
+        np.testing.assert_array_equal(p.failed_steps, [True, False])
+        np.testing.assert_array_equal(p.partner, [[0, 1], [1, 0]])
+        with pytest.raises(PairingFailure):
+            core.pair_conjugates(_spectrum(w[0]), _PAIR_TOL)
 
 
 def brute_force_cost(prev, nxt):

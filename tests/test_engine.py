@@ -75,6 +75,13 @@ class TestReadMatrixFile:
             engine.read_matrix_file(p)
 
 
+def _no_partner(d, tol):
+    """A stacked pairing that fails on every step."""
+    w = d.eigenvalues
+    return core.ConjugatePairing(np.broadcast_to(np.arange(d.n), w.shape).copy(),
+                                 tol, np.ones(w.shape[:-1], dtype=bool))
+
+
 def base_config(**overrides):
     raw = {
         "model": {"type": "explicit",
@@ -397,14 +404,22 @@ class TestModelReference:
     def test_callables_match_per_time_formulas(self, case):
         cfg = ScenarioConfig.from_dict(_model_case(case))
         traj, reference = engine.build_trajectory(cfg), _reference_model(cfg)
-        times = [*np.linspace(cfg.t0, cfg.t1, cfg.steps + 1), 0.75]
-        for t in times:
+        ts = np.linspace(cfg.t0, cfg.t1, cfg.steps + 1)
+        for t in [*ts, 0.75]:
             got = (traj.value(t), traj.first_derivative(t),
                    traj.second_derivative(t))
             for g, w in zip(got, reference(t)):
                 assert np.shape(g) == (traj.n, traj.n)
                 assert (np.asarray(g, dtype=complex).tobytes()
                         == np.asarray(w, dtype=complex).tobytes())
+        # an array of times gives the per-time matrices, bit for bit, with
+        # the array's shape in front
+        for times in (ts, ts[2:5].reshape(3, 1), ts[:1]):
+            for f in (traj.value, traj.first_derivative, traj.second_derivative):
+                got = np.asarray(f(times), dtype=complex)
+                want = np.array([f(t) for t in times.ravel()], dtype=complex)
+                assert got.shape == times.shape + (traj.n, traj.n)
+                assert got.tobytes() == want.tobytes()
 
 
 # shipped scenarios plus one of each model type none of them uses
@@ -623,10 +638,7 @@ class TestRunScenario:
         assert record.velocity[0].sum() == pytest.approx(5.0)
 
     def test_pairing_failure_flagged(self, monkeypatch):
-        def no_partner(d, tol):
-            raise PairingFailure("no conjugate partner")
-
-        monkeypatch.setattr(core, "pair_conjugates", no_partner)
+        monkeypatch.setattr(core, "pair_conjugates", _no_partner)
         raw = base_config(model={"type": "explicit",
                                  "matrix": [[0.0, 1.0], [-1.0, 0.0]]})
         record = engine.run_scenario(ScenarioConfig.from_dict(raw))
@@ -705,10 +717,7 @@ class TestPersistence:
                                      "velocity": [[1.0, 2.0], [3.0, 4.0]]})
             want = {"degenerate", "singular-gap", "ambiguous-match"}
         else:
-            def no_partner(d, tol):
-                raise PairingFailure("no conjugate partner")
-
-            monkeypatch.setattr(core, "pair_conjugates", no_partner)
+            monkeypatch.setattr(core, "pair_conjugates", _no_partner)
             raw = base_config(model={"type": "explicit",
                                      "matrix": [[0.0, 1.0], [-1.0, 0.0]]})
             want = {"pairing-failed"}
@@ -909,10 +918,7 @@ def _record_case(case, monkeypatch):
                                  "matrix": [[1.0, 0.0], [0.0, 1.0]],
                                  "velocity": [[1.0, 2.0], [3.0, 4.0]]})
     elif case == "pairing-failed":
-        def no_partner(d, tol):
-            raise PairingFailure("no conjugate partner")
-
-        monkeypatch.setattr(core, "pair_conjugates", no_partner)
+        monkeypatch.setattr(core, "pair_conjugates", _no_partner)
         raw = base_config(model=two)
     else:
         # computed NaN and infinities beside nulls, and signed zeros
@@ -982,6 +988,14 @@ class TestRecordJson:
         lambda data: data["rows"][1].pop("eigenvalues"),
         lambda data: data["rows"][1]["eigenvalues"].append([0.0]),
         lambda data: data["rows"][1]["eigenvalues"][0].append(0.0),
+        lambda data: (data["rows"][1]["eigenvalues"].append([0.0, 0.0]),
+                      data["rows"][2]["eigenvalues"].pop()),
+        lambda data: data["rows"][1]["eigenvalues"].append([[0.0, 1.0], 0.0]),
+        lambda data: data["rows"][2]["tracked"]["0"].update(
+            velocity=[[1.0, 2.0], [3.0, 4.0]]),
+        lambda data: data["rows"][2]["tracked"]["0"].update(velocity=["1", 2]),
+        lambda data: data["rows"][2]["tracked"]["0"].update(velocity=[None, 2]),
+        lambda data: data["rows"][2]["tracked"]["0"].update(velocity=1.0),
         lambda data: data["rows"][2]["tracked"].pop("1"),
         lambda data: data["rows"][2]["tracked"]["1"].pop("others"),
         lambda data: data["rows"][2]["tracked"]["0"].update(velocity=[1.0]),
@@ -1171,10 +1185,15 @@ class TestBlockedEngine:
         pair = core.pair_conjugates
 
         def fail_fifth(d, tol):
-            calls.append(1)
-            if len(calls) == 5:
-                raise PairingFailure("no conjugate partner")
-            return pair(d, tol)
+            if d.eigenvalues.ndim == 1:  # the per-step loop
+                calls.append(1)
+                if len(calls) == 5:
+                    raise PairingFailure("no conjugate partner")
+                return pair(d, tol)
+            p = pair(d, tol)
+            partner, failed = p.partner.copy(), p.failed_steps.copy()
+            partner[4], failed[4] = np.arange(d.n), True
+            return core.ConjugatePairing(partner, tol, failed)
 
         monkeypatch.setattr(core, "pair_conjugates", fail_fifth)
         cfg = ScenarioConfig.from_file(SCENARIOS / "ring.json")

@@ -132,11 +132,33 @@ class TestEffectiveHamiltonian:
         np.testing.assert_allclose(ht, ht.conj().T, atol=1e-14)
 
     def test_warns_on_non_hermitian_h(self):
-        spec = EffectiveHamiltonianSpec(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.warns(UserWarning):
-            models.effective_hamiltonian(spec)
+            spec = EffectiveHamiltonianSpec(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # once, when the spec is built: evaluating it does not warn again
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            models.effective_hamiltonian(spec, np.linspace(0.0, 1.0, 3))
+
+    def test_rates_over_an_array_of_times(self):
+        rng = np.random.default_rng(4)
+        h = np.diag([0.0, 1.0, 2.0])
+        ops = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+               for _ in range(2)]
+        spec = EffectiveHamiltonianSpec(h, ops, [0.3, -0.2j], [1.0 + 1j, 0.5])
+        ts = np.linspace(0.0, 2.0, 5)
+        stack = models.effective_hamiltonian(spec, ts)
+        assert stack.shape == (5, 3, 3)
+        for t, got in zip(ts, stack):
+            fixed = EffectiveHamiltonianSpec(
+                h, ops, [0.3 + t * (1.0 + 1j), -0.2j + t * 0.5])
+            np.testing.assert_array_equal(got, models.effective_hamiltonian(fixed))
+        assert models.effective_hamiltonian(spec, 1.5).shape == (3, 3)
+        assert models.effective_hamiltonian(EffectiveHamiltonianSpec(h), ts).shape \
+            == (5, 3, 3)
 
     def test_rejects_mismatched_lists(self):
+        with pytest.raises(DimensionMismatch):
+            EffectiveHamiltonianSpec(np.eye(2), [np.eye(2)], [1.0], [0.1, 0.2])
         with pytest.raises(DimensionMismatch):
             EffectiveHamiltonianSpec(np.eye(2), [np.eye(2)], [])
         with pytest.raises(DimensionMismatch):
@@ -202,33 +224,33 @@ class TestScattering:
         assert data.t_left == pytest.approx(1.0)
         assert data.r_right == pytest.approx(0.3)
 
-    def test_left_state_asymptotics(self):
-        model = TransferMatrixModel.from_constant([[2.0, 1.0], [1.0, 1.0]])
-        k = 0.8
-        x = np.array([-2.0, -1.0, 1.0, 2.0])
-        state = models.scattering_state(model, k, "left", x)
-        data = models.scattering_data(model, k)
-        incoming = np.exp(1j * k * x[:2])
-        reflected = data.r_left * np.exp(-1j * k * x[:2])
-        np.testing.assert_allclose(state.psi[:2], incoming + reflected)
-        np.testing.assert_allclose(state.psi[2:],
-                                   data.t_left * np.exp(1j * k * x[2:]))
+    def test_array_of_wavenumbers(self):
+        model = TransferMatrixModel(
+            m11=lambda k: 1.0 + k * k, m12=lambda k: k, m21=lambda k: k,
+            m22=lambda k: 1.0)
+        ks = np.array([[0.1, 0.4], [0.9, 1.3]])
+        data = models.scattering_data(model, ks)
+        assert data.s_matrix.shape == (2, 2, 2, 2)
+        for idx in np.ndindex(ks.shape):
+            one = models.scattering_data(model, ks[idx])
+            np.testing.assert_array_equal(data.s_matrix[idx], one.s_matrix)
+            assert data.t_left[idx] == one.t_left
+            assert data.r_left[idx] == one.r_left
+            assert data.s_plus[idx] == pytest.approx(one.s_plus, abs=1e-15)
 
-    def test_right_state_asymptotics(self):
-        model = TransferMatrixModel.from_constant([[2.0, 1.0], [1.0, 1.0]])
-        k = 0.8
-        x = np.array([-1.5, 1.5])
-        state = models.scattering_state(model, k, "right", x)
-        data = models.scattering_data(model, k)
-        assert state.psi[0] == pytest.approx(
-            data.t_right * np.exp(-1j * k * x[0]))
-        assert state.psi[1] == pytest.approx(
-            np.exp(-1j * k * x[1]) + data.r_right * np.exp(1j * k * x[1]))
-
-    def test_state_rejects_bad_side(self):
-        model = TransferMatrixModel.from_constant(np.eye(2))
-        with pytest.raises(ValueError):
-            models.scattering_state(model, 1.0, "up", np.zeros(1))
+    def test_first_offending_wavenumber_named(self):
+        # det M = 1 - k**2 / 4: the first bad k is named
+        model = TransferMatrixModel(
+            m11=lambda k: 1.0 + 0 * k, m12=lambda k: 0.5 * k,
+            m21=lambda k: 0.5 * k, m22=lambda k: 1.0 + 0 * k)
+        with pytest.raises(NotUnimodular, match=r"k=0\.5\)"):
+            models.scattering_data(model, np.array([0.0, 0.5, 0.7]))
+        # det M = (1 + k)(1 - k) + k**2 = 1, and M22 = 1 - k
+        model = TransferMatrixModel(
+            m11=lambda k: 1.0 + k, m12=lambda k: k, m21=lambda k: -k,
+            m22=lambda k: 1.0 - k)
+        with pytest.raises(SpectralSingularity, match=r"M22\(k=1\.0\)"):
+            models.scattering_data(model, np.array([0.5, 1.0, 1.0]))
 
 
 def fd_acceleration(trajectory, t, j, h=1e-3):
