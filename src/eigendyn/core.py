@@ -98,15 +98,11 @@ class ConjugatePairing:
     """For each index j, the index of the eigenvalue closest to
     conj(lambda_j).  Real eigenvalues are self-paired.  A pairing over a
     step axis carries it on ``partner`` and ``failed_steps``; a failed
-    step is self-paired throughout, and ``p[s]`` is the pairing of step
-    s."""
+    step is self-paired throughout."""
 
     partner: np.ndarray  # int array, involutive
     tol: float
     failed_steps: np.ndarray = np.False_
-
-    def __getitem__(self, s) -> "ConjugatePairing":
-        return ConjugatePairing(self.partner[s], self.tol, self.failed_steps[s])
 
 
 @dataclass(frozen=True)
@@ -219,24 +215,24 @@ def pair_conjugates(d: SpectralDecomposition, tol: float = 1e-9) -> ConjugatePai
     complex eigenvalue has no partner within ``tol``.
 
     ``d`` may be stacked: a step whose every complex eigenvalue has one
-    candidate within ``tol``, complex and choosing it back, is paired
-    from the (S, n, n) distances; the greedy loop runs only on the other
-    steps.  A stacked call raises nothing: ``failed_steps`` marks the
-    steps with no pairing.
+    candidate within ``tol``, itself complex, is paired from the
+    (S, n, n) distances; the greedy loop runs only on the other steps.
+    A stacked call raises nothing: ``failed_steps`` marks the steps with
+    no pairing.
     """
     w = d.eigenvalues
     n = w.shape[-1]
     index = np.arange(n)
-    # dist[..., j, i] = |lambda_i - conj(lambda_j)|, a candidate i != j
-    # for j where it is within tol
+    # near[..., j, i]: lambda_i, i != j, lies within tol of conj(lambda_j).
+    # |a - conj(b)| and |b - conj(a)| are the same float, so near is
+    # symmetric and a sole candidate chooses j back
     near = np.abs(w[..., None, :] - w.conj()[..., :, None]) <= tol
     near[..., index, index] = False
     complex_ = np.abs(w.imag) > tol
     cand = near.argmax(axis=-1)
-    direct = np.all(~complex_ | (
-        (near.sum(axis=-1) == 1)
-        & np.take_along_axis(complex_, cand, axis=-1)
-        & (np.take_along_axis(cand, cand, axis=-1) == index)), axis=-1)
+    direct = np.all(~complex_ | ((near.sum(axis=-1) == 1)
+                                 & np.take_along_axis(complex_, cand, axis=-1)),
+                    axis=-1)
     partner = np.where(complex_, cand, index)
     failed = np.zeros(w.shape[:-1], dtype=bool)
     for s in map(tuple, np.argwhere(~direct)):

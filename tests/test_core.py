@@ -282,7 +282,6 @@ class TestPairingReference:
                 np.testing.assert_array_equal(got.partner, want)
                 np.testing.assert_array_equal(stacked.partner[s], want)
                 assert not got.failed_steps
-            np.testing.assert_array_equal(stacked[s].partner, stacked.partner[s])
 
     def test_stacked_call_raises_nothing(self):
         w = np.array([[1j, 2j], [-1j, 1j]])

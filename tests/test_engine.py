@@ -313,10 +313,15 @@ class TestBuildTrajectory:
 
 
 _ENTRY_NAMES = ("M11", "M12", "M21", "M22")
-# det M = 1 for every k: M11 = (1 + M12 M21) / M22, here a cubic in k
+# cubic off-diagonal entries, which enter the S-matrix; det M = 1 for
+# every k with M11 = (1 + M12 M21) / M22
+_M12, _M21 = (1.0, 0.5, 0.25, 0.125), (0.3, 0.6, -0.2, 0.1)
 _CUBIC_ENTRIES = {
-    "M11": [repr(c / 1.2) for c in (1.3, 0.75, 0.375, 0.15)],
-    "M12": ["1", "0.5", "0.25"], "M21": ["0.3", "0.6"], "M22": ["1.2"]}
+    "M11": [repr(float(c) / 1.2) for c in
+            np.polynomial.polynomial.polyadd(
+                [1.0], np.polynomial.polynomial.polymul(_M12, _M21))],
+    "M12": [repr(c) for c in _M12], "M21": [repr(c) for c in _M21],
+    "M22": ["1.2"]}
 
 
 def _model_case(case):
@@ -332,7 +337,10 @@ def _model_case(case):
                  "tilt": 0.3, "fluctuations": rng.normal(size=6).tolist(),
                  "fluctuation_rate": rng.normal(size=6).tolist()}
     elif case == "transfer":
+        # enough wavenumbers that numpy's array power would round some
+        # cube differently from a scalar one
         model = {"type": "transfer", "entries": _CUBIC_ENTRIES}
+        return base_config(model=model, time={"t0": 0.5, "t1": 2.0, "steps": 100})
     else:
         model = {"type": "effective_hamiltonian", "H": _complex_rows(rng, 4),
                  "lindblad": [{"L": _complex_rows(rng, 4), "l": "0.3+0.1i",
