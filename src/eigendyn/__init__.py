@@ -50,7 +50,6 @@ from .models import (
     build_omega,
     build_omega_le,
     effective_hamiltonian,
-    main_result_acceleration,
     omega_le_spectrum,
     scattering_data,
 )

@@ -41,7 +41,7 @@ def as_square_matrix(entries, stacked: bool = False) -> np.ndarray:
     if (m.ndim not in ((2, 3) if stacked else (2,))
             or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0):
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NonFiniteMatrix("matrix contains NaN/Inf entries")
     return m
 

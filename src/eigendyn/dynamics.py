@@ -306,6 +306,12 @@ def _check_dim(d: SpectralDecomposition, m: np.ndarray, name: str) -> None:
         raise DimensionMismatch(f"{name} has shape {m.shape}, expected {(d.n, d.n)}")
 
 
+def _check_index(d: SpectralDecomposition, j: int) -> None:
+    # a negative j would index from the end and pick another eigenvalue
+    if not 0 <= j < d.n:
+        raise DimensionMismatch(f"eigenvalue index {j} outside 0..{d.n - 1}")
+
+
 def eigen_velocity(d: SpectralDecomposition, mdot, j: int) -> complex:
     """d(lambda_j)/dt = u_j^H Mdot v_j."""
     mdot = as_square_matrix(mdot)
@@ -359,10 +365,12 @@ def conjugate_force(
     variant whose magnitude scales as 1/Im(lambda_j) as a pair approaches
     the real axis.
 
-    Raises RealEigenvalue when |Im(lambda_j)| <= im_tol.
+    Raises RealEigenvalue when |Im(lambda_j)| <= im_tol, and
+    DimensionMismatch when j is not in 0..n-1.
     """
     mdot = as_square_matrix(mdot)
     _check_dim(d, mdot, "Mdot")
+    _check_index(d, j)
     im = d.eigenvalues[j].imag
     if abs(im) <= im_tol or im == 0.0:
         raise RealEigenvalue(

@@ -18,13 +18,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import core, dynamics
+from . import dynamics
 from .core import as_square_matrix
-from .dynamics import ForceBreakdown, MatrixTrajectory
 from .errors import (
     DimensionMismatch,
     NotUnimodular,
-    PairingFailure,
     SpectralSingularity,
 )
 
@@ -38,8 +36,6 @@ __all__ = [
     "TransferMatrixModel",
     "ScatteringData",
     "scattering_data",
-    "main_result_acceleration",
-    "MainResultDiagnostic",
 ]
 
 
@@ -264,76 +260,3 @@ def scattering_data(model: TransferMatrixModel, k,
     if np.ndim(k) == 0:
         fields = {name: complex(v) for name, v in fields.items()}
     return ScatteringData(k=k, **fields)
-
-
-# ---------------------------------------------------------------------------
-# preset accelerations
-
-
-@dataclass(frozen=True)
-class MainResultDiagnostic:
-    """Exact vs ansatz-eigenvector evaluation of the acceleration sum.
-
-    The exact decomposition drives all certified numbers; the ansatz path
-    quantifies the approximation made by model eigenvectors (localized
-    exponentials, scattering states), never replaces it.
-    """
-
-    exact: complex
-    ansatz: complex
-
-    @property
-    def discrepancy(self) -> float:
-        return abs(self.exact - self.ansatz)
-
-
-_MODEL_KINDS = ("open_quantum", "biophysical", "pt_symmetric")
-
-
-def main_result_acceleration(
-    model_kind: str,
-    trajectory: MatrixTrajectory,
-    t: float,
-    j: int,
-    gap_tol: float = 1e-12,
-    tol: float = 1e-9,
-    ansatz_left: Optional[np.ndarray] = None,
-    ansatz_right: Optional[np.ndarray] = None,
-) -> tuple[ForceBreakdown, Optional[MainResultDiagnostic]]:
-    """Acceleration of eigenvalue j of a model state matrix at time t.
-
-    Delegates to :func:`eigendyn.dynamics.eigen_acceleration` with the
-    numerically exact biorthonormal eigenvectors of the state matrix
-    (effective Hamiltonian, ring matrix, or S-matrix family).  When
-    ansatz eigenvector sets are supplied (columns per eigenvalue), the
-    same sum is additionally evaluated with them in diagnostic mode and
-    the discrepancy reported.
-    """
-    if model_kind not in _MODEL_KINDS:
-        raise ValueError(f"model_kind must be one of {_MODEL_KINDS}")
-    m = as_square_matrix(trajectory.value(t))
-    mdot = as_square_matrix(trajectory.first_derivative(t))
-    mddot = as_square_matrix(trajectory.second_derivative(t))
-    d = core.decompose(m, tol)
-    pairing = None
-    if core.is_real(m, tol) and core.is_real(mdot, tol):
-        try:
-            pairing = core.pair_conjugates(d, max(tol, 1e-7))
-        except PairingFailure:
-            pairing = None
-    breakdown = dynamics.eigen_acceleration(d, mdot, mddot, j,
-                                            pairing=pairing, gap_tol=gap_tol)
-
-    diagnostic = None
-    if ansatz_left is not None and ansatz_right is not None:
-        ul = np.asarray(ansatz_left, dtype=complex)
-        vr = np.asarray(ansatz_right, dtype=complex)
-        if ul.shape != (d.n, d.n) or vr.shape != (d.n, d.n):
-            raise DimensionMismatch("ansatz eigenvector sets must be n x n")
-        # the kernel zeroes singular pairs: the diagnostic skips them
-        f = dynamics.force_columns(ul, vr, d.eigenvalues, mdot, mddot, [j],
-                                   gap_tol=gap_tol)
-        diagnostic = MainResultDiagnostic(
-            exact=breakdown.total, ansatz=complex(f.total[0])
-        )
-    return breakdown, diagnostic

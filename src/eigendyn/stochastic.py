@@ -14,13 +14,16 @@ runs over the diagonal.
 
 from __future__ import annotations
 
+import numbers
+import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .core import ConjugatePairing, SpectralDecomposition, as_square_matrix
-from .dynamics import pairwise_conjugate_summand
+from .dynamics import _check_index, pairwise_conjugate_summand
 from . import core
 from .errors import DimensionMismatch, EmptyEstimate, RealEigenvalue
 
@@ -32,6 +35,66 @@ __all__ = [
     "monte_carlo_conjugate_force",
 ]
 
+# Sample i draws from np.random.default_rng(SeedSequence(seed, spawn_key=(i,))).
+# Building that generator costs more than the draws, so the SeedSequence
+# hash (numpy/random/bit_generator.pyx) runs here over a block of indices
+# at once and PCG64's seeding (pcg64.c, pcg64_set_seed) per sample.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+# a power of two below 2**32: a block never straddles a change in the
+# number of uint32 words of its indices
+_BLOCK = 4096
+_THREAD = threading.local()
+
+
+def _words(x: int) -> list:
+    """``x`` as SeedSequence splits an int: little-endian uint32 words."""
+    if x < 0:
+        raise ValueError(f"expected a non-negative integer, got {x}")
+    return [x >> shift & _MASK32 for shift in range(0, max(x.bit_length(), 1), 32)]
+
+
+def _hash(value: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
+    """One step of SeedSequence's hashmix (``mult`` = _MULT_A) or of its
+    generate_state (_MULT_B); returns the hashed words and the next constant."""
+    value = value ^ np.uint32(hash_const)
+    hash_const = hash_const * mult & _MASK32
+    value = value * np.uint32(hash_const)
+    return value ^ (value >> 16), hash_const
+
+
+@lru_cache(maxsize=8)
+def _block_seeds(seed: int, block: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)``
+    for the ``_BLOCK`` indices i of ``block``: a read-only (_BLOCK, 4)
+    uint64 array."""
+    pool = [np.full(_BLOCK, w, dtype=np.uint32)
+            for w in np.random.SeedSequence(seed).pool]
+    # the spawn key follows the seed padded to at least the 4 pool words:
+    # 4 hashmix calls fill the pool, 12 mix it, 4 per further seed word
+    hash_const = _INIT_A * pow(_MULT_A, 4 * max(4, len(_words(seed))), 1 << 32) & _MASK32
+    for k, word in enumerate(_words(block * _BLOCK)):
+        value = np.full(_BLOCK, word, dtype=np.uint32)
+        if k == 0:
+            value += np.arange(_BLOCK, dtype=np.uint32)
+        for dst in range(4):
+            hashed, hash_const = _hash(value, hash_const, _MULT_A)
+            mixed = pool[dst] * np.uint32(_MIX_MULT_L) - hashed * np.uint32(_MIX_MULT_R)
+            pool[dst] = mixed ^ (mixed >> 16)
+    # generate_state: 8 uint32 words cycling over the pool, read in pairs
+    # as little-endian uint64
+    out = np.empty((_BLOCK, 8), dtype="<u4")
+    hash_const = _INIT_B
+    for k in range(8):
+        out[:, k], hash_const = _hash(pool[k % 4], hash_const, _MULT_B)
+    seeds = out.view("<u8").astype(np.uint64)
+    seeds.setflags(write=False)
+    return seeds
+
 
 @dataclass(frozen=True)
 class PerturbationProcess:
@@ -41,8 +104,9 @@ class PerturbationProcess:
     sigma2    common entry variance for the i.i.d. case
     variances optional (n, n) matrix of per-entry variances E[p_ml^2];
               overrides sigma2 when given
-    seed      64-bit master seed; sample i is a pure function of
-              (seed, i) and replays byte-identically
+    seed      non-negative integer master seed; sample i draws from
+              default_rng(SeedSequence(seed, spawn_key=(i,))), so it is a
+              pure function of (seed, i) and replays byte-identically
     dt        step size of the walk
     """
 
@@ -60,13 +124,27 @@ class PerturbationProcess:
         if self.variances is not None and np.any(
                 np.asarray(self.variances, dtype=float) < 0):
             raise ValueError("all entry variances must be >= 0")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def _rng(self, index: int) -> np.random.Generator:
-        # independent substream per sample index: worker count cannot
-        # change the draw
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(index),))
-        )
+        """This thread's generator, set to the state of
+        ``default_rng(SeedSequence(seed, spawn_key=(index,)))``: an
+        independent substream per index, so worker count cannot change
+        the draw."""
+        block, offset = divmod(int(index), _BLOCK)
+        s_hi, s_lo, i_hi, i_lo = _block_seeds(int(self.seed), block)[offset].tolist()
+        # pcg_setseq_128_srandom_r: two LCG steps from state 0
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        rng = getattr(_THREAD, "rng", None)
+        if rng is None:
+            rng = _THREAD.rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+        return rng
 
     def sample(self, n: int, index: int) -> np.ndarray:
         """Draw the perturbation matrix P for sample ``index``."""
@@ -82,7 +160,7 @@ class PerturbationProcess:
         if self.kind == "diagonal":
             p = np.zeros((n, n))
             diag_scale = np.diag(scale) if np.ndim(scale) == 2 else scale
-            np.fill_diagonal(p, rng.standard_normal(n) * diag_scale)
+            p.reshape(-1)[:: n + 1] = rng.standard_normal(n) * diag_scale
             return p
         return rng.standard_normal((n, n)) * scale
 
@@ -102,6 +180,7 @@ class MonteCarloEstimate:
 
 
 def _check_complex(d: SpectralDecomposition, j: int) -> complex:
+    _check_index(d, j)
     lam = d.eigenvalues[j]
     if lam.imag == 0.0:
         raise RealEigenvalue(f"lambda_{j} = {lam} is real: expected force singular")
@@ -170,6 +249,7 @@ def monte_carlo_conjugate_force(
     m = as_square_matrix(m)
     d = core.decompose(m, tol)
     pairing = core.pair_conjugates(d, tol)
+    _check_index(d, j)
     # d and j are fixed: a real or self-paired j is singular on every sample
     if pairing.partner[j] == j:
         raise RealEigenvalue(f"lambda_{j} = {d.eigenvalues[j]} is self-paired "

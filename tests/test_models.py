@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from eigendyn import core, models
+from eigendyn import core, dynamics, models
 from eigendyn.dynamics import MatrixTrajectory
 from eigendyn.errors import (
     DimensionMismatch,
@@ -264,14 +264,14 @@ def fd_acceleration(trajectory, t, j, h=1e-3):
     return (matched(t + h) - 2 * d0.eigenvalues[j] + matched(t - h)) / h**2
 
 
-class TestMainResultAcceleration:
-    def test_static_matrix_zero(self):
-        traj = MatrixTrajectory.polynomial(np.diag([1.0, 2.0, 3.0]))
-        breakdown, diag = models.main_result_acceleration("biophysical",
-                                                          traj, 0.0, 1)
-        assert breakdown.total == 0
-        assert diag is None
+def exact_acceleration(trajectory, t, j):
+    """eigen_acceleration of eigenvalue j of the model matrix at t."""
+    d = core.decompose(np.asarray(trajectory.value(t), dtype=complex))
+    return dynamics.eigen_acceleration(d, trajectory.first_derivative(t),
+                                       trajectory.second_derivative(t), j).total
 
+
+class TestModelAccelerations:
     def test_ring_matches_finite_differences(self):
         d, a = 0.7, 0.1
 
@@ -281,10 +281,8 @@ class TestMainResultAcceleration:
 
         traj = MatrixTrajectory.from_callable(matrix, n=5)
         for j in (0, 2, 4):
-            breakdown, _ = models.main_result_acceleration("biophysical",
-                                                           traj, 0.4, j)
             fd = fd_acceleration(traj, 0.4, j)
-            assert abs(breakdown.total - fd) <= 1e-4 * max(abs(fd), 1.0)
+            assert abs(exact_acceleration(traj, 0.4, j) - fd) <= 1e-4 * max(abs(fd), 1.0)
 
     def test_effective_hamiltonian_matches_finite_differences(self):
         h0 = np.diag([0.0, 1.0, 2.0])
@@ -296,10 +294,8 @@ class TestMainResultAcceleration:
             return models.effective_hamiltonian(spec)
 
         traj = MatrixTrajectory.from_callable(matrix, n=3)
-        breakdown, _ = models.main_result_acceleration("open_quantum",
-                                                       traj, 0.5, 1)
         fd = fd_acceleration(traj, 0.5, 1)
-        assert abs(breakdown.total - fd) <= 1e-4 * max(abs(fd), 1.0)
+        assert abs(exact_acceleration(traj, 0.5, 1) - fd) <= 1e-4 * max(abs(fd), 1.0)
 
     def test_s_matrix_eigenvalues_consistent(self):
         # the closed-form pair s+- must coincide with the numerically
@@ -324,37 +320,5 @@ class TestMainResultAcceleration:
             return models.scattering_data(model, 1.0).s_matrix
 
         traj = MatrixTrajectory.from_callable(matrix, n=2)
-        breakdown, _ = models.main_result_acceleration("pt_symmetric",
-                                                       traj, 0.2, 0)
         fd = fd_acceleration(traj, 0.2, 0)
-        assert abs(breakdown.total - fd) <= 1e-4 * max(abs(fd), 1.0)
-
-    def test_diagnostic_with_exact_vectors_is_tight(self):
-        def matrix(t):
-            ring = BiophysicalRing(n=4, diffusion=1.0, tilt=0.3 * t)
-            return models.build_omega_le(ring)
-
-        traj = MatrixTrajectory.from_callable(matrix, n=4)
-        d = core.decompose(np.asarray(matrix(0.5), dtype=complex))
-        breakdown, diag = models.main_result_acceleration(
-            "biophysical", traj, 0.5, 1,
-            ansatz_left=d.left, ansatz_right=d.right)
-        assert diag is not None
-        assert diag.exact == breakdown.total
-        assert diag.discrepancy <= 1e-8 * max(abs(diag.exact), 1.0)
-
-    def test_diagnostic_with_crude_vectors_reports_gap(self):
-        def matrix(t):
-            ring = BiophysicalRing(n=4, diffusion=1.0, tilt=0.3 + 0.3 * t)
-            return models.build_omega_le(ring)
-
-        traj = MatrixTrajectory.from_callable(matrix, n=4)
-        eye = np.eye(4, dtype=complex)
-        _, diag = models.main_result_acceleration(
-            "biophysical", traj, 0.5, 1, ansatz_left=eye, ansatz_right=eye)
-        assert diag.discrepancy > 1e-6
-
-    def test_rejects_unknown_kind(self):
-        traj = MatrixTrajectory.polynomial(np.eye(2))
-        with pytest.raises(ValueError):
-            models.main_result_acceleration("banana", traj, 0.0, 0)
+        assert abs(exact_acceleration(traj, 0.2, 0) - fd) <= 1e-4 * max(abs(fd), 1.0)

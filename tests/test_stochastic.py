@@ -1,10 +1,14 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eigendyn import core, stochastic
-from eigendyn.errors import EmptyEstimate, RealEigenvalue
+from eigendyn import core, dynamics, stochastic
+from eigendyn.errors import DimensionMismatch, EmptyEstimate, RealEigenvalue
 from eigendyn.stochastic import PerturbationProcess
 
 
@@ -19,6 +23,91 @@ def real_8x8():
     d = core.decompose(m)
     pairing = core.pair_conjugates(d)
     return m, d, pairing
+
+
+def reference_sample(proc, n, index):
+    """Sample ``index`` drawn from a generator built for it alone, as
+    numpy builds it."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=proc.seed, spawn_key=(index,)))
+    if proc.variances is not None:
+        scale = np.sqrt(np.asarray(proc.variances, dtype=float))
+    else:
+        scale = np.sqrt(proc.sigma2)
+    if proc.kind == "diagonal":
+        p = np.zeros((n, n))
+        np.fill_diagonal(p, rng.standard_normal(n)
+                         * (np.diag(scale) if np.ndim(scale) == 2 else scale))
+        return p
+    return rng.standard_normal((n, n)) * scale
+
+
+# 1, 2, 3 and 5 uint32 words: the last one takes SeedSequence's path for
+# entropy longer than its 4-word pool
+STREAM_SEEDS = (0, 2**40 + 5, 2**90, 2**150 + 3)
+# block edges (4096) and the first index whose spawn key has two words
+STREAM_INDICES = (0, 4095, 4096, 2**32 - 1, 2**32, 2**40)
+
+
+def stream_processes(seed):
+    variances = np.arange(9.0).reshape(3, 3) / 4
+    return (PerturbationProcess(kind="diagonal", sigma2=2.0, seed=seed),
+            PerturbationProcess(kind="full", sigma2=0.5, seed=seed),
+            PerturbationProcess(kind="diagonal", variances=variances, seed=seed),
+            PerturbationProcess(kind="full", variances=variances, seed=seed))
+
+
+class TestStream:
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_matches_per_index_generator(self, seed):
+        for proc in stream_processes(seed):
+            for i in STREAM_INDICES:
+                assert np.array_equal(proc.sample(3, i), reference_sample(proc, 3, i))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**160 - 1), index=st.integers(0, 2**48 - 1))
+    def test_matches_per_index_generator_property(self, seed, index):
+        for proc in stream_processes(seed):
+            assert np.array_equal(proc.sample(3, index),
+                                  reference_sample(proc, 3, index))
+
+    def test_threads_draw_the_serial_stream(self):
+        procs = (PerturbationProcess(kind="full", seed=3),
+                 PerturbationProcess(kind="diagonal", seed=2**70))
+        indices = range(4090, 4400)
+
+        def draws():
+            return [proc.sample(4, i) for i in indices for proc in procs]
+
+        serial = draws()
+        results = [None, None]
+
+        def work(slot):
+            results[slot] = draws()
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for result in results:
+            assert result is not None
+            assert all(np.array_equal(a, b) for a, b in zip(result, serial, strict=True))
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, np.bool_(False), -1, "3", None])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            PerturbationProcess(seed=seed)
+
+    def test_accepts_numpy_integers(self):
+        proc = PerturbationProcess(seed=np.int64(2**40 + 5))
+        assert np.array_equal(proc.sample(3, 7), reference_sample(proc, 3, 7))
 
 
 class TestSample:
@@ -115,6 +204,16 @@ class TestClosedForms:
             2 * lam.imag)
         assert got == pytest.approx(want)
 
+    @pytest.mark.parametrize("j", [-1, 8])
+    def test_index_outside_spectrum_raises(self, real_8x8, j):
+        _, d, pairing = real_8x8
+        with pytest.raises(DimensionMismatch):
+            stochastic.expected_conjugate_force_iid(d, pairing, 1.0, j)
+        with pytest.raises(DimensionMismatch):
+            stochastic.expected_conjugate_force_general(d, pairing, np.ones((8, 8)), j)
+        with pytest.raises(DimensionMismatch):
+            dynamics.conjugate_force(d, pairing, np.ones((8, 8)), j)
+
     def test_real_eigenvalue_raises(self):
         d = core.decompose(np.diag([1.0, 2.0]))
         pairing = core.pair_conjugates(d)
@@ -193,3 +292,15 @@ class TestMonteCarlo:
         with pytest.raises(RealEigenvalue, match="self-paired"):
             stochastic.monte_carlo_conjugate_force(
                 m, PerturbationProcess(seed=1), j, 10, tol=1e-5)
+
+    @pytest.mark.parametrize("j", [-1, 8])
+    def test_index_outside_spectrum_rejected_before_sampling(self, real_8x8,
+                                                             monkeypatch, j):
+        m, _, _ = real_8x8
+
+        def no_draw(self, n, index):
+            raise AssertionError("drew a sample")
+
+        monkeypatch.setattr(PerturbationProcess, "sample", no_draw)
+        with pytest.raises(DimensionMismatch):
+            stochastic.monte_carlo_conjugate_force(m, PerturbationProcess(seed=1), j, 10)
