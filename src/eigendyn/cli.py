@@ -98,7 +98,7 @@ def cmd_validate(args) -> int:
         core.decompose(trajectory.at(cfg.t0)[0])
     except EigendynError as exc:
         return _fail(EXIT_INVALID, str(exc))
-    print(f"OK: model={cfg.model['type']} n={trajectory.n} "
+    print(f"OK: model={cfg.params['type']} n={trajectory.n} "
           f"steps={cfg.steps} seed={cfg.seed}")
     return EXIT_OK
 
@@ -110,8 +110,9 @@ def cmd_run(args) -> int:
         written = _write_outputs(cfg, record)
     except ConfigInvalid as exc:
         return _fail(EXIT_INVALID, str(exc))
-    except (EigendynError, OSError) as exc:  # OSError: unwritable output
-        return _fail(EXIT_RUNTIME, str(exc))
+    except (EigendynError, OSError, MemoryError) as exc:  # OSError: unwritable output
+        # numpy's MemoryError names the allocation; a bare one has no text
+        return _fail(EXIT_RUNTIME, str(exc) or "out of memory")
     for path in written:
         print(path)
     print(f"rows={len(record.t)} events={len(record.events)} "
@@ -178,8 +179,8 @@ def cmd_sweep(args) -> int:
             print(f"{name}: rows={len(record.t)} events={len(record.events)}")
         except ConfigInvalid as exc:
             return _fail(EXIT_INVALID, f"{name}: {exc}")
-        except (EigendynError, OSError) as exc:
-            print(f"error: {name}: {exc}", file=sys.stderr)
+        except (EigendynError, OSError, MemoryError) as exc:
+            print(f"error: {name}: {str(exc) or 'out of memory'}", file=sys.stderr)
             failures += 1
     return EXIT_RUNTIME if failures else EXIT_OK
 
@@ -228,15 +229,10 @@ def cmd_oracle(args) -> int:
         return _fail(EXIT_RUNTIME, str(exc))
 
     spectrum_err = None
-    if cfg.model["type"] == "ring" and not any(
-        np.asarray(cfg.model.get("fluctuations", []), dtype=float).ravel()
-    ):
-        ring = models.BiophysicalRing(
-            n=int(cfg.model["sites"]),
-            diffusion=float(cfg.model.get("diffusion", 1.0)),
-            growth=float(cfg.model.get("growth", 0.0)),
-            tilt=float(cfg.model.get("tilt", 0.0)),
-        )
+    p = cfg.params
+    if p["type"] == "ring" and not p["fluctuations"].any():
+        ring = models.BiophysicalRing(n=p["sites"], diffusion=p["diffusion"],
+                                      growth=p["growth"], tilt=p["tilt"])
         analytic = np.sort_complex(models.omega_le_spectrum(ring))
         numeric = np.sort_complex(
             core.decompose(models.build_omega_le(ring)).eigenvalues

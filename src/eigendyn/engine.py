@@ -3,8 +3,9 @@ record force breakdowns, detect conjugate-pair collisions, persist results.
 
 A scenario is a JSON document with top-level keys ``model``, ``time``,
 ``perturbation`` (optional), ``tracked``, ``collision_threshold``,
-``seed``, and ``output``.  Explicit-matrix models reference matrix files
-of whitespace-separated rows with complex entries written as "a+bi".
+``seed``, and ``output``; ``SCHEMA`` gives each key's kind, default and
+bound.  Explicit-matrix models reference matrix files of
+whitespace-separated rows with complex entries written as "a+bi".
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import hashlib
 import itertools
 import json
 import math
+import operator
+from collections import ChainMap, namedtuple
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -53,7 +56,7 @@ def parse_complex(text) -> complex:
         raise ValueError(f"cannot parse complex literal {text!r}") from None
 
 
-def _complex_value(value, where: str) -> complex:
+def _complex_value(value, where: str, ctx=None) -> complex:
     """A number or complex literal (never a bool) as a finite complex."""
     try:
         z = parse_complex(value)
@@ -85,10 +88,19 @@ def read_matrix_file(path) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _load_matrix(spec, base_dir: Path, where: str) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# configuration
+#
+# A kind parses one raw value: ``kind(value, where, ctx)`` returns the
+# typed value or raises ConfigInvalid naming ``where``.  ``ctx`` maps the
+# keys parsed so far, in the section and the sections around it, and
+# "base_dir", the directory matrix files are read from.
+
+
+def _matrix(spec, where: str, ctx) -> np.ndarray:
     """Inline list-of-lists (entries may be complex strings) or file path."""
     if isinstance(spec, str):
-        return read_matrix_file(base_dir / spec)
+        return read_matrix_file(ctx["base_dir"] / spec)
     if isinstance(spec, list) and all(isinstance(row, list) for row in spec):
         try:
             return np.array(
@@ -100,83 +112,195 @@ def _load_matrix(spec, base_dir: Path, where: str) -> np.ndarray:
     raise ConfigInvalid(f"{where}: expected file path or inline rows")
 
 
-# ---------------------------------------------------------------------------
-# configuration
+def _numeric(cast, expected: str):
+    """The kind of a finite float (``cast=float``) or of a non-negative
+    integer given as an int, an integral float or an integer string
+    (``cast=int``); a bool is neither."""
+    def parse(value, where: str, ctx=None):
+        try:
+            x = cast(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigInvalid(f"{where}: {exc}") from exc
+        if cast is int:
+            bad = x < 0 or isinstance(value, float) and x != value
+        else:
+            bad = not math.isfinite(x)
+        if bad or isinstance(value, bool):
+            raise ConfigInvalid(f"{where}: expected {expected}, got {value!r}")
+        return x
+    return parse
 
 
-def _number(value, where: str, kind=float):
-    """``value`` as a finite float, or with ``kind=int`` as an integer (an
-    integral float or an integer string); never a bool."""
-    try:
-        x = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigInvalid(f"{where}: {exc}") from exc
-    if kind is int:
-        bad = isinstance(value, float) and x != value
-    else:
-        bad = not math.isfinite(x)
-    if bad or isinstance(value, bool):
-        raise ConfigInvalid(f"{where}: expected a finite {kind.__name__}, "
-                            f"got {value!r}")
-    return x
+_float = _numeric(float, "a finite number")
+_int = _numeric(int, "a non-negative integer")
 
 
-def _site_values(model: dict, key: str, n: int) -> np.ndarray:
-    """``model[key]`` as ``n`` finite floats, one per site; zeros when
-    the key is absent."""
-    if key not in model:
-        return np.zeros(n)
-    values, where = model[key], f"model.{key}"
-    if not isinstance(values, list) or len(values) != n:
-        raise ConfigInvalid(f"{where}: expected a list of {n} numbers "
-                            "(one per site)")
-    return np.array([_number(x, f"{where}[{i}]") for i, x in enumerate(values)])
+def _string(value, where: str, ctx=None) -> str:
+    if not isinstance(value, str):
+        raise ConfigInvalid(f"{where}: expected a string, got {value!r}")
+    return value
 
 
-# the keys each section may hold: a misspelt key is an error, never a
-# silently applied default
-_TOP_KEYS = {"model", "time", "tracked", "collision_threshold", "seed",
-             "perturbation", "output"}
-_SECTION_KEYS = {
-    "time": {"t0", "t1", "steps"},
-    "perturbation": {"kind", "sigma2", "seed"},
-    "output": {"dir", "formats"},
+def _enum(noun: str, *choices):
+    def parse(value, where: str, ctx=None):
+        if value not in choices:  # a tuple: the value may be unhashable
+            raise ConfigInvalid(f"{where}: unknown {noun} {value!r}")
+        return value
+    return parse
+
+
+def _list_of(kind):
+    def parse(value, where: str, ctx=None) -> list:
+        if not isinstance(value, list):
+            raise ConfigInvalid(f"{where}: expected a list, got {value!r}")
+        return [kind(item, f"{where}[{i}]", ctx) for i, item in enumerate(value)]
+    return parse
+
+
+def _per_site(value, where: str, ctx) -> np.ndarray:
+    """One finite float per ring site."""
+    values = _list_of(_float)(value, where)
+    if len(values) != ctx["sites"]:
+        raise ConfigInvalid(f"{where}: expected a list of {ctx['sites']} numbers "
+                            f"(one per site), got {len(values)}")
+    return np.array(values)
+
+
+def _tracked(value, where: str, ctx=None):
+    """"all" or a list of path indices; build_trajectory, which knows the
+    number of paths, checks their range."""
+    # a bool is not an index
+    if value != "all" and not (isinstance(value, list) and all(
+            type(i) is int and i >= 0 for i in value)):
+        raise ConfigInvalid(f"{where}: 'all' or a list of indices")
+    return value
+
+
+def _section(name: str, nullable: bool = False):
+    """An object holding the keys of ``SCHEMA[name]``; with ``nullable``,
+    null stands for an absent section."""
+    def parse(value, where: str, ctx):
+        if value is None and nullable:
+            return None
+        if not isinstance(value, dict):
+            raise ConfigInvalid(f"{where}: expected an object, got {value!r}")
+        return _parse(value, SCHEMA[name], where, ctx)
+    return parse
+
+
+def _model(value, where: str, ctx) -> dict:
+    """The model section: its "type" selects the table of its other keys."""
+    if not isinstance(value, dict) or "type" not in value:
+        raise ConfigInvalid(f"{where}: required object with a 'type' key")
+    kind = _enum("type", *_MODEL_TYPES)(value["type"], f"{where}.type")
+    rest = {key: v for key, v in value.items() if key != "type"}
+    return dict(_parse(rest, SCHEMA[f"model.{kind}"], where, ctx), type=kind)
+
+
+REQUIRED = object()  # the default of a key that must be given
+# One scenario key.  ``kind`` parses its value.  ``default`` stands in for
+# an absent key and is parsed like a given value; REQUIRED means the key
+# must be given, None that its value is None, and a callable gives the
+# typed value from the parse context.  Each (op, limit) of ``bound`` must
+# hold for the typed value; a string limit names a key parsed before it.
+Key = namedtuple("Key", "kind default bound", defaults=(REQUIRED, ()))
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
+# numpy's largest array in complex entries: a run holds (steps + 1, n)
+# complex columns, so steps + 1 may not exceed it even at n = 1
+_MAX_ENTRIES = np.iinfo(np.intp).max // np.dtype(complex).itemsize
+_MODEL_TYPES = ("explicit", "ring", "transfer", "effective_hamiltonian")
+
+# Every scenario key: one table per section, per model type and per
+# object nested in a model, each walked in order
+SCHEMA = {
+    "": {
+        "model": Key(_model),
+        "time": Key(_section("time")),
+        "tracked": Key(_tracked, "all"),
+        "collision_threshold": Key(_float, 1e-6, ((">", 0),)),
+        "seed": Key(_int, 0),
+        "perturbation": Key(_section("perturbation", nullable=True), None),
+        "output": Key(_section("output"), {}),
+    },
+    "time": {
+        "t0": Key(_float),
+        "t1": Key(_float, bound=((">", "t0"),)),
+        "steps": Key(_int, bound=((">=", 1), ("<", _MAX_ENTRIES))),
+    },
+    "perturbation": {
+        "kind": Key(_enum("kind", "diagonal", "full"), "diagonal"),
+        "sigma2": Key(_float, 1.0, ((">=", 0),)),
+        "seed": Key(_int, lambda ctx: ctx["seed"]),  # the run's seed
+    },
+    "output": {
+        "dir": Key(_string, "out"),
+        "formats": Key(_list_of(_enum("format", "csv", "json")), ["json"]),
+    },
+    "model.explicit": {
+        "matrix": Key(_matrix),
+        "velocity": Key(_matrix, None),
+        "acceleration": Key(_matrix, None),
+    },
+    "model.ring": {
+        "sites": Key(_int, bound=((">=", 3),)),
+        "diffusion": Key(_float, 1.0, ((">", 0),)),
+        "growth": Key(_float, 0.0),
+        "tilt": Key(_float, 0.0),
+        "fluctuations": Key(_per_site, lambda ctx: np.zeros(ctx["sites"])),
+        "fluctuation_rate": Key(_per_site, lambda ctx: np.zeros(ctx["sites"])),
+    },
+    "model.transfer": {
+        "entries": Key(_section("model.entries")),
+        "unimodular_tol": Key(_float, 1e-9, ((">", 0),)),
+    },
+    # the coefficients of k^0, k^1, ... of each transfer-matrix entry
+    "model.entries": {key: Key(_list_of(_complex_value))
+                      for key in ("M11", "M12", "M21", "M22")},
+    "model.effective_hamiltonian": {
+        "H": Key(_matrix),
+        "lindblad": Key(_list_of(_section("model.lindblad")), []),
+    },
+    "model.lindblad": {
+        "L": Key(_matrix),
+        "l": Key(_complex_value, 0),
+        "l_rate": Key(_complex_value, 0),
+    },
 }
-_MODEL_KEYS = {
-    "explicit": {"matrix", "velocity", "acceleration"},
-    "ring": {"sites", "diffusion", "growth", "tilt", "fluctuations",
-             "fluctuation_rate"},
-    "transfer": {"entries", "unimodular_tol"},
-    "effective_hamiltonian": {"H", "lindblad"},
-}
-_ENTRY_KEYS = {"M11", "M12", "M21", "M22"}
-_LINDBLAD_KEYS = {"L", "l", "l_rate"}
 
 
-def _known_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(section) - allowed, key=str)
+def _parse(section: dict, table: dict, where: str, ctx: ChainMap) -> dict:
+    """The typed values of ``section`` by ``table``.  A key the table does
+    not define is an error, so a misspelt key never falls back to a
+    default."""
+    prefix = f"{where}." if where else ""
+    unknown = sorted(section.keys() - table.keys(), key=str)
     if unknown:
-        raise ConfigInvalid(f"{where}{unknown[0]}: unknown key")
-
-
-def _check_keys(raw: dict) -> None:
-    """Reject keys the code does not read; ``raw`` has a valid model type."""
-    _known_keys(raw, _TOP_KEYS, "")
-    for name, allowed in _SECTION_KEYS.items():
-        if isinstance(raw.get(name), dict):
-            _known_keys(raw[name], allowed, f"{name}.")
-    model = raw["model"]
-    _known_keys(model, _MODEL_KEYS[model["type"]] | {"type"}, "model.")
-    if isinstance(model.get("entries"), dict):
-        _known_keys(model["entries"], _ENTRY_KEYS, "model.entries.")
-    if isinstance(model.get("lindblad"), list):
-        for idx, item in enumerate(model["lindblad"]):
-            if isinstance(item, dict):
-                _known_keys(item, _LINDBLAD_KEYS, f"model.lindblad[{idx}].")
+        raise ConfigInvalid(f"{prefix}{unknown[0]}: unknown key")
+    values = ctx.new_child()
+    for key, spec in table.items():
+        here = prefix + key
+        if key in section:
+            x = spec.kind(section[key], here, values)
+        elif spec.default is REQUIRED:
+            raise ConfigInvalid(f"{here}: required")
+        elif callable(spec.default):
+            x = spec.default(values)
+        else:
+            x = None if spec.default is None else spec.kind(spec.default, here, values)
+        values[key] = x
+        for op, limit in spec.bound:
+            if not _OPS[op](x, values[limit] if isinstance(limit, str) else limit):
+                raise ConfigInvalid(f"{here}: {key} must be {op} {limit}, got {x!r}")
+    return values.maps[0]
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario parsed by SCHEMA.  ``model`` and ``perturbation`` are the
+    sections as written, which ``to_dict`` and so the config hash read;
+    ``params`` and ``noise`` are their typed values (``noise`` is None
+    without a perturbation)."""
+
     model: dict
     t0: float
     t1: float
@@ -187,75 +311,22 @@ class ScenarioConfig:
     perturbation: Optional[dict]
     output_dir: str
     output_formats: tuple
+    params: dict = field(compare=False)
+    noise: Optional[dict] = field(compare=False)
     base_dir: Path = field(default_factory=Path)
 
     @staticmethod
     def from_dict(raw: dict, base_dir=".") -> "ScenarioConfig":
         if not isinstance(raw, dict):
             raise ConfigInvalid("scenario root must be an object")
-        model = raw.get("model")
-        if not isinstance(model, dict) or "type" not in model:
-            raise ConfigInvalid("model: required object with a 'type' key")
-        if model["type"] not in ("explicit", "ring", "transfer",
-                                 "effective_hamiltonian"):
-            raise ConfigInvalid(f"model.type: unknown type {model['type']!r}")
-        _check_keys(raw)
-        time = raw.get("time")
-        if not isinstance(time, dict) or not {"t0", "t1", "steps"} <= time.keys():
-            raise ConfigInvalid("time: required object with t0, t1, steps")
-        t0, t1 = _number(time["t0"], "time.t0"), _number(time["t1"], "time.t1")
-        steps = _number(time["steps"], "time.steps", int)
-        if not t1 > t0:
-            raise ConfigInvalid("time: t1 must be > t0")
-        if steps < 1:
-            raise ConfigInvalid("time: steps must be >= 1")
-        threshold = _number(raw.get("collision_threshold", 1e-6),
-                            "collision_threshold")
-        if threshold <= 0:
-            raise ConfigInvalid("collision_threshold must be > 0")
-        tracked = raw.get("tracked", "all")
-        # a bool is not an index
-        if tracked != "all" and not (isinstance(tracked, list) and all(
-                type(i) is int and i >= 0 for i in tracked)):
-            raise ConfigInvalid("tracked: 'all' or a list of indices")
-        seed = _number(raw.get("seed", 0), "seed", int)
-        if seed < 0:  # numpy seeds are non-negative
-            raise ConfigInvalid("seed must be >= 0")
-        pert = raw.get("perturbation")
-        if pert is not None:
-            if not isinstance(pert, dict):
-                raise ConfigInvalid("perturbation: must be an object")
-            kind = pert.get("kind", "diagonal")
-            if kind not in ("diagonal", "full"):
-                raise ConfigInvalid(f"perturbation.kind: unknown kind {kind!r}")
-            if _number(pert.get("sigma2", 1.0), "perturbation.sigma2") < 0:
-                raise ConfigInvalid("perturbation.sigma2 must be >= 0")
-            if _number(pert.get("seed", seed), "perturbation.seed", int) < 0:
-                raise ConfigInvalid("perturbation.seed must be >= 0")
-        output = raw.get("output", {})
-        formats = isinstance(output, dict) and output.get("formats", ["json"])
-        if not isinstance(formats, (list, tuple)):
-            raise ConfigInvalid("output: an object with a list of formats")
-        for f in formats:
-            if f not in ("csv", "json"):
-                raise ConfigInvalid(f"output.formats: unsupported format {f!r}")
-        output_dir = output.get("dir", "out")
-        if not isinstance(output_dir, str):
-            raise ConfigInvalid(f"output.dir: expected a path string, "
-                                f"got {output_dir!r}")
+        base_dir = Path(base_dir)
+        v = _parse(raw, SCHEMA[""], "", ChainMap({"base_dir": base_dir}))
         return ScenarioConfig(
-            model=model,
-            t0=t0,
-            t1=t1,
-            steps=steps,
-            tracked=tracked,
-            collision_threshold=threshold,
-            seed=seed,
-            perturbation=pert,
-            output_dir=output_dir,
-            output_formats=tuple(formats),
-            base_dir=Path(base_dir),
-        )
+            model=raw["model"], **v["time"], tracked=v["tracked"],
+            collision_threshold=v["collision_threshold"], seed=v["seed"],
+            perturbation=raw.get("perturbation"), output_dir=v["output"]["dir"],
+            output_formats=tuple(v["output"]["formats"]), params=v["model"],
+            noise=v["perturbation"], base_dir=base_dir)
 
     @staticmethod
     def from_file(path) -> "ScenarioConfig":
@@ -295,38 +366,19 @@ def _power(k, p: int):
     return np.reshape([x**p for x in np.ravel(k).tolist()], np.shape(k))
 
 
-def build_trajectory(cfg: ScenarioConfig) -> MatrixTrajectory:
-    """Instantiate the scenario's model as a matrix trajectory."""
-    model = cfg.model
-    kind = model["type"]
-    base = cfg.base_dir
-    if kind == "explicit":
-        a = _load_matrix(model.get("matrix"), base, "model.matrix")
-        b = (_load_matrix(model["velocity"], base, "model.velocity")
-             if "velocity" in model else None)
-        c = (_load_matrix(model["acceleration"], base, "model.acceleration")
-             if "acceleration" in model else None)
+def _trajectory(p: dict) -> MatrixTrajectory:
+    """The matrix trajectory of a model section's typed values."""
+    if p["type"] == "explicit":
         try:
-            return MatrixTrajectory.polynomial(a, b, c)
-        except Exception as exc:
+            return MatrixTrajectory.polynomial(p["matrix"], p["velocity"],
+                                               p["acceleration"])
+        except EigendynError as exc:
             raise ConfigInvalid(f"model: {exc}") from exc
 
-    if kind == "ring":
-        if "sites" not in model:
-            raise ConfigInvalid("model.sites: required")
-        n = _number(model["sites"], "model.sites", int)
-        try:
-            ring = models.BiophysicalRing(
-                n=n,
-                diffusion=_number(model.get("diffusion", 1.0), "model.diffusion"),
-                growth=_number(model.get("growth", 0.0), "model.growth"),
-                tilt=_number(model.get("tilt", 0.0), "model.tilt"),
-            )
-        except ValueError as exc:
-            raise ConfigInvalid(f"model: {exc}") from exc
-        u0 = _site_values(model, "fluctuations", n)
-        u1 = _site_values(model, "fluctuation_rate", n)
-        base_m = models.build_omega_le(ring)
+    if p["type"] == "ring":
+        n, u0, u1 = p["sites"], p["fluctuations"], p["fluctuation_rate"]
+        base_m = models.build_omega_le(models.BiophysicalRing(
+            n=n, diffusion=p["diffusion"], growth=p["growth"], tilt=p["tilt"]))
         sites = np.arange(n)
 
         def ring_value(t):
@@ -344,28 +396,13 @@ def build_trajectory(cfg: ScenarioConfig) -> MatrixTrajectory:
             "analytic",
         )
 
-    if kind == "transfer":
-        entries = model.get("entries")
-        if not isinstance(entries, dict):
-            raise ConfigInvalid("model.entries: required object M11..M22")
-        polys = {}
-        for key in ("M11", "M12", "M21", "M22"):
-            where = f"model.entries.{key}"
-            if not isinstance(entries.get(key), list):
-                raise ConfigInvalid(f"{where}: required list of coefficients")
-            polys[key] = [_complex_value(c, where) for c in entries[key]]
+    if p["type"] == "transfer":
+        def entry(coeffs):
+            return lambda k: sum(c * _power(k, q) for q, c in enumerate(coeffs))
 
-        def entry(key):
-            coeffs = polys[key]
-            return lambda k: sum(c * _power(k, p) for p, c in enumerate(coeffs))
-
-        tol = _number(model.get("unimodular_tol", 1e-9), "model.unimodular_tol")
-        if tol <= 0:
-            raise ConfigInvalid("model.unimodular_tol must be > 0")
-        tmodel = models.TransferMatrixModel(
-            entry("M11"), entry("M12"), entry("M21"), entry("M22"),
-            unimodular_tol=tol,
-        )
+        # the entries in table order: M11, M12, M21, M22
+        tmodel = models.TransferMatrixModel(*map(entry, p["entries"].values()),
+                                            unimodular_tol=p["unimodular_tol"])
 
         def s_matrix(k):
             return models.scattering_data(tmodel, k).s_matrix
@@ -375,33 +412,32 @@ def build_trajectory(cfg: ScenarioConfig) -> MatrixTrajectory:
         except EigendynError as exc:
             raise ConfigInvalid(f"model: {exc}") from exc
 
-    if kind == "effective_hamiltonian":
-        h = _load_matrix(model.get("H"), base, "model.H")
-        lindblad = model.get("lindblad", [])
-        if not isinstance(lindblad, list):
-            raise ConfigInvalid("model.lindblad: expected a list")
-        ops, l0, l1 = [], [], []
-        for idx, item in enumerate(lindblad):
-            if not isinstance(item, dict) or "L" not in item:
-                raise ConfigInvalid(f"model.lindblad[{idx}]: needs an 'L' matrix")
-            ops.append(_load_matrix(item["L"], base, f"model.lindblad[{idx}].L"))
-            l0.append(_complex_value(item.get("l", 0), f"model.lindblad[{idx}].l"))
-            l1.append(_complex_value(item.get("l_rate", 0),
-                                     f"model.lindblad[{idx}].l_rate"))
-        try:  # shapes and Hermiticity are checked once, here
-            spec = models.EffectiveHamiltonianSpec(h, ops, l0, l1)
-        except EigendynError as exc:
-            raise ConfigInvalid(f"model: {exc}") from exc
-        acc = np.zeros_like(h)
-        for op, rate in zip(ops, l1):
-            acc = acc + np.conjugate(rate) * op - rate * op.conj().T
-        return MatrixTrajectory(
-            h.shape[0], lambda t: models.effective_hamiltonian(spec, t),
-            dynamics.constant_in_time(0.5j * acc),
-            dynamics.constant_in_time(np.zeros_like(h)), "analytic",
-        )
+    # effective_hamiltonian
+    h, terms = p["H"], p["lindblad"]
+    ops, l1 = [item["L"] for item in terms], [item["l_rate"] for item in terms]
+    try:  # shapes and Hermiticity are checked once, here
+        spec = models.EffectiveHamiltonianSpec(
+            h, ops, [item["l"] for item in terms], l1)
+    except EigendynError as exc:
+        raise ConfigInvalid(f"model: {exc}") from exc
+    acc = np.zeros_like(h)
+    for op, rate in zip(ops, l1):
+        acc = acc + np.conjugate(rate) * op - rate * op.conj().T
+    return MatrixTrajectory(
+        h.shape[0], lambda t: models.effective_hamiltonian(spec, t),
+        dynamics.constant_in_time(0.5j * acc),
+        dynamics.constant_in_time(np.zeros_like(h)), "analytic",
+    )
 
-    raise ConfigInvalid(f"unknown model type {kind!r}")
+
+def build_trajectory(cfg: ScenarioConfig) -> MatrixTrajectory:
+    """Instantiate the scenario's model as a matrix trajectory; the tracked
+    indices must lie within its size."""
+    trajectory = _trajectory(cfg.params)
+    for j in [] if cfg.tracked == "all" else cfg.tracked:
+        if j >= trajectory.n:
+            raise ConfigInvalid(f"tracked: index {j} outside 0..{trajectory.n - 1}")
+    return trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -682,16 +718,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
     dt = (cfg.t1 - cfg.t0) / cfg.steps
 
     tracked = np.arange(n) if cfg.tracked == "all" else np.array(
-        sorted({j for j in cfg.tracked if j < n}), dtype=int
-    )
-    proc = None
-    if cfg.perturbation is not None:
-        proc = stochastic.PerturbationProcess(
-            kind=cfg.perturbation.get("kind", "diagonal"),
-            sigma2=float(cfg.perturbation.get("sigma2", 1.0)),
-            seed=int(cfg.perturbation.get("seed", cfg.seed)),
-            dt=dt,
-        )
+        sorted(set(cfg.tracked)), dtype=int)
+    proc = None if cfg.noise is None else stochastic.PerturbationProcess(
+        **cfg.noise, dt=dt)
 
     shape = (len(ts), len(tracked))
     eigenvalues = np.empty((len(ts), n), dtype=complex)

@@ -18,7 +18,6 @@ import numbers
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -100,19 +99,16 @@ def _block_seeds(seed: int, block: int) -> np.ndarray:
 class PerturbationProcess:
     """Seeded Gaussian perturbation source.
 
-    kind      "diagonal" (off-diagonals zero) or "full"
-    sigma2    common entry variance for the i.i.d. case
-    variances optional (n, n) matrix of per-entry variances E[p_ml^2];
-              overrides sigma2 when given
-    seed      non-negative integer master seed; sample i draws from
-              default_rng(SeedSequence(seed, spawn_key=(i,))), so it is a
-              pure function of (seed, i) and replays byte-identically
-    dt        step size of the walk
+    kind    "diagonal" (off-diagonals zero) or "full"
+    sigma2  common entry variance
+    seed    non-negative integer master seed; sample i draws from
+            default_rng(SeedSequence(seed, spawn_key=(i,))), so it is a
+            pure function of (seed, i) and replays byte-identically
+    dt      step size of the walk
     """
 
     kind: str = "diagonal"
     sigma2: float = 1.0
-    variances: Optional[np.ndarray] = None
     seed: int = 0
     dt: float = 1e-2
 
@@ -121,9 +117,6 @@ class PerturbationProcess:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be >= 0")
-        if self.variances is not None and np.any(
-                np.asarray(self.variances, dtype=float) < 0):
-            raise ValueError("all entry variances must be >= 0")
         if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
                 or self.seed < 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
@@ -149,18 +142,10 @@ class PerturbationProcess:
     def sample(self, n: int, index: int) -> np.ndarray:
         """Draw the perturbation matrix P for sample ``index``."""
         rng = self._rng(index)
-        if self.variances is not None:
-            v = np.asarray(self.variances, dtype=float)
-            if v.shape != (n, n):
-                raise DimensionMismatch(f"variance matrix shape {v.shape} "
-                                        f"!= {(n, n)}")
-            scale = np.sqrt(v)
-        else:
-            scale = np.sqrt(self.sigma2)
+        scale = np.sqrt(self.sigma2)
         if self.kind == "diagonal":
             p = np.zeros((n, n))
-            diag_scale = np.diag(scale) if np.ndim(scale) == 2 else scale
-            p.reshape(-1)[:: n + 1] = rng.standard_normal(n) * diag_scale
+            p.reshape(-1)[:: n + 1] = rng.standard_normal(n) * scale
             return p
         return rng.standard_normal((n, n)) * scale
 
@@ -179,14 +164,6 @@ class MonteCarloEstimate:
         return max(self.standard_error_re, self.standard_error_im)
 
 
-def _check_complex(d: SpectralDecomposition, j: int) -> complex:
-    _check_index(d, j)
-    lam = d.eigenvalues[j]
-    if lam.imag == 0.0:
-        raise RealEigenvalue(f"lambda_{j} = {lam} is real: expected force singular")
-    return lam
-
-
 def expected_conjugate_force_general(
     d: SpectralDecomposition,
     pairing: ConjugatePairing,
@@ -195,7 +172,10 @@ def expected_conjugate_force_general(
 ) -> complex:
     """Closed-form E[F(conj(lambda_j) -> lambda_j)] for independent
     centered entries with per-entry variances E[p_ml^2]."""
-    lam = _check_complex(d, j)
+    _check_index(d, j)
+    lam = d.eigenvalues[j]
+    if lam.imag == 0.0:
+        raise RealEigenvalue(f"lambda_{j} = {lam} is real: expected force singular")
     v = np.asarray(variances, dtype=float)
     if v.shape != (d.n, d.n):
         raise DimensionMismatch(f"variance matrix shape {v.shape} != {(d.n, d.n)}")
@@ -212,22 +192,15 @@ def expected_conjugate_force_iid(
     j: int,
     kind: str = "full",
 ) -> complex:
-    """Closed-form expected conjugate force for i.i.d. N(0, sigma2) entries.
-
-    kind="full": every entry perturbed; with unit-norm v_j this is the
-    -i sigma^2 ||u_j||^2 / (2 Im lambda_j) form.  kind="diagonal": only
-    diagonal entries perturbed, the sum restricted accordingly.
+    """Closed-form expected conjugate force for i.i.d. N(0, sigma2) entries:
+    :func:`expected_conjugate_force_general` with every variance sigma2
+    (kind="full"; with unit-norm v_j this is the -i sigma^2 ||u_j||^2 /
+    (2 Im lambda_j) form) or only the diagonal ones (kind="diagonal").
     """
-    lam = _check_complex(d, j)
-    u2 = np.abs(d.left[:, j]) ** 2
-    v2 = np.abs(d.right[:, j]) ** 2
-    if kind == "full":
-        total = sigma2 * u2.sum() * v2.sum()
-    elif kind == "diagonal":
-        total = sigma2 * float(u2 @ v2)
-    else:
+    if kind not in ("full", "diagonal"):
         raise ValueError(f"unknown kind {kind!r}")
-    return complex(-1j * total / (2.0 * lam.imag))
+    variances = np.ones((d.n, d.n)) if kind == "full" else np.eye(d.n)
+    return expected_conjugate_force_general(d, pairing, sigma2 * variances, j)
 
 
 def monte_carlo_conjugate_force(

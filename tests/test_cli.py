@@ -139,6 +139,48 @@ class TestRun:
         assert "rows=11" in capsys.readouterr().out
 
 
+class TestOutOfRange:
+    @pytest.mark.parametrize("edit,named", [
+        ({"tracked": [0, 5]}, "tracked: index 5 outside 0..1"),
+        ({"tracked": [5]}, "tracked: index 5 outside 0..1"),
+        # the (steps + 1,) complex column of one path would exceed numpy's
+        # largest array: rejected before anything is allocated
+        ({"time": {"t0": 0.0, "t1": 0.5, "steps": 2**62}},
+         "time.steps: steps must be < "),
+    ], ids=repr)
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, edit, named,
+                                    command):
+        raw = json.loads((SCENARIOS / "noisy.json").read_text())
+        scenario = tmp_path / "noisy.json"
+        scenario.write_text(json.dumps({**raw, **edit}))
+        argv = [command, "--scenario", str(scenario)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("error,line", [
+        (MemoryError(), "out of memory"),
+        (MemoryError("Unable to allocate 8.00 EiB"), "Unable to allocate 8.00 EiB"),
+    ])
+    def test_memory_error_exits_3(self, ring_scenario, tmp_path, capsys,
+                                  monkeypatch, error, line):
+        def no_memory(cfg):
+            raise error
+
+        monkeypatch.setattr(cli.engine, "run_scenario", no_memory)
+        argv = ["run", "--scenario", str(ring_scenario), "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err == f"error: {line}\n"
+        argv = ["sweep", "tilt=0:1:0", "--scenario", str(ring_scenario),
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err == f"error: tilt=0: {line}\n"
+
+
 # values that overflow to inf: M(2.5) of the first, M(1) of the ring,
 # and Mddot of the third everywhere
 NON_FINITE = {

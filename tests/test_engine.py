@@ -452,21 +452,22 @@ DROP = object()
 
 def _fuzz_sections(raw: dict) -> list:
     """(section, keys it may hold or holds) for each object in ``raw``."""
-    out = [(raw, engine._TOP_KEYS | set(raw))]
-    out += [(raw[name], keys | set(raw[name]))
-            for name, keys in engine._SECTION_KEYS.items()
+    keys = {name: set(table) for name, table in engine.SCHEMA.items()}
+    out = [(raw, keys[""] | set(raw))]
+    out += [(raw[name], keys[name] | set(raw[name]))
+            for name in ("time", "perturbation", "output")
             if isinstance(raw.get(name), dict)]
     model = raw.get("model")
     if not isinstance(model, dict):
         return out
     kind = model.get("type")
-    keys = engine._MODEL_KEYS.get(kind, set()) if isinstance(kind, str) else set()
-    out.append((model, keys | set(model) | {"type"}))
+    allowed = keys[f"model.{kind}"] if kind in engine._MODEL_TYPES else set()
+    out.append((model, allowed | set(model) | {"type"}))
     entries, lindblad = model.get("entries"), model.get("lindblad")
     if isinstance(entries, dict):
-        out.append((entries, engine._ENTRY_KEYS | set(entries)))
+        out.append((entries, keys["model.entries"] | set(entries)))
     if isinstance(lindblad, list):
-        out += [(item, engine._LINDBLAD_KEYS | set(item))
+        out += [(item, keys["model.lindblad"] | set(item))
                 for item in lindblad if isinstance(item, dict)]
     return out
 
@@ -497,6 +498,99 @@ class TestScenarioFuzz:
             engine.run_scenario(dataclasses.replace(cfg, steps=min(cfg.steps, 2)))
         except eigendyn.errors.EigendynError:
             pass
+
+
+# config_hash of each base as the key-set parser computed it: the hash,
+# and so every record's provenance, does not depend on how keys are parsed
+PINNED_HASHES = {
+    "ring": "787412f37a2a91d360d52725cb5ad8a4aa4fd905881b69cc6a5c57fb8df18ab6",
+    "collision": "a20075adc97f2bfd3c2fb0529f3a5d0e1afe2fbc69348f53e989eddef70111b0",
+    "noisy": "0256ee81bb5251a1ac037f4be896502472c39388fd3cfcf079b54f7f0e0aeb51",
+    "transfer": "1ca1ff469d59106dd875ab22c58d8f5b356cc8469b79c4c754a74fc9b9438c0a",
+    "effective_hamiltonian":
+        "f4be2945fe65ec4bb3d71410afa26eed2b1968638e0c17ea27ec20ba24f19680",
+}
+
+
+class TestSchema:
+    @pytest.mark.parametrize("name", sorted(PINNED_HASHES))
+    def test_config_hash_pinned(self, name):
+        cfg = ScenarioConfig.from_dict(copy.deepcopy(FUZZ_BASES[name]),
+                                       base_dir=SCENARIOS)
+        assert cfg.config_hash() == PINNED_HASHES[name]
+        if (SCENARIOS / f"{name}.json").exists():
+            shipped = ScenarioConfig.from_file(SCENARIOS / f"{name}.json")
+            assert shipped.config_hash() == PINNED_HASHES[name]
+
+    def test_defaults_fill_absent_keys(self):
+        cfg = ScenarioConfig.from_dict(base_config(
+            model={"type": "ring", "sites": 4}, seed=9, perturbation={}))
+        assert cfg.params["sites"] == 4
+        assert (cfg.params["diffusion"], cfg.params["growth"],
+                cfg.params["tilt"]) == (1.0, 0.0, 0.0)
+        for key in ("fluctuations", "fluctuation_rate"):
+            np.testing.assert_array_equal(cfg.params[key], np.zeros(4))
+        # the noise seed defaults to the run's seed
+        assert cfg.noise == {"kind": "diagonal", "sigma2": 1.0, "seed": 9}
+        assert (cfg.collision_threshold, cfg.tracked) == (1e-6, "all")
+        assert (cfg.output_dir, cfg.output_formats) == ("out", ("json",))
+        # the sections as written are what the hash reads
+        assert cfg.model == {"type": "ring", "sites": 4}
+        assert cfg.perturbation == {}
+
+    def test_typed_values(self, tmp_path):
+        (tmp_path / "h.txt").write_text("0 1+1i\n1-1i 2\n")
+        cfg = ScenarioConfig.from_dict(base_config(
+            model={"type": "effective_hamiltonian", "H": "h.txt",
+                   "lindblad": [{"L": [[0, 1], [0, 0]], "l_rate": "0.1i"}]},
+            time={"t0": 0, "t1": "2", "steps": 4.0},
+            perturbation={"kind": "full", "sigma2": "0.5", "seed": "3"}),
+            base_dir=tmp_path)
+        assert (cfg.t0, cfg.t1, cfg.steps) == (0.0, 2.0, 4)
+        assert type(cfg.steps) is int
+        np.testing.assert_array_equal(cfg.params["H"], [[0, 1 + 1j], [1 - 1j, 2]])
+        [term] = cfg.params["lindblad"]
+        assert (term["l"], term["l_rate"]) == (0j, 0.1j)
+        assert cfg.noise == {"kind": "full", "sigma2": 0.5, "seed": 3}
+
+    def test_null_is_absent_only_for_the_perturbation(self):
+        cfg = ScenarioConfig.from_dict(base_config(perturbation=None))
+        assert cfg.noise is None and cfg.perturbation is None
+        raw = base_config()
+        raw["model"]["velocity"] = None
+        with pytest.raises(ConfigInvalid, match="^model.velocity: "):
+            ScenarioConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("mutate,message", [
+        ({"model": {"type": "ring", "sites": 2}},
+         "model.sites: sites must be >= 3, got 2"),
+        ({"model": {"type": "ring", "sites": 4, "diffusion": 0}},
+         "model.diffusion: diffusion must be > 0, got 0.0"),
+        ({"model": {"type": "ring", "sites": 4, "fluctuations": [0, 0, 0]}},
+         r"model.fluctuations: expected a list of 4 numbers \(one per site\)"),
+        ({"model": {"type": "effective_hamiltonian", "H": [[1.0]],
+                    "lindblad": [{"l": "1"}]}}, r"model.lindblad\[0\].L: required"),
+        ({"model": {"type": "transfer", "entries": {
+            "M11": ["1"], "M12": ["1", "x"], "M21": ["0"], "M22": ["1"]}}},
+         r"model.entries.M12\[1\]: "),
+        ({"time": {"t0": 0.0, "t1": 1.0}}, "time.steps: required"),
+        ({"time": {"t0": 0.0, "t1": 1.0, "steps": 2**62}},
+         "time.steps: steps must be < "),
+        ({"seed": -1}, "seed: expected a non-negative integer, got -1"),
+        ({"output": {"formats": ["json", "xml"]}},
+         r"output.formats\[1\]: unknown format 'xml'"),
+    ], ids=repr)
+    def test_message_names_the_key(self, mutate, message):
+        with pytest.raises(ConfigInvalid, match=f"^{message}"):
+            ScenarioConfig.from_dict(base_config(**mutate))
+
+    @pytest.mark.parametrize("tracked", [[0, 5], [5]])
+    def test_tracked_index_outside_the_model(self, tracked):
+        cfg = ScenarioConfig.from_dict(base_config(tracked=tracked))
+        with pytest.raises(ConfigInvalid, match=r"^tracked: index 5 outside 0\.\.1$"):
+            engine.build_trajectory(cfg)
+        with pytest.raises(ConfigInvalid, match="^tracked: "):
+            engine.run_scenario(cfg)
 
 
 class TestRunScenario:
@@ -911,7 +1005,7 @@ def _record_case(case, monkeypatch):
                                  "fluctuation_rate": [0.1, 0.0] * 6},
                           time={"t0": 0.0, "t1": 1.0, "steps": 3})
     elif case == "none-tracked":
-        raw = base_config(tracked=[2, 5])
+        raw = base_config(tracked=[])
     elif case == "noisy-collision":
         # near-real nulls, expected forces and an ambiguous-match event
         # with NaN min_abs_im
@@ -1042,7 +1136,7 @@ def _per_step_run(cfg):
     ts = np.linspace(cfg.t0, cfg.t1, cfg.steps + 1)
     dt = (cfg.t1 - cfg.t0) / cfg.steps
     tracked = np.arange(n) if cfg.tracked == "all" else np.array(
-        sorted({j for j in cfg.tracked if j < n}), dtype=int)
+        sorted(set(cfg.tracked)), dtype=int)
     proc = None
     if cfg.perturbation is not None:
         proc = eigendyn.PerturbationProcess(

@@ -30,14 +30,10 @@ def reference_sample(proc, n, index):
     numpy builds it."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=proc.seed, spawn_key=(index,)))
-    if proc.variances is not None:
-        scale = np.sqrt(np.asarray(proc.variances, dtype=float))
-    else:
-        scale = np.sqrt(proc.sigma2)
+    scale = np.sqrt(proc.sigma2)
     if proc.kind == "diagonal":
         p = np.zeros((n, n))
-        np.fill_diagonal(p, rng.standard_normal(n)
-                         * (np.diag(scale) if np.ndim(scale) == 2 else scale))
+        np.fill_diagonal(p, rng.standard_normal(n) * scale)
         return p
     return rng.standard_normal((n, n)) * scale
 
@@ -50,11 +46,8 @@ STREAM_INDICES = (0, 4095, 4096, 2**32 - 1, 2**32, 2**40)
 
 
 def stream_processes(seed):
-    variances = np.arange(9.0).reshape(3, 3) / 4
     return (PerturbationProcess(kind="diagonal", sigma2=2.0, seed=seed),
-            PerturbationProcess(kind="full", sigma2=0.5, seed=seed),
-            PerturbationProcess(kind="diagonal", variances=variances, seed=seed),
-            PerturbationProcess(kind="full", variances=variances, seed=seed))
+            PerturbationProcess(kind="full", sigma2=0.5, seed=seed))
 
 
 class TestStream:
@@ -137,14 +130,6 @@ class TestSample:
         var = draws.var(axis=0, ddof=1)
         np.testing.assert_allclose(var, 1.0, atol=0.02)
 
-    def test_variance_matrix(self):
-        v = np.zeros((3, 3))
-        v[0, 2] = 4.0
-        proc = PerturbationProcess(kind="full", variances=v, seed=5)
-        draws = np.array([proc.sample(3, i) for i in range(20_000)])
-        assert abs(draws[:, 0, 2].var(ddof=1) - 4.0) < 0.15
-        assert not draws[:, 1, 1].any()
-
 
 class TestClosedForms:
     def test_zero_variance(self, real_8x8):
@@ -175,22 +160,24 @@ class TestClosedForms:
         assert stochastic.expected_conjugate_force_general(
             d, pairing, np.zeros((8, 8)), j) == 0
 
-    def test_general_reduces_to_iid_full(self, real_8x8):
+    def test_iid_full_collapses_to_norms(self, real_8x8):
+        # every variance sigma^2: -i sigma^2 ||u_j||^2 ||v_j||^2 / (2 Im lambda_j)
         _, d, pairing = real_8x8
         j = complex_index(d)
-        uniform = stochastic.expected_conjugate_force_general(
-            d, pairing, 1.7 * np.ones((8, 8)), j)
+        u2, v2 = np.abs(d.left[:, j]) ** 2, np.abs(d.right[:, j]) ** 2
+        want = -1j * 1.7 * u2.sum() * v2.sum() / (2 * d.eigenvalues[j].imag)
         iid = stochastic.expected_conjugate_force_iid(d, pairing, 1.7, j, kind="full")
-        assert abs(uniform - iid) <= 1e-12 * abs(iid)
+        assert abs(iid - want) <= 1e-12 * abs(want)
 
-    def test_general_diagonal_matches_iid_diagonal(self, real_8x8):
+    def test_iid_diagonal_restricts_the_sum(self, real_8x8):
+        # only the (m, m) variances: -i sigma^2 sum_m |u_j^m|^2 |v_j^m|^2 / (2 Im lambda_j)
         _, d, pairing = real_8x8
         j = complex_index(d)
-        gen = stochastic.expected_conjugate_force_general(
-            d, pairing, 0.9 * np.eye(8), j)
+        u2, v2 = np.abs(d.left[:, j]) ** 2, np.abs(d.right[:, j]) ** 2
+        want = -1j * 0.9 * (u2 @ v2) / (2 * d.eigenvalues[j].imag)
         iid = stochastic.expected_conjugate_force_iid(d, pairing, 0.9, j,
                                                       kind="diagonal")
-        assert abs(gen - iid) <= 1e-12 * abs(iid)
+        assert abs(iid - want) <= 1e-12 * abs(want)
 
     def test_single_entry_variance_formula(self, real_8x8):
         _, d, pairing = real_8x8
