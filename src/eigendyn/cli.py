@@ -56,16 +56,7 @@ def _apply_override(raw: dict, key: str, value) -> None:
 
 def _load_config(args) -> ScenarioConfig:
     path = Path(args.scenario)
-    if not path.exists():
-        raise ConfigInvalid(f"scenario file not found: {path}")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigInvalid(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigInvalid(f"cannot read scenario file {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigInvalid("scenario root must be an object")
+    raw = engine.read_scenario(path)
     for item in args.set or []:
         if "=" not in item:
             raise ConfigInvalid(f"--set expects key=value, got {item!r}")
@@ -98,6 +89,8 @@ def cmd_validate(args) -> int:
         core.decompose(trajectory.at(cfg.t0)[0])
     except EigendynError as exc:
         return _fail(EXIT_INVALID, str(exc))
+    except MemoryError as exc:
+        return _fail(EXIT_RUNTIME, str(exc) or "out of memory")
     print(f"OK: model={cfg.params['type']} n={trajectory.n} "
           f"steps={cfg.steps} seed={cfg.seed}")
     return EXIT_OK

@@ -101,7 +101,6 @@ class ConjugatePairing:
     step is self-paired throughout."""
 
     partner: np.ndarray  # int array, involutive
-    tol: float
     failed_steps: np.ndarray = np.False_
 
 
@@ -243,7 +242,7 @@ def pair_conjugates(d: SpectralDecomposition, tol: float = 1e-9) -> ConjugatePai
                 raise
             failed[s] = True
             partner[s] = index
-    return ConjugatePairing(partner=partner, tol=tol, failed_steps=failed)
+    return ConjugatePairing(partner=partner, failed_steps=failed)
 
 
 def _pair_greedy(w: np.ndarray, tol: float) -> np.ndarray:

@@ -67,17 +67,12 @@ class MatrixTrajectory:
 
     Each callable takes a time, giving one (n, n) matrix, or an array of
     times, giving a stack with the array's shape in front.
-    ``derivative_mode`` is "analytic" when derivative callables were
-    supplied, else "finite-difference" with central differences of
-    ``value`` at the stored step.
     """
 
     n: int
     value: Callable[[float], np.ndarray]
     first_derivative: Callable[[float], np.ndarray]
     second_derivative: Callable[[float], np.ndarray]
-    derivative_mode: str
-    fd_step: Optional[float] = None
 
     def at(self, t) -> tuple:
         """M, Mdot and Mddot at ``t`` (a time or an array of times) as
@@ -95,49 +90,6 @@ class MatrixTrajectory:
         return out
 
     @staticmethod
-    def from_callable(
-        value: Callable[[float], np.ndarray],
-        first_derivative: Optional[Callable[[float], np.ndarray]] = None,
-        second_derivative: Optional[Callable[[float], np.ndarray]] = None,
-        fd_step: Optional[float] = None,
-        n: Optional[int] = None,
-    ) -> "MatrixTrajectory":
-        """Wrap callables; missing derivatives fall back to central
-        differences of ``value``, which then runs on arrays of times too.
-
-        The default steps scale with the Frobenius norm at t=0:
-        1e-4 * max(1, ||M||_F) for the first derivative and a 1e-3 scale
-        for the second, balancing truncation against cancellation.
-        """
-        m0 = as_square_matrix(value(0.0))
-        dim = n if n is not None else m0.shape[0]
-
-        if first_derivative is not None and second_derivative is not None:
-            return MatrixTrajectory(dim, value, first_derivative,
-                                    second_derivative, "analytic")
-
-        scale = max(1.0, float(np.linalg.norm(m0)))
-        # both steps are products with the scale: a difference quotient
-        # magnifies a last-bit change of the step by up to 1/h2**2
-        h1 = fd_step if fd_step is not None else 1e-4 * scale
-        h2 = fd_step if fd_step is not None else 1e-3 * scale
-
-        def fd1(t):
-            return (value(t + h1) - value(t - h1)) / (2 * h1)
-
-        def fd2(t):
-            return (value(t + h2) - 2 * value(t) + value(t - h2)) / h2**2
-
-        return MatrixTrajectory(
-            dim,
-            value,
-            first_derivative if first_derivative is not None else fd1,
-            second_derivative if second_derivative is not None else fd2,
-            "finite-difference",
-            fd_step=h1,
-        )
-
-    @staticmethod
     def polynomial(a, b=None, c=None) -> "MatrixTrajectory":
         """M(t) = A + t B + t^2 C with analytic derivatives."""
         a = as_square_matrix(a)
@@ -151,7 +103,6 @@ class MatrixTrajectory:
             lambda t: a + _times(t) * b + _times(t) * _times(t) * c,
             lambda t: b + 2 * _times(t) * c,
             constant_in_time(2 * c),
-            "analytic",
         )
 
 

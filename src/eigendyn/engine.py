@@ -34,6 +34,7 @@ __all__ = [
     "CollisionEvent",
     "parse_complex",
     "read_matrix_file",
+    "read_scenario",
     "run_scenario",
     "export",
     "record_json",
@@ -86,6 +87,24 @@ def read_matrix_file(path) -> np.ndarray:
     if len(widths) != 1:
         raise ConfigInvalid(f"{path}: ragged rows (widths {sorted(widths)})")
     return np.array(rows, dtype=complex)
+
+
+def read_scenario(path) -> dict:
+    """The JSON object of a scenario file.  Raises ConfigInvalid for a
+    missing or unreadable file, bad JSON and a root that is not an
+    object."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigInvalid(f"scenario file not found: {path}")
+    try:
+        raw = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigInvalid(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigInvalid(f"cannot read scenario file {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigInvalid("scenario root must be an object")
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +223,10 @@ REQUIRED = object()  # the default of a key that must be given
 # typed value from the parse context.  Each (op, limit) of ``bound`` must
 # hold for the typed value; a string limit names a key parsed before it.
 Key = namedtuple("Key", "kind default bound", defaults=(REQUIRED, ()))
-_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 # numpy's largest array in complex entries: a run holds (steps + 1, n)
-# complex columns, so steps + 1 may not exceed it even at n = 1
+# complex columns, so steps + 1 may not exceed it even at n = 1, and an
+# (n, n) complex matrix bounds the sites of a ring
 _MAX_ENTRIES = np.iinfo(np.intp).max // np.dtype(complex).itemsize
 _MODEL_TYPES = ("explicit", "ring", "transfer", "effective_hamiltonian")
 
@@ -242,7 +262,7 @@ SCHEMA = {
         "acceleration": Key(_matrix, None),
     },
     "model.ring": {
-        "sites": Key(_int, bound=((">=", 3),)),
+        "sites": Key(_int, bound=((">=", 3), ("<=", math.isqrt(_MAX_ENTRIES)))),
         "diffusion": Key(_float, 1.0, ((">", 0),)),
         "growth": Key(_float, 0.0),
         "tilt": Key(_float, 0.0),
@@ -330,12 +350,8 @@ class ScenarioConfig:
 
     @staticmethod
     def from_file(path) -> "ScenarioConfig":
-        path = Path(path)
-        try:
-            raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalid(f"{path}:{exc.lineno}: {exc.msg}") from exc
-        return ScenarioConfig.from_dict(raw, base_dir=path.parent)
+        return ScenarioConfig.from_dict(read_scenario(path),
+                                        base_dir=Path(path).parent)
 
     def to_dict(self) -> dict:
         return {
@@ -393,7 +409,6 @@ def _trajectory(p: dict) -> MatrixTrajectory:
             ring_value,
             dynamics.constant_in_time(np.diag(u1)),
             dynamics.constant_in_time(np.zeros((n, n))),
-            "analytic",
         )
 
     if p["type"] == "transfer":
@@ -408,9 +423,22 @@ def _trajectory(p: dict) -> MatrixTrajectory:
             return models.scattering_data(tmodel, k).s_matrix
 
         try:  # evaluates the model once, at k = 0
-            return MatrixTrajectory.from_callable(s_matrix, n=2)
+            scale = max(1.0, float(np.linalg.norm(core.as_square_matrix(
+                s_matrix(0.0)))))
         except EigendynError as exc:
             raise ConfigInvalid(f"model: {exc}") from exc
+        # central differences of S at steps scaled by ||S(0)||_F; both are
+        # products with the scale: a difference quotient magnifies a
+        # last-bit change of a step by up to 1/h2**2
+        h1, h2 = 1e-4 * scale, 1e-3 * scale
+
+        def first(k):
+            return (s_matrix(k + h1) - s_matrix(k - h1)) / (2 * h1)
+
+        def second(k):
+            return (s_matrix(k + h2) - 2 * s_matrix(k) + s_matrix(k - h2)) / h2**2
+
+        return MatrixTrajectory(2, s_matrix, first, second)
 
     # effective_hamiltonian
     h, terms = p["H"], p["lindblad"]
@@ -426,7 +454,7 @@ def _trajectory(p: dict) -> MatrixTrajectory:
     return MatrixTrajectory(
         h.shape[0], lambda t: models.effective_hamiltonian(spec, t),
         dynamics.constant_in_time(0.5j * acc),
-        dynamics.constant_in_time(np.zeros_like(h)), "analytic",
+        dynamics.constant_in_time(np.zeros_like(h)),
     )
 
 
@@ -790,9 +818,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
         values["conjugate_force"][rows][conj] = forces.conjugate_term[conj]
         if proc is not None:
             values["expected_force"][rows][conj] = [
-                stochastic.expected_conjugate_force_iid(
-                    d[s], core.ConjugatePairing(partner[s], 1e-7), proc.sigma2,
-                    j, kind=proc.kind)
+                stochastic.expected_conjugate_force_iid(d[s], proc.sigma2, j,
+                                                        kind=proc.kind)
                 for s, j in zip(np.nonzero(conj)[0].tolist(), raw[conj].tolist())
             ]
         prev = d[-1]

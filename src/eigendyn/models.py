@@ -207,26 +207,16 @@ class TransferMatrixModel:
 
 @dataclass(frozen=True)
 class ScatteringData:
-    """S-matrix blocks and closed-form eigenvalues at one wavenumber, or
+    """S matrix and its closed-form eigenvalues at one wavenumber, or
     arrays of them over an array of wavenumbers.
 
-    T_l = T_r = 1/M22, R_r = M12/M22, R_l = -M21/M22;
-    s+- = (1 +- sqrt(1 - M11 M22)) / M22.
+    S = [[T, R_r], [R_l, T]] with T = 1/M22, R_r = M12/M22,
+    R_l = -M21/M22; s+- = (1 +- sqrt(1 - M11 M22)) / M22.
     """
 
-    k: float
-    t_left: complex
-    r_left: complex
-    t_right: complex
-    r_right: complex
+    s_matrix: np.ndarray
     s_plus: complex
     s_minus: complex
-
-    @property
-    def s_matrix(self) -> np.ndarray:
-        return np.stack([np.stack([self.t_left, self.r_right], axis=-1),
-                         np.stack([self.r_left, self.t_right], axis=-1)],
-                        axis=-2)
 
 
 def scattering_data(model: TransferMatrixModel, k,
@@ -254,9 +244,9 @@ def scattering_data(model: TransferMatrixModel, k,
         raise SpectralSingularity(f"M22(k={np.ravel(k)[i]}) = "
                                   f"{np.ravel(m22)[i]}: spectral singularity")
     root = np.sqrt(1.0 - m11 * m22)  # principal branch
-    fields = {"t_left": 1.0 / m22, "r_left": -m21 / m22,
-              "t_right": 1.0 / m22, "r_right": m12 / m22,
-              "s_plus": (1.0 + root) / m22, "s_minus": (1.0 - root) / m22}
+    s = np.stack([np.stack([1.0 / m22, m12 / m22], axis=-1),
+                  np.stack([-m21 / m22, 1.0 / m22], axis=-1)], axis=-2)
+    s_plus, s_minus = (1.0 + root) / m22, (1.0 - root) / m22
     if np.ndim(k) == 0:
-        fields = {name: complex(v) for name, v in fields.items()}
-    return ScatteringData(k=k, **fields)
+        s_plus, s_minus = complex(s_plus), complex(s_minus)
+    return ScatteringData(s, s_plus, s_minus)

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ConjugatePairing, SpectralDecomposition, as_square_matrix
+from .core import SpectralDecomposition, as_square_matrix
 from .dynamics import _check_index, pairwise_conjugate_summand
 from . import core
 from .errors import DimensionMismatch, EmptyEstimate, RealEigenvalue
@@ -166,7 +166,6 @@ class MonteCarloEstimate:
 
 def expected_conjugate_force_general(
     d: SpectralDecomposition,
-    pairing: ConjugatePairing,
     variances,
     j: int,
 ) -> complex:
@@ -187,7 +186,6 @@ def expected_conjugate_force_general(
 
 def expected_conjugate_force_iid(
     d: SpectralDecomposition,
-    pairing: ConjugatePairing,
     sigma2: float,
     j: int,
     kind: str = "full",
@@ -200,7 +198,7 @@ def expected_conjugate_force_iid(
     if kind not in ("full", "diagonal"):
         raise ValueError(f"unknown kind {kind!r}")
     variances = np.ones((d.n, d.n)) if kind == "full" else np.eye(d.n)
-    return expected_conjugate_force_general(d, pairing, sigma2 * variances, j)
+    return expected_conjugate_force_general(d, sigma2 * variances, j)
 
 
 def monte_carlo_conjugate_force(

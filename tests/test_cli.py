@@ -147,6 +147,9 @@ class TestOutOfRange:
         # largest array: rejected before anything is allocated
         ({"time": {"t0": 0.0, "t1": 0.5, "steps": 2**62}},
          "time.steps: steps must be < "),
+        # so would an (n, n) complex matrix of the ring
+        ({"model": {"type": "ring", "sites": 2**62}}, "model.sites: sites must be <= "),
+        ({"model": {"type": "ring", "sites": 10**30}}, "model.sites: sites must be <= "),
     ], ids=repr)
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_exits_2_naming_the_key(self, tmp_path, capsys, edit, named,
@@ -171,6 +174,10 @@ class TestOutOfRange:
         def no_memory(cfg):
             raise error
 
+        monkeypatch.setattr(cli.engine, "build_trajectory", no_memory)
+        argv = ["validate", "--scenario", str(ring_scenario)]
+        assert cli.main(argv) == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err == f"error: {line}\n"
         monkeypatch.setattr(cli.engine, "run_scenario", no_memory)
         argv = ["run", "--scenario", str(ring_scenario), "--out", str(tmp_path)]
         assert cli.main(argv) == cli.EXIT_RUNTIME

@@ -79,7 +79,7 @@ def _no_partner(d, tol):
     """A stacked pairing that fails on every step."""
     w = d.eigenvalues
     return core.ConjugatePairing(np.broadcast_to(np.arange(d.n), w.shape).copy(),
-                                 tol, np.ones(w.shape[:-1], dtype=bool))
+                                 np.ones(w.shape[:-1], dtype=bool))
 
 
 def base_config(**overrides):
@@ -179,6 +179,21 @@ class TestScenarioConfig:
         p = tmp_path / "scn.json"
         p.write_text("{\n  broken\n}")
         with pytest.raises(ConfigInvalid, match=":2:"):
+            ScenarioConfig.from_file(p)
+
+    @pytest.mark.parametrize("content,msg", [
+        (None, "not found"),
+        ("dir", "cannot read scenario file"),  # OSError
+        (b"\xff\xfe{", "cannot read scenario file"),  # UnicodeDecodeError
+        (b"[1, 2]", "root must be an object"),
+    ])
+    def test_unreadable_file_is_config_invalid(self, tmp_path, content, msg):
+        p = tmp_path / "scn.json"
+        if content == "dir":
+            p.mkdir()
+        elif content is not None:
+            p.write_bytes(content)
+        with pytest.raises(ConfigInvalid, match=msg):
             ScenarioConfig.from_file(p)
 
 
@@ -1203,7 +1218,7 @@ def _per_step_run(cfg):
         if proc is not None:
             values["expected_force"][k, conj] = [
                 eigendyn.expected_conjugate_force_iid(
-                    d, pairing, proc.sigma2, j, kind=proc.kind)
+                    d, proc.sigma2, j, kind=proc.kind)
                 for j in raw[conj].tolist()]
         prev_decomp, prev_perm = d, perm
     disp = np.abs(np.diff(eigenvalues, axis=0))
@@ -1295,7 +1310,7 @@ class TestBlockedEngine:
             p = pair(d, tol)
             partner, failed = p.partner.copy(), p.failed_steps.copy()
             partner[4], failed[4] = np.arange(d.n), True
-            return core.ConjugatePairing(partner, tol, failed)
+            return core.ConjugatePairing(partner, failed)
 
         monkeypatch.setattr(core, "pair_conjugates", fail_fifth)
         cfg = ScenarioConfig.from_file(SCENARIOS / "ring.json")

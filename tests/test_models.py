@@ -169,18 +169,19 @@ class TestScattering:
     def test_identity_barrier(self):
         model = TransferMatrixModel.from_constant(np.eye(2))
         data = models.scattering_data(model, 1.0)
-        assert data.t_left == pytest.approx(1.0)
-        assert data.r_left == pytest.approx(0.0)
-        assert data.r_right == pytest.approx(0.0)
+        assert data.s_matrix[0, 0] == pytest.approx(1.0)
+        assert data.s_matrix[1, 0] == pytest.approx(0.0)
+        assert data.s_matrix[0, 1] == pytest.approx(0.0)
+        assert data.s_matrix[1, 1] == pytest.approx(1.0)
         assert data.s_plus == pytest.approx(1.0)
         assert data.s_minus == pytest.approx(1.0)
 
     def test_worked_example(self):
         model = TransferMatrixModel.from_constant([[2.0, 1.0], [1.0, 1.0]])
         data = models.scattering_data(model, 0.5)
-        assert data.t_left == pytest.approx(1.0)
-        assert data.r_right == pytest.approx(1.0)
-        assert data.r_left == pytest.approx(-1.0)
+        assert data.s_matrix[0, 0] == pytest.approx(1.0)
+        assert data.s_matrix[0, 1] == pytest.approx(1.0)
+        assert data.s_matrix[1, 0] == pytest.approx(-1.0)
         assert data.s_plus == pytest.approx(1.0 + 1.0j)
         assert data.s_minus == pytest.approx(1.0 - 1.0j)
         np.testing.assert_allclose(data.s_matrix,
@@ -221,8 +222,8 @@ class TestScattering:
             m22=lambda k: 1.0,
         )
         data = models.scattering_data(model, 0.3)
-        assert data.t_left == pytest.approx(1.0)
-        assert data.r_right == pytest.approx(0.3)
+        assert data.s_matrix[0, 0] == pytest.approx(1.0)
+        assert data.s_matrix[0, 1] == pytest.approx(0.3)
 
     def test_array_of_wavenumbers(self):
         model = TransferMatrixModel(
@@ -234,8 +235,6 @@ class TestScattering:
         for idx in np.ndindex(ks.shape):
             one = models.scattering_data(model, ks[idx])
             np.testing.assert_array_equal(data.s_matrix[idx], one.s_matrix)
-            assert data.t_left[idx] == one.t_left
-            assert data.r_left[idx] == one.r_left
             assert data.s_plus[idx] == pytest.approx(one.s_plus, abs=1e-15)
 
     def test_first_offending_wavenumber_named(self):
@@ -251,6 +250,18 @@ class TestScattering:
             m22=lambda k: 1.0 - k)
         with pytest.raises(SpectralSingularity, match=r"M22\(k=1\.0\)"):
             models.scattering_data(model, np.array([0.5, 1.0, 1.0]))
+
+
+def central_differences(matrix, n):
+    """A trajectory of ``matrix`` (a callable of one time) whose
+    derivatives are central differences at the steps 1e-4 s and 1e-3 s,
+    s = max(1, ||M(0)||_F)."""
+    scale = max(1.0, float(np.linalg.norm(matrix(0.0))))
+    h1, h2 = 1e-4 * scale, 1e-3 * scale
+    return MatrixTrajectory(
+        n, matrix,
+        lambda t: (matrix(t + h1) - matrix(t - h1)) / (2 * h1),
+        lambda t: (matrix(t + h2) - 2 * matrix(t) + matrix(t - h2)) / h2**2)
 
 
 def fd_acceleration(trajectory, t, j, h=1e-3):
@@ -279,7 +290,7 @@ class TestModelAccelerations:
             ring = BiophysicalRing(n=5, diffusion=d, growth=a, tilt=0.5 * t)
             return models.build_omega_le(ring)
 
-        traj = MatrixTrajectory.from_callable(matrix, n=5)
+        traj = central_differences(matrix, 5)
         for j in (0, 2, 4):
             fd = fd_acceleration(traj, 0.4, j)
             assert abs(exact_acceleration(traj, 0.4, j) - fd) <= 1e-4 * max(abs(fd), 1.0)
@@ -293,7 +304,7 @@ class TestModelAccelerations:
             spec = EffectiveHamiltonianSpec(h0, [sm], [0.3 + 0.4j * t])
             return models.effective_hamiltonian(spec)
 
-        traj = MatrixTrajectory.from_callable(matrix, n=3)
+        traj = central_differences(matrix, 3)
         fd = fd_acceleration(traj, 0.5, 1)
         assert abs(exact_acceleration(traj, 0.5, 1) - fd) <= 1e-4 * max(abs(fd), 1.0)
 
@@ -319,6 +330,6 @@ class TestModelAccelerations:
                 [[m11, 1.0], [m11 - 1.0, 1.0]])
             return models.scattering_data(model, 1.0).s_matrix
 
-        traj = MatrixTrajectory.from_callable(matrix, n=2)
+        traj = central_differences(matrix, 2)
         fd = fd_acceleration(traj, 0.2, 0)
         assert abs(exact_acceleration(traj, 0.2, 0) - fd) <= 1e-4 * max(abs(fd), 1.0)

@@ -133,59 +133,59 @@ class TestSample:
 
 class TestClosedForms:
     def test_zero_variance(self, real_8x8):
-        _, d, pairing = real_8x8
+        _, d, _ = real_8x8
         j = complex_index(d)
-        assert stochastic.expected_conjugate_force_iid(d, pairing, 0.0, j) == 0
+        assert stochastic.expected_conjugate_force_iid(d, 0.0, j) == 0
 
     def test_left_norm_scaling(self, real_8x8):
         # doubling ||u_j|| with Im(lambda_j) fixed quadruples the force
-        _, d, pairing = real_8x8
+        _, d, _ = real_8x8
         j = complex_index(d)
-        base = stochastic.expected_conjugate_force_iid(d, pairing, 1.0, j)
+        base = stochastic.expected_conjugate_force_iid(d, 1.0, j)
         d2 = dataclasses.replace(d, left=2.0 * d.left)
-        scaled = stochastic.expected_conjugate_force_iid(d2, pairing, 1.0, j)
+        scaled = stochastic.expected_conjugate_force_iid(d2, 1.0, j)
         assert scaled == pytest.approx(4.0 * base)
 
     def test_sigma2_linearity(self, real_8x8):
-        _, d, pairing = real_8x8
+        _, d, _ = real_8x8
         j = complex_index(d)
-        one = stochastic.expected_conjugate_force_iid(d, pairing, 1.0, j)
+        one = stochastic.expected_conjugate_force_iid(d, 1.0, j)
         for s2 in (0.25, 4.0):
-            val = stochastic.expected_conjugate_force_iid(d, pairing, s2, j)
+            val = stochastic.expected_conjugate_force_iid(d, s2, j)
             assert val == pytest.approx(s2 * one)
 
     def test_general_zero(self, real_8x8):
-        _, d, pairing = real_8x8
+        _, d, _ = real_8x8
         j = complex_index(d)
         assert stochastic.expected_conjugate_force_general(
-            d, pairing, np.zeros((8, 8)), j) == 0
+            d, np.zeros((8, 8)), j) == 0
 
     def test_iid_full_collapses_to_norms(self, real_8x8):
         # every variance sigma^2: -i sigma^2 ||u_j||^2 ||v_j||^2 / (2 Im lambda_j)
-        _, d, pairing = real_8x8
+        _, d, _ = real_8x8
         j = complex_index(d)
         u2, v2 = np.abs(d.left[:, j]) ** 2, np.abs(d.right[:, j]) ** 2
         want = -1j * 1.7 * u2.sum() * v2.sum() / (2 * d.eigenvalues[j].imag)
-        iid = stochastic.expected_conjugate_force_iid(d, pairing, 1.7, j, kind="full")
+        iid = stochastic.expected_conjugate_force_iid(d, 1.7, j, kind="full")
         assert abs(iid - want) <= 1e-12 * abs(want)
 
     def test_iid_diagonal_restricts_the_sum(self, real_8x8):
         # only the (m, m) variances: -i sigma^2 sum_m |u_j^m|^2 |v_j^m|^2 / (2 Im lambda_j)
-        _, d, pairing = real_8x8
+        _, d, _ = real_8x8
         j = complex_index(d)
         u2, v2 = np.abs(d.left[:, j]) ** 2, np.abs(d.right[:, j]) ** 2
         want = -1j * 0.9 * (u2 @ v2) / (2 * d.eigenvalues[j].imag)
-        iid = stochastic.expected_conjugate_force_iid(d, pairing, 0.9, j,
+        iid = stochastic.expected_conjugate_force_iid(d, 0.9, j,
                                                       kind="diagonal")
         assert abs(iid - want) <= 1e-12 * abs(want)
 
     def test_single_entry_variance_formula(self, real_8x8):
-        _, d, pairing = real_8x8
+        _, d, _ = real_8x8
         j = complex_index(d)
         m, l = 2, 5
         v = np.zeros((8, 8))
         v[m, l] = 3.0
-        got = stochastic.expected_conjugate_force_general(d, pairing, v, j)
+        got = stochastic.expected_conjugate_force_general(d, v, j)
         lam = d.eigenvalues[j]
         want = -1j * 3.0 * abs(d.left[m, j]) ** 2 * abs(d.right[l, j]) ** 2 / (
             2 * lam.imag)
@@ -195,17 +195,16 @@ class TestClosedForms:
     def test_index_outside_spectrum_raises(self, real_8x8, j):
         _, d, pairing = real_8x8
         with pytest.raises(DimensionMismatch):
-            stochastic.expected_conjugate_force_iid(d, pairing, 1.0, j)
+            stochastic.expected_conjugate_force_iid(d, 1.0, j)
         with pytest.raises(DimensionMismatch):
-            stochastic.expected_conjugate_force_general(d, pairing, np.ones((8, 8)), j)
+            stochastic.expected_conjugate_force_general(d, np.ones((8, 8)), j)
         with pytest.raises(DimensionMismatch):
             dynamics.conjugate_force(d, pairing, np.ones((8, 8)), j)
 
     def test_real_eigenvalue_raises(self):
         d = core.decompose(np.diag([1.0, 2.0]))
-        pairing = core.pair_conjugates(d)
         with pytest.raises(RealEigenvalue):
-            stochastic.expected_conjugate_force_iid(d, pairing, 1.0, 0)
+            stochastic.expected_conjugate_force_iid(d, 1.0, 0)
 
 
 class TestMonteCarlo:
@@ -231,20 +230,20 @@ class TestMonteCarlo:
         assert a == b
 
     def test_diagonal_agrees_with_closed_form(self, real_8x8):
-        m, d, pairing = real_8x8
+        m, d, _ = real_8x8
         j = complex_index(d)
         proc = PerturbationProcess(kind="diagonal", sigma2=1.0, seed=9)
         est = stochastic.monte_carlo_conjugate_force(m, proc, j, 20_000)
-        want = stochastic.expected_conjugate_force_iid(d, pairing, 1.0, j,
+        want = stochastic.expected_conjugate_force_iid(d, 1.0, j,
                                                        kind="diagonal")
         assert abs(est.mean - want) <= 3 * est.standard_error
 
     def test_full_agrees_with_closed_form(self, real_8x8):
-        m, d, pairing = real_8x8
+        m, d, _ = real_8x8
         j = complex_index(d)
         proc = PerturbationProcess(kind="full", sigma2=1.0, seed=10)
         est = stochastic.monte_carlo_conjugate_force(m, proc, j, 20_000)
-        want = stochastic.expected_conjugate_force_iid(d, pairing, 1.0, j,
+        want = stochastic.expected_conjugate_force_iid(d, 1.0, j,
                                                        kind="full")
         assert abs(est.mean - want) <= 3 * est.standard_error
 
