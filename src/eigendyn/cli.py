@@ -89,23 +89,15 @@ def cmd_validate(args) -> int:
         core.decompose(trajectory.at(cfg.t0)[0])
     except EigendynError as exc:
         return _fail(EXIT_INVALID, str(exc))
-    except MemoryError as exc:
-        return _fail(EXIT_RUNTIME, str(exc) or "out of memory")
     print(f"OK: model={cfg.params['type']} n={trajectory.n} "
           f"steps={cfg.steps} seed={cfg.seed}")
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _load_config(args)
-        record = engine.run_scenario(cfg)
-        written = _write_outputs(cfg, record)
-    except ConfigInvalid as exc:
-        return _fail(EXIT_INVALID, str(exc))
-    except (EigendynError, OSError, MemoryError) as exc:  # OSError: unwritable output
-        # numpy's MemoryError names the allocation; a bare one has no text
-        return _fail(EXIT_RUNTIME, str(exc) or "out of memory")
+    cfg = _load_config(args)
+    record = engine.run_scenario(cfg)
+    written = _write_outputs(cfg, record)
     for path in written:
         print(path)
     print(f"rows={len(record.t)} events={len(record.events)} "
@@ -150,11 +142,8 @@ def _sweep_values(spec: str):
 
 
 def cmd_sweep(args) -> int:
-    try:
-        key, values, names = _sweep_values(args.range)
-        base_cfg = _load_config(args)
-    except ConfigInvalid as exc:
-        return _fail(EXIT_INVALID, str(exc))
+    key, values, names = _sweep_values(args.range)
+    base_cfg = _load_config(args)
     out_root = Path(args.out or base_cfg.output_dir)
     failures = 0
     for value, name in zip(values, names):
@@ -179,12 +168,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        cfg = _load_config(args)
-        trajectory = engine.build_trajectory(cfg)
-    except ConfigInvalid as exc:
-        return _fail(EXIT_INVALID, str(exc))
-
+    cfg = _load_config(args)
+    trajectory = engine.build_trajectory(cfg)
     vel_tol = args.tolerance
     acc_tol = args.tolerance * 100
 
@@ -194,32 +179,28 @@ def cmd_oracle(args) -> int:
     max_vel_err = 0.0
     max_acc_err = 0.0
     print(f"{'t':>10} {'j':>3} {'vel_rel_err':>14} {'acc_rel_err':>14}")
-    try:
-        for t in times:
-            d0 = core.decompose(np.asarray(trajectory.value(t), dtype=complex))
-            mdot = np.asarray(trajectory.first_derivative(t), dtype=complex)
-            mddot = np.asarray(trajectory.second_derivative(t), dtype=complex)
 
-            def matched_eigs(tq, ref):
-                dq = core.decompose(np.asarray(trajectory.value(tq), dtype=complex))
-                return dq.eigenvalues[core.match_paths(ref, dq).permutation]
+    def matched_eigs(tq, ref):
+        dq = core.decompose(trajectory.at(tq)[0])
+        return dq.eigenvalues[core.match_paths(ref, dq).permutation]
 
-            vel_fd = (matched_eigs(t + d_vel, d0)
-                      - matched_eigs(t - d_vel, d0)) / (2 * d_vel)
-            acc_fd = (matched_eigs(t + d_acc, d0) - 2 * d0.eigenvalues
-                      + matched_eigs(t - d_acc, d0)) / d_acc**2
-            forces = dynamics.force_columns(
-                d0.left, d0.right, d0.eigenvalues, mdot, mddot, np.arange(d0.n)
-            )
-            forces.raise_singular()
-            ev = np.abs(forces.velocity - vel_fd) / np.maximum(np.abs(vel_fd), 1e-12)
-            ea = np.abs(forces.total - acc_fd) / np.maximum(np.abs(acc_fd), 1e-12)
-            max_vel_err = max(max_vel_err, float(ev.max()))
-            max_acc_err = max(max_acc_err, float(ea.max()))
-            for j, (e_vel, e_acc) in enumerate(zip(ev, ea)):
-                print(f"{t:>10.4g} {j:>3} {e_vel:>14.3e} {e_acc:>14.3e}")
-    except EigendynError as exc:
-        return _fail(EXIT_RUNTIME, str(exc))
+    for t in times:
+        m, mdot, mddot = trajectory.at(t)
+        d0 = core.decompose(m)
+        vel_fd = (matched_eigs(t + d_vel, d0)
+                  - matched_eigs(t - d_vel, d0)) / (2 * d_vel)
+        acc_fd = (matched_eigs(t + d_acc, d0) - 2 * d0.eigenvalues
+                  + matched_eigs(t - d_acc, d0)) / d_acc**2
+        forces = dynamics.force_columns(
+            d0.left, d0.right, d0.eigenvalues, mdot, mddot, np.arange(d0.n)
+        )
+        forces.raise_singular()
+        ev = np.abs(forces.velocity - vel_fd) / np.maximum(np.abs(vel_fd), 1e-12)
+        ea = np.abs(forces.total - acc_fd) / np.maximum(np.abs(acc_fd), 1e-12)
+        max_vel_err = max(max_vel_err, float(ev.max()))
+        max_acc_err = max(max_acc_err, float(ea.max()))
+        for j, (e_vel, e_acc) in enumerate(zip(ev, ea)):
+            print(f"{t:>10.4g} {j:>3} {e_vel:>14.3e} {e_acc:>14.3e}")
 
     spectrum_err = None
     p = cfg.params
@@ -290,11 +271,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and map what it raises to an exit code: an
+    invalid scenario or override to 2, any other library error, an
+    unwritable output or a failed allocation to 3."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EigendynError as exc:
+    except ConfigInvalid as exc:
+        return _fail(EXIT_INVALID, str(exc))
+    except (EigendynError, OSError) as exc:
         return _fail(EXIT_RUNTIME, str(exc))
+    except MemoryError as exc:
+        # numpy's MemoryError names the allocation; a bare one has no text
+        return _fail(EXIT_RUNTIME, str(exc) or "out of memory")
 
 
 if __name__ == "__main__":

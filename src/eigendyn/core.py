@@ -46,11 +46,11 @@ def as_square_matrix(entries, stacked: bool = False) -> np.ndarray:
     return m
 
 
-def is_real(m, tol: float = 1e-12):
-    """True when every imaginary part is below ``tol`` (absolute); one
+def is_real(m):
+    """True when every imaginary part is at most 1e-10 (absolute); one
     answer per matrix of a (S, n, n) stack."""
     m = np.asarray(m, dtype=complex)
-    return np.max(np.abs(m.imag), axis=(-2, -1), initial=0.0) <= tol
+    return np.max(np.abs(m.imag), axis=(-2, -1), initial=0.0) <= 1e-10
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,9 @@ class SpectralDecomposition:
     ``right[:, j]`` is the unit-norm right vector of ``eigenvalues[j]``;
     ``left[:, j]`` the matching left vector scaled so left^H right = I.
     ``condition_flags[j]`` marks eigenvalues whose nearest neighbour in
-    the spectrum is closer than the decomposition tolerance.  A stacked
-    decomposition carries a leading step axis on every field; ``d[s]``
-    is the decomposition of step s.
+    the spectrum is closer than 1e-9.  A stacked decomposition carries a
+    leading step axis on every field; ``d[s]`` is the decomposition of
+    step s.
     """
 
     eigenvalues: np.ndarray
@@ -80,17 +80,6 @@ class SpectralDecomposition:
         return SpectralDecomposition(
             self.eigenvalues[s], self.right[s], self.left[s],
             self.condition_flags[s], self.min_gap[s], self.degenerate[s])
-
-    def residual(self, m) -> float:
-        """max over j of ||M v_j - lambda_j v_j||_2 (right residual)."""
-        m = np.asarray(m, dtype=complex)
-        r = m @ self.right - self.right * self.eigenvalues[None, :]
-        return float(np.max(np.linalg.norm(r, axis=0)))
-
-    def biorthogonality_defect(self) -> float:
-        """max-norm of left^H right - I."""
-        g = self.left.conj().T @ self.right - np.eye(self.n)
-        return float(np.max(np.abs(g)))
 
 
 @dataclass(frozen=True)
@@ -136,11 +125,11 @@ def _zgeev_lwork(n: int) -> int:
     return int(work.real)
 
 
-def decompose(m, tol: float = 1e-9) -> SpectralDecomposition:
+def decompose(m) -> SpectralDecomposition:
     """Full eigendecomposition with biorthonormal left/right vectors.
 
     Eigenvalues are sorted by (Re, Im) for determinism.  Near-degenerate
-    pairs (gap below ``tol``) are flagged, never repaired: the force
+    pairs (gap below 1e-9) are flagged, never repaired: the force
     formulas carry 1/(lambda_i - lambda_j) singularities and this library
     reports them rather than regularizing.
 
@@ -194,7 +183,7 @@ def decompose(m, tol: float = 1e-9) -> SpectralDecomposition:
 
     gaps = np.abs(w[..., None, :] - w[..., :, None]) + np.diag(np.full(n, np.inf))
     nearest = gaps.min(axis=-2, initial=np.inf)
-    flags = (nearest < tol) | bad
+    flags = (nearest < 1e-9) | bad
 
     return SpectralDecomposition(
         eigenvalues=w,

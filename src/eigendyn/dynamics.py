@@ -77,9 +77,11 @@ class MatrixTrajectory:
     def at(self, t) -> tuple:
         """M, Mdot and Mddot at ``t`` (a time or an array of times) as
         complex arrays.  Raises NonFiniteMatrix naming the first time at
-        which one of them has a NaN or infinite entry."""
-        out = tuple(np.array(f(t), dtype=complex) for f in (
-            self.value, self.first_derivative, self.second_derivative))
+        which one of them has a NaN or infinite entry; the overflow that
+        made it raises no numpy warning besides."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = tuple(np.array(f(t), dtype=complex) for f in (
+                self.value, self.first_derivative, self.second_derivative))
         bad = [~np.isfinite(x).all(axis=(-2, -1)).ravel() for x in out]
         if np.any(bad):
             s = int(np.flatnonzero(np.logical_or.reduce(bad))[0])
@@ -98,11 +100,13 @@ class MatrixTrajectory:
         c = as_square_matrix(c) if c is not None else np.zeros_like(a)
         if b.shape != a.shape or c.shape != a.shape:
             raise DimensionMismatch("polynomial coefficients must share shape")
+        with np.errstate(over="ignore"):  # at() names an infinite Mddot
+            mddot = 2 * c
         return MatrixTrajectory(
             n,
             lambda t: a + _times(t) * b + _times(t) * _times(t) * c,
             lambda t: b + 2 * _times(t) * c,
-            constant_in_time(2 * c),
+            constant_in_time(mddot),
         )
 
 
@@ -276,14 +280,13 @@ def eigen_acceleration(
     mddot,
     j: int,
     pairing: Optional[ConjugatePairing] = None,
-    gap_tol: float = 1e-12,
 ) -> ForceBreakdown:
     """d2(lambda_j)/dt2 decomposed into inertial/conjugate/rest terms.
 
     When ``pairing`` is given (real-matrix runs) the conjugate-partner
     summand is isolated; otherwise it is folded into ``others``.
 
-    Raises SingularGap when some |lambda_i - lambda_j| < gap_tol, carrying
+    Raises SingularGap when some |lambda_i - lambda_j| < 1e-12, carrying
     the offending pair (the first such i).
     """
     mdot = as_square_matrix(mdot)
@@ -291,7 +294,7 @@ def eigen_acceleration(
     _check_dim(d, mdot, "Mdot")
     _check_dim(d, mddot, "Mddot")
     f = force_columns(d.left, d.right, d.eigenvalues, mdot, mddot, [j],
-                      None if pairing is None else pairing.partner, gap_tol)
+                      None if pairing is None else pairing.partner)
     f.raise_singular()
     return f.breakdown(0)
 
@@ -302,7 +305,6 @@ def conjugate_force(
     mdot,
     j: int,
     unsquared_form: bool = False,
-    im_tol: float = 0.0,
 ) -> complex:
     """Attraction of lambda_j toward its complex conjugate.
 
@@ -316,14 +318,14 @@ def conjugate_force(
     variant whose magnitude scales as 1/Im(lambda_j) as a pair approaches
     the real axis.
 
-    Raises RealEigenvalue when |Im(lambda_j)| <= im_tol, and
+    Raises RealEigenvalue when Im(lambda_j) = 0, and
     DimensionMismatch when j is not in 0..n-1.
     """
     mdot = as_square_matrix(mdot)
     _check_dim(d, mdot, "Mdot")
     _check_index(d, j)
     im = d.eigenvalues[j].imag
-    if abs(im) <= im_tol or im == 0.0:
+    if im == 0.0:
         raise RealEigenvalue(
             f"lambda_{j} = {d.eigenvalues[j]} is real: conjugate force singular"
         )
@@ -381,7 +383,6 @@ def circulant_acceleration(
     p,
     spectrum,
     j: int,
-    gap_tol: float = 1e-12,
 ) -> complex:
     """Acceleration of eigenvalue j of a circulant under a diagonal
     perturbation, evaluated in the Fourier eigenbasis.
@@ -402,7 +403,6 @@ def circulant_acceleration(
     if v.shape != (n, n) or len(p) != n:
         raise DimensionMismatch("eigenvector matrix / perturbation size mismatch")
 
-    f = force_columns(v, v, w, np.diag(p), np.zeros((n, n)), [j],
-                      gap_tol=gap_tol)
+    f = force_columns(v, v, w, np.diag(p), np.zeros((n, n)), [j])
     f.raise_singular()
     return complex(f.others[0])

@@ -780,7 +780,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
         for s, move in enumerate(moves):
             perm = perms[s] = move[perm]
 
-        real_input = core.is_real(m, 1e-10) & core.is_real(mdot, 1e-10)
+        real_input = core.is_real(m) & core.is_real(mdot)
         mdot = np.where(real_input[:, None, None], mdot.real, mdot)
         # without a pairing every eigenvalue is its own partner: no
         # conjugate term is split off

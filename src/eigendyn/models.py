@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -48,30 +48,22 @@ class BiophysicalRing:
     """Parameters of the ring-lattice growth/diffusion model.
 
     n sites on a periodic ring, diffusion constant D > 0, uniform growth
-    rate a, convection tilt h, and per-site growth fluctuations U (length
-    n, defaults to zero).  The library works with the linearized
-    matrices, so the saturation term of the model has no parameter here.
+    rate a and convection tilt h.  Per-site growth fluctuations U_i are
+    added by the caller to the diagonal of :func:`build_omega_le`.  The
+    library works with the linearized matrices, so the saturation
+    term of the model has no parameter here.
     """
 
     n: int
     diffusion: float
     growth: float = 0.0
     tilt: float = 0.0
-    fluctuations: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("ring needs at least 3 sites")
         if self.diffusion <= 0:
             raise ValueError("diffusion constant must be > 0")
-        if self.fluctuations is not None and np.shape(self.fluctuations) != (self.n,):
-            raise DimensionMismatch(f"fluctuations must have length {self.n}")
-
-    @property
-    def u(self) -> np.ndarray:
-        if self.fluctuations is None:
-            return np.zeros(self.n)
-        return np.asarray(self.fluctuations, dtype=float)
 
 
 def build_omega(ring: BiophysicalRing) -> np.ndarray:
@@ -87,15 +79,16 @@ def build_omega(ring: BiophysicalRing) -> np.ndarray:
 
 
 def build_omega_le(ring: BiophysicalRing) -> np.ndarray:
-    """Ring matrix with convection tilt and growth-rate disorder.
+    """Ring matrix with convection tilt, before growth-rate disorder.
 
-    Diagonal a - 2D + U_i; hop to the next site D e^{h}, to the previous
-    D e^{-h}, periodic wrap.  With U = 0 it is circulant with spectrum
-    a - 2D + D e^{h} w^m + D e^{-h} w^{-m}, w = exp(2i pi / n).
+    Diagonal a - 2D; hop to the next site D e^{h}, to the previous
+    D e^{-h}, periodic wrap.  It is circulant with spectrum
+    a - 2D + D e^{h} w^m + D e^{-h} w^{-m}, w = exp(2i pi / n); the
+    disorder U_i adds to the diagonal.
     """
     n, d, a, h = ring.n, ring.diffusion, ring.growth, ring.tilt
     m = np.zeros((n, n))
-    np.fill_diagonal(m, a - 2 * d + ring.u)
+    np.fill_diagonal(m, a - 2 * d)
     fwd, bwd = d * np.exp(h), d * np.exp(-h)
     for i in range(n):
         m[i, (i + 1) % n] = fwd
@@ -120,14 +113,13 @@ class EffectiveHamiltonianSpec:
     """Hermitian H plus Lindblad operators L_k displaced by scalars
     l_k(t) = l_k + t r_k; the rates r_k default to zero.
 
-    Warns when H is not Hermitian to tolerance.
+    Warns when an entry of H - H^dagger exceeds 1e-10 in magnitude.
     """
 
     h: np.ndarray
     lindblad_ops: Sequence[np.ndarray] = field(default_factory=tuple)
     displacements: Sequence[complex] = field(default_factory=tuple)
     rates: Sequence[complex] = field(default_factory=tuple)
-    hermiticity_tol: float = 1e-10
 
     def __post_init__(self):
         h = as_square_matrix(self.h)
@@ -138,7 +130,7 @@ class EffectiveHamiltonianSpec:
         for op in self.lindblad_ops:
             if as_square_matrix(op).shape != h.shape:
                 raise DimensionMismatch("Lindblad operator dimension mismatch")
-        if np.max(np.abs(h - h.conj().T)) > self.hermiticity_tol:
+        if np.max(np.abs(h - h.conj().T)) > 1e-10:
             warnings.warn("H is not Hermitian to tolerance", stacklevel=3)
 
 
@@ -185,7 +177,7 @@ class TransferMatrixModel:
     unimodular_tol: float = 1e-9
 
     @staticmethod
-    def from_constant(m, unimodular_tol: float = 1e-9) -> "TransferMatrixModel":
+    def from_constant(m) -> "TransferMatrixModel":
         m = as_square_matrix(m)
         if m.shape != (2, 2):
             raise DimensionMismatch("transfer matrix must be 2x2")
@@ -194,7 +186,6 @@ class TransferMatrixModel:
             lambda k: complex(m[0, 1]),
             lambda k: complex(m[1, 0]),
             lambda k: complex(m[1, 1]),
-            unimodular_tol=unimodular_tol,
         )
 
     def matrix(self, k) -> np.ndarray:
@@ -219,13 +210,12 @@ class ScatteringData:
     s_minus: complex
 
 
-def scattering_data(model: TransferMatrixModel, k,
-                    singularity_tol: float = 1e-12) -> ScatteringData:
+def scattering_data(model: TransferMatrixModel, k) -> ScatteringData:
     """Assemble the scattering data of the transfer matrix at wavenumber
     k, or at each wavenumber of an array k.
 
     Raises NotUnimodular when |det M - 1| exceeds the model tolerance and
-    SpectralSingularity when M22 vanishes (divergent transmission, a
+    SpectralSingularity when |M22| <= 1e-12 (divergent transmission, a
     distinguished physical event), each at the first offending k.
     """
     m = model.matrix(k)
@@ -238,7 +228,7 @@ def scattering_data(model: TransferMatrixModel, k,
         i = bad[0]
         raise NotUnimodular(f"|det M(k={np.ravel(k)[i]}) - 1| = "
                             f"{np.ravel(off)[i]:.3e}")
-    bad = np.flatnonzero(np.abs(m22) <= singularity_tol)
+    bad = np.flatnonzero(np.abs(m22) <= 1e-12)
     if bad.size:
         i = bad[0]
         raise SpectralSingularity(f"M22(k={np.ravel(k)[i]}) = "

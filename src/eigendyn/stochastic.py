@@ -48,6 +48,8 @@ _MASK128 = (1 << 128) - 1
 # number of uint32 words of its indices
 _BLOCK = 4096
 _THREAD = threading.local()
+# |Im lambda| at or below which an eigenvalue is self-paired (real)
+_PAIR_TOL = 1e-9
 
 
 def _words(x: int) -> list:
@@ -206,7 +208,6 @@ def monte_carlo_conjugate_force(
     proc: PerturbationProcess,
     j: int,
     samples: int,
-    tol: float = 1e-9,
 ) -> MonteCarloEstimate:
     """Monte Carlo mean of the pairwise conjugate summand with Mdot = P.
 
@@ -218,13 +219,13 @@ def monte_carlo_conjugate_force(
     if samples <= 0:
         raise EmptyEstimate("samples must be positive")
     m = as_square_matrix(m)
-    d = core.decompose(m, tol)
-    pairing = core.pair_conjugates(d, tol)
+    d = core.decompose(m)
+    pairing = core.pair_conjugates(d, _PAIR_TOL)
     _check_index(d, j)
     # d and j are fixed: a real or self-paired j is singular on every sample
     if pairing.partner[j] == j:
         raise RealEigenvalue(f"lambda_{j} = {d.eigenvalues[j]} is self-paired "
-                             f"(|Im| <= {tol}): expected force singular")
+                             f"(|Im| <= {_PAIR_TOL}): expected force singular")
 
     vals = np.empty(samples, dtype=complex)
     for i in range(samples):

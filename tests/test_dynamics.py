@@ -131,8 +131,7 @@ class TestAcceleration:
     def test_singular_gap_raises_with_pair(self):
         d = core.decompose(np.diag([1.0, 1.0 + 1e-15, 3.0]))
         with pytest.raises(SingularGap) as err:
-            dynamics.eigen_acceleration(d, np.ones((3, 3)), np.zeros((3, 3)), 0,
-                                        gap_tol=1e-12)
+            dynamics.eigen_acceleration(d, np.ones((3, 3)), np.zeros((3, 3)), 0)
         assert err.value.pair == (1, 0)
 
     @pytest.mark.parametrize("j, pair", [(0, (1, 0)), (1, (0, 1)), (2, (0, 2))])
@@ -140,8 +139,7 @@ class TestAcceleration:
         # a threefold near-tie: the pair names the lowest other index
         d = core.decompose(np.diag([1.0, 3.0, 1.0 + 1e-15, 1.0 - 1e-15]))
         with pytest.raises(SingularGap) as err:
-            dynamics.eigen_acceleration(d, np.ones((4, 4)), np.zeros((4, 4)), j,
-                                        gap_tol=1e-12)
+            dynamics.eigen_acceleration(d, np.ones((4, 4)), np.zeros((4, 4)), j)
         assert err.value.pair == pair
 
 

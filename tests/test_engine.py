@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eigendyn
-from eigendyn import cli, core, engine
+from eigendyn import cli, core, dynamics, engine, models, stochastic
 from eigendyn.engine import ScenarioConfig
 from eigendyn.errors import (ConfigInvalid, PairingFailure, RecordInvalid,
                              UnsupportedFormat)
@@ -377,7 +377,7 @@ def _reference_model(cfg):
         return lambda t: (a + t * b + t * t * c, b + 2 * t * c, 2 * c)
     if kind == "ring":
         n = model["sites"]
-        base = eigendyn.build_omega_le(eigendyn.BiophysicalRing(
+        base = models.build_omega_le(models.BiophysicalRing(
             n=n, diffusion=model["diffusion"], growth=model["growth"],
             tilt=model["tilt"]))
         u0, u1 = (np.array(model[key])
@@ -1154,7 +1154,7 @@ def _per_step_run(cfg):
         sorted(set(cfg.tracked)), dtype=int)
     proc = None
     if cfg.perturbation is not None:
-        proc = eigendyn.PerturbationProcess(
+        proc = stochastic.PerturbationProcess(
             kind=cfg.perturbation.get("kind", "diagonal"),
             sigma2=float(cfg.perturbation.get("sigma2", 1.0)),
             seed=int(cfg.perturbation.get("seed", cfg.seed)), dt=dt)
@@ -1188,7 +1188,7 @@ def _per_step_run(cfg):
             if match.ambiguous:
                 step_flags[k] |= engine._AMBIGUOUS
         pairing = None
-        if core.is_real(m, 1e-10) and core.is_real(mdot, 1e-10):
+        if core.is_real(m) and core.is_real(mdot):
             mdot = mdot.real
             try:
                 pairing = core.pair_conjugates(d, 1e-7)
@@ -1200,7 +1200,7 @@ def _per_step_run(cfg):
         near_real = paired & (np.abs(d.eigenvalues[raw].imag)
                               < cfg.collision_threshold)
         with np.errstate(over="ignore", invalid="ignore"):
-            forces = eigendyn.force_columns(d.left, d.right, d.eigenvalues,
+            forces = dynamics.force_columns(d.left, d.right, d.eigenvalues,
                                             mdot, mddot, raw, partner,
                                             gap_tol=1e-14)
         singular = ~near_real & (forces.singular >= 0)
@@ -1217,7 +1217,7 @@ def _per_step_run(cfg):
         values["conjugate_force"][k, conj] = forces.conjugate_term[conj]
         if proc is not None:
             values["expected_force"][k, conj] = [
-                eigendyn.expected_conjugate_force_iid(
+                stochastic.expected_conjugate_force_iid(
                     d, proc.sigma2, j, kind=proc.kind)
                 for j in raw[conj].tolist()]
         prev_decomp, prev_perm = d, perm

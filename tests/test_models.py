@@ -58,13 +58,6 @@ class TestRing:
         np.testing.assert_allclose(models.build_omega_le(ring),
                                    models.build_omega(ring), atol=1e-14)
 
-    def test_trace_counts_disorder(self):
-        u = np.array([0.1, -0.2, 0.3, 0.0, 0.5])
-        ring = BiophysicalRing(n=5, diffusion=1.0, growth=0.3, tilt=0.4,
-                               fluctuations=u)
-        m = models.build_omega_le(ring)
-        assert np.trace(m) == pytest.approx(5 * (0.3 - 2.0) + u.sum())
-
     def test_tilt_preserves_spectrum_of_symmetric_part(self):
         # e^{h} and e^{-h} hops are a similarity transform of the h=0 ring
         # only entrywise, not spectrally: eigenvalues genuinely move
@@ -80,8 +73,6 @@ class TestRing:
             BiophysicalRing(n=2, diffusion=1.0)
         with pytest.raises(ValueError):
             BiophysicalRing(n=4, diffusion=0.0)
-        with pytest.raises(DimensionMismatch):
-            BiophysicalRing(n=4, diffusion=1.0, fluctuations=[1.0, 2.0])
 
 
 class TestEffectiveHamiltonian:

@@ -266,9 +266,9 @@ class TestMonteCarlo:
             stochastic.monte_carlo_conjugate_force(m, proc, 0, 10)
 
     def test_self_paired_rejected_before_sampling(self, monkeypatch):
-        # |Im lambda| = 1e-6 lies inside the pairing tolerance, so lambda is
-        # self-paired and every sample's summand would be singular
-        m = np.array([[0.0, 1.0], [-1e-12, 0.0]])
+        # |Im lambda| = 1e-10 lies inside the pairing tolerance 1e-9, so
+        # lambda is self-paired and every sample's summand would be singular
+        m = np.array([[0.0, 1.0], [-1e-20, 0.0]])
         j = int(np.argmax(core.decompose(m).eigenvalues.imag))
 
         def no_draw(self, n, index):
@@ -277,7 +277,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(PerturbationProcess, "sample", no_draw)
         with pytest.raises(RealEigenvalue, match="self-paired"):
             stochastic.monte_carlo_conjugate_force(
-                m, PerturbationProcess(seed=1), j, 10, tol=1e-5)
+                m, PerturbationProcess(seed=1), j, 10)
 
     @pytest.mark.parametrize("j", [-1, 8])
     def test_index_outside_spectrum_rejected_before_sampling(self, real_8x8,
