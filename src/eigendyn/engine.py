@@ -341,6 +341,12 @@ class ScenarioConfig:
             raise ConfigInvalid("scenario root must be an object")
         base_dir = Path(base_dir)
         v = _parse(raw, SCHEMA[""], "", ChainMap({"base_dir": base_dir}))
+        t = v["time"]
+        # t1 > t0 alone lets the step underflow to 0 or overflow to inf
+        dt = (t["t1"] - t["t0"]) / t["steps"]
+        if v["perturbation"] is not None and not 0 < dt < math.inf:
+            raise ConfigInvalid(f"time: the perturbation's step (t1 - t0) / steps "
+                                f"must be positive and finite, got {dt!r}")
         return ScenarioConfig(
             model=raw["model"], **v["time"], tracked=v["tracked"],
             collision_threshold=v["collision_threshold"], seed=v["seed"],

@@ -10,12 +10,20 @@ which for a full i.i.d. perturbation (all variances sigma^2, unit-norm
 v_j) collapses to -i sigma^2 ||u_j||_2^2 / (2 Im lambda_j).  For a
 diagonal perturbation only the (m, m) variances are present and the sum
 runs over the diagonal.
+
+A Monte Carlo estimate of that force runs on every usable core: sample i
+is a pure function of (seed, i), so forked workers fill disjoint index
+ranges of one shared buffer, and the reduction over it in index order
+gives the serial estimate bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
+import os
 import threading
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,7 +32,8 @@ import numpy as np
 from .core import SpectralDecomposition, as_square_matrix
 from .dynamics import _check_index, pairwise_conjugate_summand
 from . import core
-from .errors import DimensionMismatch, EmptyEstimate, RealEigenvalue
+from .errors import (DimensionMismatch, EigendynError, EmptyEstimate,
+                     RealEigenvalue)
 
 __all__ = [
     "PerturbationProcess",
@@ -48,6 +57,9 @@ _MASK128 = (1 << 128) - 1
 # number of uint32 words of its indices
 _BLOCK = 4096
 _THREAD = threading.local()
+# Python >= 3.12 warns on any fork from a process with threads
+_FORK_WARNING = (r"This process \(pid=\d+\) is multi-threaded, "
+                 r"use of fork\(\) may lead to deadlocks")
 # |Im lambda| at or below which an eigenvalue is self-paired (real)
 _PAIR_TOL = 1e-9
 
@@ -106,7 +118,7 @@ class PerturbationProcess:
     seed    non-negative integer master seed; sample i draws from
             default_rng(SeedSequence(seed, spawn_key=(i,))), so it is a
             pure function of (seed, i) and replays byte-identically
-    dt      step size of the walk
+    dt      step size of the walk, positive and finite
     """
 
     kind: str = "diagonal"
@@ -117,8 +129,10 @@ class PerturbationProcess:
     def __post_init__(self):
         if self.kind not in ("diagonal", "full"):
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be >= 0")
+        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0):
+            raise ValueError(f"sigma2 must be finite and >= 0, got {self.sigma2!r}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
         if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
                 or self.seed < 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
@@ -203,6 +217,77 @@ def expected_conjugate_force_iid(
     return expected_conjugate_force_general(d, sigma2 * variances, j)
 
 
+def _fill(vals: np.ndarray, start: int, stop: int, d, pairing, proc, j) -> None:
+    """``vals[i]``: the conjugate summand of sample i, for start <= i < stop."""
+    for i in range(start, stop):
+        vals[i] = pairwise_conjugate_summand(d, pairing, proc.sample(d.n, i), j)
+
+
+def _workers(samples: int) -> int:
+    """Processes to share ``samples`` among: one per usable core, each with
+    at least one whole block of indices.  One in a process that cannot
+    fork, runs other Python threads, or is itself a multiprocessing
+    worker, so that a pool of estimates never multiplies its processes."""
+    most = samples // _BLOCK
+    if most < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    import multiprocessing  # only an estimate that may fork pays for it
+    if multiprocessing.parent_process() is not None:
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cores = os.cpu_count() or 1
+    return min(cores, most)
+
+
+def _fill_forked(samples: int, workers: int, *args) -> np.ndarray:
+    """The ``samples`` summands, filled by this process and workers - 1
+    forked children.  Each writes a contiguous range of whole blocks of
+    one shared anonymous mapping; this process takes the first range and
+    reaps every child, also when its own range raises."""
+    import mmap
+    import signal
+
+    vals = np.frombuffer(mmap.mmap(-1, samples * np.dtype(complex).itemsize),
+                         dtype=complex)
+    blocks = -(-samples // _BLOCK)
+    edges = [min(samples, k * blocks // workers * _BLOCK) for k in range(workers + 1)]
+    children = {}
+    try:
+        for start, stop in zip(edges[1:-1], edges[2:]):
+            with warnings.catch_warnings():
+                # the threads are OpenBLAS's pool, which its atfork handler
+                # stops; no other Python thread runs (_workers), and the
+                # child only runs the sample loop and leaves by os._exit
+                warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    _fill(vals, start, stop, *args)
+                    code = 0
+                except BaseException:
+                    import traceback
+                    traceback.print_exc()
+                finally:
+                    os._exit(code)
+            children[pid] = (start, stop)
+        _fill(vals, edges[0], edges[1], *args)
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = [(span, os.waitpid(pid, 0)[1]) for pid, span in children.items()]
+    for (start, stop), status in statuses:
+        if status:
+            raise EigendynError(
+                f"Monte Carlo worker for samples [{start}, {stop}) ended with "
+                f"exit code {os.waitstatus_to_exitcode(status)}")
+    return vals
+
+
 def monte_carlo_conjugate_force(
     m,
     proc: PerturbationProcess,
@@ -215,9 +300,21 @@ def monte_carlo_conjugate_force(
     term of the acceleration), matching the closed-form expectations.
     Deterministic given (proc.seed, samples); the reduction runs in
     sample-index order.
+
+    From 2 * 4096 samples on, the samples are shared among
+    min(usable cores, samples // 4096) processes: this one and children
+    forked after the decomposition, each filling a contiguous range of
+    whole 4096-index blocks.  The estimate is the same bit for bit for
+    any number of them.  It stays in this process on one usable core,
+    without ``os.fork``, beside other Python threads and inside a
+    multiprocessing worker.  A child that fails raises EigendynError
+    naming its index range.
     """
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples <= 0:
         raise EmptyEstimate("samples must be positive")
+    samples = int(samples)
     m = as_square_matrix(m)
     d = core.decompose(m)
     pairing = core.pair_conjugates(d, _PAIR_TOL)
@@ -227,9 +324,12 @@ def monte_carlo_conjugate_force(
         raise RealEigenvalue(f"lambda_{j} = {d.eigenvalues[j]} is self-paired "
                              f"(|Im| <= {_PAIR_TOL}): expected force singular")
 
-    vals = np.empty(samples, dtype=complex)
-    for i in range(samples):
-        vals[i] = pairwise_conjugate_summand(d, pairing, proc.sample(d.n, i), j)
+    workers = _workers(samples)
+    if workers > 1:
+        vals = _fill_forked(samples, workers, d, pairing, proc, j)
+    else:
+        vals = np.empty(samples, dtype=complex)
+        _fill(vals, 0, samples, d, pairing, proc, j)
     mean = complex(vals.mean())
     if samples > 1:
         se_re = float(vals.real.std(ddof=1) / np.sqrt(samples))

@@ -568,6 +568,10 @@ class TestSchema:
         assert (term["l"], term["l_rate"]) == (0j, 0.1j)
         assert cfg.noise == {"kind": "full", "sigma2": 0.5, "seed": 3}
 
+    def test_step_unchecked_without_a_perturbation(self):
+        time = {"t0": 0.0, "t1": 5e-324, "steps": 2}
+        assert ScenarioConfig.from_dict(base_config(time=time)).t1 == 5e-324
+
     def test_null_is_absent_only_for_the_perturbation(self):
         cfg = ScenarioConfig.from_dict(base_config(perturbation=None))
         assert cfg.noise is None and cfg.perturbation is None
@@ -592,6 +596,12 @@ class TestSchema:
         ({"time": {"t0": 0.0, "t1": 1.0, "steps": 2**62}},
          "time.steps: steps must be < "),
         ({"seed": -1}, "seed: expected a non-negative integer, got -1"),
+        # t1 > t0, but the noise walk's step underflows or overflows
+        ({"time": {"t0": 0.0, "t1": 5e-324, "steps": 2}, "perturbation": {}},
+         r"time: the perturbation's step \(t1 - t0\) / steps must be positive "
+         r"and finite, got 0\.0"),
+        ({"time": {"t0": -1e308, "t1": 1e308, "steps": 2}, "perturbation": {}},
+         r"time: the perturbation's step .* got inf"),
         ({"output": {"formats": ["json", "xml"]}},
          r"output.formats\[1\]: unknown format 'xml'"),
     ], ids=repr)

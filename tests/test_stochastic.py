@@ -1,6 +1,9 @@
 import dataclasses
+import multiprocessing
+import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigendyn import core, dynamics, stochastic
-from eigendyn.errors import DimensionMismatch, EmptyEstimate, RealEigenvalue
+from eigendyn.errors import (DimensionMismatch, EigendynError, EmptyEstimate,
+                             RealEigenvalue)
 from eigendyn.stochastic import PerturbationProcess
 
 
@@ -104,6 +108,14 @@ class TestStream:
 
 
 class TestSample:
+    @pytest.mark.parametrize("field,value", [
+        ("sigma2", float("nan")), ("sigma2", float("inf")),
+        ("dt", float("nan")), ("dt", float("inf")), ("dt", -1.0), ("dt", 0.0),
+    ], ids=repr)
+    def test_rejects_a_non_finite_variance_or_a_bad_step(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PerturbationProcess(**{field: value})
+
     def test_zero_variance_zero(self):
         proc = PerturbationProcess(sigma2=0.0, seed=1)
         np.testing.assert_array_equal(proc.sample(3, 0), np.zeros((3, 3)))
@@ -211,8 +223,22 @@ class TestMonteCarlo:
     def test_zero_samples(self, real_8x8):
         m, d, _ = real_8x8
         proc = PerturbationProcess(sigma2=1.0, seed=1)
-        with pytest.raises(EmptyEstimate):
-            stochastic.monte_carlo_conjugate_force(m, proc, complex_index(d), 0)
+        for samples in (0, -1):
+            with pytest.raises(EmptyEstimate):
+                stochastic.monte_carlo_conjugate_force(m, proc, complex_index(d), samples)
+
+    @pytest.mark.parametrize("samples", [True, 2.0, np.float64(3), "3", None], ids=repr)
+    def test_samples_checked_before_decomposing(self, real_8x8, monkeypatch, samples):
+        m, d, _ = real_8x8
+        j = complex_index(d)
+
+        def no_decompose(m):
+            raise AssertionError("decomposed")
+
+        monkeypatch.setattr(core, "decompose", no_decompose)
+        with pytest.raises(ValueError, match="samples"):
+            stochastic.monte_carlo_conjugate_force(m, PerturbationProcess(seed=1), j,
+                                                   samples)
 
     def test_zero_variance(self, real_8x8):
         m, d, _ = real_8x8
@@ -226,7 +252,7 @@ class TestMonteCarlo:
         j = complex_index(d)
         proc = PerturbationProcess(kind="diagonal", sigma2=1.0, seed=123)
         a = stochastic.monte_carlo_conjugate_force(m, proc, j, 500)
-        b = stochastic.monte_carlo_conjugate_force(m, proc, j, 500)
+        b = stochastic.monte_carlo_conjugate_force(m, proc, j, np.int64(500))
         assert a == b
 
     def test_diagonal_agrees_with_closed_form(self, real_8x8):
@@ -290,3 +316,98 @@ class TestMonteCarlo:
         monkeypatch.setattr(PerturbationProcess, "sample", no_draw)
         with pytest.raises(DimensionMismatch):
             stochastic.monte_carlo_conjugate_force(m, PerturbationProcess(seed=1), j, 10)
+
+
+def usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def no_fork():
+    raise AssertionError("forked")
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestMonteCarloWorkers:
+    """From 2 * 4096 samples the estimate forks one worker per further
+    usable core; these tests never ask for more workers than that."""
+
+    @pytest.mark.parametrize("samples", [4095, 4096, 8191, 8192, 3 * 4096 + 5])
+    @pytest.mark.parametrize("kind", ["diagonal", "full"])
+    def test_one_worker_and_all_agree_bit_for_bit(self, real_8x8, monkeypatch,
+                                                  kind, samples):
+        m, d, _ = real_8x8
+        j = complex_index(d)
+        proc = PerturbationProcess(kind=kind, sigma2=1.5, seed=2**40 + 9)
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(None)
+            return fork()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fork", counted_fork)
+            every = stochastic.monte_carlo_conjugate_force(m, proc, j, samples)
+        assert len(forks) == max(1, min(usable_cores(), samples // 4096)) - 1
+        assert no_child_left()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        one = stochastic.monte_carlo_conjugate_force(m, proc, j, samples)
+        assert dataclasses.astuple(one) == dataclasses.astuple(every)
+
+    @pytest.mark.skipif(usable_cores() < 2, reason="one usable core: no worker forks")
+    @pytest.mark.parametrize("failing,error,message", [
+        (10, FloatingPointError, "parent's range"),
+        (5000, EigendynError, r"samples \[4096, 8192\)"),
+    ])
+    def test_no_child_survives_a_failing_range(self, real_8x8, monkeypatch,
+                                               failing, error, message):
+        # 2 * 4096 samples: this process fills [0, 4096), one child the rest
+        m, d, _ = real_8x8
+        sample = PerturbationProcess.sample
+
+        def failing_sample(self, n, index):
+            if index == failing:
+                raise FloatingPointError("parent's range" if index < 4096 else "child's")
+            if index == 4096 and failing < 4096:
+                time.sleep(60)  # the child is stopped, not waited for
+            return sample(self, n, index)
+
+        monkeypatch.setattr(PerturbationProcess, "sample", failing_sample)
+        start = time.monotonic()
+        with pytest.raises(error, match=message):
+            stochastic.monte_carlo_conjugate_force(
+                m, PerturbationProcess(seed=1), complex_index(d), 2 * 4096)
+        assert time.monotonic() - start < 30
+        assert no_child_left()
+
+    def test_stays_in_process(self, real_8x8, monkeypatch):
+        m, d, _ = real_8x8
+        j = complex_index(d)
+        proc = PerturbationProcess(kind="full", seed=4)
+        monkeypatch.setattr(os, "fork", no_fork)
+        # below two blocks
+        stochastic.monte_carlo_conjugate_force(m, proc, j, 2 * 4096 - 1)
+        # inside a multiprocessing worker
+        with monkeypatch.context() as patch:
+            patch.setattr(multiprocessing, "parent_process", lambda: object())
+            stochastic.monte_carlo_conjugate_force(m, proc, j, 2 * 4096)
+        # beside another Python thread
+        results = []
+        thread = threading.Thread(target=lambda: results.append(
+            stochastic.monte_carlo_conjugate_force(m, proc, j, 2 * 4096)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(results) == 1
