@@ -341,23 +341,33 @@ class ScenarioConfig:
             raise ConfigInvalid("scenario root must be an object")
         base_dir = Path(base_dir)
         v = _parse(raw, SCHEMA[""], "", ChainMap({"base_dir": base_dir}))
-        t = v["time"]
-        # t1 > t0 alone lets the step underflow to 0 or overflow to inf
-        dt = (t["t1"] - t["t0"]) / t["steps"]
-        if v["perturbation"] is not None and not 0 < dt < math.inf:
-            raise ConfigInvalid(f"time: the perturbation's step (t1 - t0) / steps "
-                                f"must be positive and finite, got {dt!r}")
-        return ScenarioConfig(
+        cfg = ScenarioConfig(
             model=raw["model"], **v["time"], tracked=v["tracked"],
             collision_threshold=v["collision_threshold"], seed=v["seed"],
             perturbation=raw.get("perturbation"), output_dir=v["output"]["dir"],
             output_formats=tuple(v["output"]["formats"]), params=v["model"],
             noise=v["perturbation"], base_dir=base_dir)
+        try:
+            # t1 > t0 alone lets the step underflow to 0 or overflow to inf;
+            # the schema bounds the perturbation's own keys
+            cfg.process()
+        except ValueError as e:
+            raise ConfigInvalid(f"time: the perturbation's step (t1 - t0) / steps: "
+                                f"{e}") from None
+        return cfg
 
     @staticmethod
     def from_file(path) -> "ScenarioConfig":
         return ScenarioConfig.from_dict(read_scenario(path),
                                         base_dir=Path(path).parent)
+
+    def process(self) -> Optional[stochastic.PerturbationProcess]:
+        """The noise walk, stepping (t1 - t0) / steps; None without a
+        perturbation."""
+        if self.noise is None:
+            return None
+        return stochastic.PerturbationProcess(
+            **self.noise, dt=(self.t1 - self.t0) / self.steps)
 
     def to_dict(self) -> dict:
         return {
@@ -749,12 +759,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
     trajectory = build_trajectory(cfg)
     n = trajectory.n
     ts = np.linspace(cfg.t0, cfg.t1, cfg.steps + 1)
-    dt = (cfg.t1 - cfg.t0) / cfg.steps
 
     tracked = np.arange(n) if cfg.tracked == "all" else np.array(
         sorted(set(cfg.tracked)), dtype=int)
-    proc = None if cfg.noise is None else stochastic.PerturbationProcess(
-        **cfg.noise, dt=dt)
+    proc = cfg.process()
 
     shape = (len(ts), len(tracked))
     eigenvalues = np.empty((len(ts), n), dtype=complex)

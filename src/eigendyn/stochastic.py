@@ -19,6 +19,7 @@ gives the serial estimate bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import os
@@ -241,32 +242,68 @@ def _workers(samples: int) -> int:
     return min(cores, most)
 
 
-def _fill_forked(samples: int, workers: int, *args) -> np.ndarray:
-    """The ``samples`` summands, filled by this process and workers - 1
-    forked children.  Each writes a contiguous range of whole blocks of
-    one shared anonymous mapping; this process takes the first range and
-    reaps every child, also when its own range raises."""
-    import mmap
+def _kill(pids) -> None:
+    """SIGKILL and reap the children ``pids``."""
     import signal
+
+    for pid in pids:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+    for pid in pids:
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(pid, 0)
+
+
+def _reap(children: dict) -> list:
+    """Wait for the children ``children`` (pid -> index range) and return
+    (range, wait status) pairs.  When the wait is interrupted, the children
+    not yet reaped are killed and reaped before the exception goes on."""
+    pending = dict(children)
+    statuses = []
+    try:
+        for pid, span in children.items():
+            statuses.append((span, os.waitpid(pid, 0)[1]))
+            del pending[pid]
+    except BaseException:
+        _kill(pending)
+        raise
+    return statuses
+
+
+def _fill_forked(samples: int, workers: int, *args) -> np.ndarray:
+    """The ``samples`` summands, filled by this process and up to
+    workers - 1 forked children.  Each writes a contiguous range of whole
+    blocks of one shared anonymous mapping; this process takes the first
+    range (all of them for one worker) and every range it could not fork a
+    child for, and reaps every child, also when its own ranges raise."""
+    import mmap
 
     vals = np.frombuffer(mmap.mmap(-1, samples * np.dtype(complex).itemsize),
                          dtype=complex)
     blocks = -(-samples // _BLOCK)
     edges = [min(samples, k * blocks // workers * _BLOCK) for k in range(workers + 1)]
     children = {}
+    rest = samples  # the start of the ranges no child took
     try:
         for start, stop in zip(edges[1:-1], edges[2:]):
-            with warnings.catch_warnings():
-                # the threads are OpenBLAS's pool, which its atfork handler
-                # stops; no other Python thread runs (_workers), and the
-                # child only runs the sample loop and leaves by os._exit
-                warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
-                pid = os.fork()
+            try:
+                with warnings.catch_warnings():
+                    # the threads are OpenBLAS's pool, which its atfork
+                    # handler stops; no other Python thread runs (_workers),
+                    # and the child only runs the sample loop and leaves by
+                    # os._exit
+                    warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+                    pid = os.fork()
+            except OSError:  # out of processes or memory: fill the rest here
+                rest = start
+                break
             if pid == 0:
                 code = 1
                 try:
                     _fill(vals, start, stop, *args)
                     code = 0
+                except KeyboardInterrupt:
+                    pass  # the caller reports the interrupt
                 except BaseException:
                     import traceback
                     traceback.print_exc()
@@ -274,13 +311,11 @@ def _fill_forked(samples: int, workers: int, *args) -> np.ndarray:
                     os._exit(code)
             children[pid] = (start, stop)
         _fill(vals, edges[0], edges[1], *args)
+        _fill(vals, rest, samples, *args)
     except BaseException:
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
+        _kill(children)
         raise
-    finally:
-        statuses = [(span, os.waitpid(pid, 0)[1]) for pid, span in children.items()]
-    for (start, stop), status in statuses:
+    for (start, stop), status in _reap(children):
         if status:
             raise EigendynError(
                 f"Monte Carlo worker for samples [{start}, {stop}) ended with "
@@ -307,8 +342,9 @@ def monte_carlo_conjugate_force(
     whole 4096-index blocks.  The estimate is the same bit for bit for
     any number of them.  It stays in this process on one usable core,
     without ``os.fork``, beside other Python threads and inside a
-    multiprocessing worker.  A child that fails raises EigendynError
-    naming its index range.
+    multiprocessing worker.  When ``os.fork`` fails, this process fills the
+    ranges no child took.  A child that fails raises EigendynError naming
+    its index range; an interrupted call kills and reaps its children.
     """
     if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
         raise ValueError(f"samples must be an integer, got {samples!r}")
@@ -324,12 +360,7 @@ def monte_carlo_conjugate_force(
         raise RealEigenvalue(f"lambda_{j} = {d.eigenvalues[j]} is self-paired "
                              f"(|Im| <= {_PAIR_TOL}): expected force singular")
 
-    workers = _workers(samples)
-    if workers > 1:
-        vals = _fill_forked(samples, workers, d, pairing, proc, j)
-    else:
-        vals = np.empty(samples, dtype=complex)
-        _fill(vals, 0, samples, d, pairing, proc, j)
+    vals = _fill_forked(samples, _workers(samples), d, pairing, proc, j)
     mean = complex(vals.mean())
     if samples > 1:
         se_re = float(vals.real.std(ddof=1) / np.sqrt(samples))

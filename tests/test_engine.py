@@ -598,8 +598,8 @@ class TestSchema:
         ({"seed": -1}, "seed: expected a non-negative integer, got -1"),
         # t1 > t0, but the noise walk's step underflows or overflows
         ({"time": {"t0": 0.0, "t1": 5e-324, "steps": 2}, "perturbation": {}},
-         r"time: the perturbation's step \(t1 - t0\) / steps must be positive "
-         r"and finite, got 0\.0"),
+         r"time: the perturbation's step \(t1 - t0\) / steps: dt must be finite "
+         r"and > 0, got 0\.0"),
         ({"time": {"t0": -1e308, "t1": 1e308, "steps": 2}, "perturbation": {}},
          r"time: the perturbation's step .* got inf"),
         ({"output": {"formats": ["json", "xml"]}},

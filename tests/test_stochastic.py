@@ -392,6 +392,85 @@ class TestMonteCarloWorkers:
         assert time.monotonic() - start < 30
         assert no_child_left()
 
+    @pytest.mark.parametrize("failing_fork", [1, 2])
+    def test_failed_fork_fills_the_rest_in_process(self, real_8x8, monkeypatch,
+                                                   failing_fork):
+        samples = 3 * 4096 + 5
+        if min(usable_cores(), samples // 4096) <= failing_fork:
+            pytest.skip(f"fewer than {failing_fork} workers to fork")
+        m, d, _ = real_8x8
+        j = complex_index(d)
+        proc = PerturbationProcess(kind="full", seed=6)
+        forks = []
+        fork = os.fork
+
+        def failing():
+            forks.append(None)
+            if len(forks) == failing_fork:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fork", failing)
+            forked = stochastic.monte_carlo_conjugate_force(m, proc, j, samples)
+        assert len(forks) == failing_fork
+        assert no_child_left()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        one = stochastic.monte_carlo_conjugate_force(m, proc, j, samples)
+        assert dataclasses.astuple(one) == dataclasses.astuple(forked)
+
+    @pytest.mark.skipif(usable_cores() < 2, reason="one usable core: no worker forks")
+    def test_no_child_survives_an_interrupted_wait(self, real_8x8, monkeypatch):
+        m, d, _ = real_8x8
+        sample = PerturbationProcess.sample
+
+        def slow_child(self, n, index):
+            if index == 4096:
+                time.sleep(60)  # the child is stopped, not waited for
+            return sample(self, n, index)
+
+        waitpid = os.waitpid
+        waits = []
+
+        def interrupted(pid, options):
+            waits.append(pid)
+            if len(waits) == 1:
+                raise KeyboardInterrupt
+            return waitpid(pid, options)
+
+        monkeypatch.setattr(PerturbationProcess, "sample", slow_child)
+        start = time.monotonic()
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "waitpid", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                stochastic.monte_carlo_conjugate_force(
+                    m, PerturbationProcess(seed=1), complex_index(d), 2 * 4096)
+        assert time.monotonic() - start < 30
+        assert waits[1:] == waits[:1]  # the interrupted child is reaped
+        assert no_child_left()
+
+    @pytest.mark.skipif(usable_cores() < 2, reason="one usable core: no worker forks")
+    @pytest.mark.parametrize("error,traceback", [
+        (KeyboardInterrupt, False), (FloatingPointError, True)])
+    def test_interrupted_child_prints_no_traceback(self, real_8x8, monkeypatch,
+                                                   capfd, error, traceback):
+        m, d, _ = real_8x8
+        sample = PerturbationProcess.sample
+
+        def failing_child(self, n, index):
+            if index == 5000:
+                raise error
+            return sample(self, n, index)
+
+        monkeypatch.setattr(PerturbationProcess, "sample", failing_child)
+        with pytest.raises(EigendynError, match=r"samples \[4096, 8192\)"):
+            stochastic.monte_carlo_conjugate_force(
+                m, PerturbationProcess(seed=1), complex_index(d), 2 * 4096)
+        assert ("Traceback" in capfd.readouterr().err) == traceback
+        assert no_child_left()
+
     def test_stays_in_process(self, real_8x8, monkeypatch):
         m, d, _ = real_8x8
         j = complex_index(d)
