@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import operator
+import os
 from collections import ChainMap, namedtuple
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -658,13 +659,13 @@ def _tracked_json(record: RunRecord) -> list:
         keys * len(record.t), *(columns[key] for key in _CELL_KEYS))]
 
 
-def _rows_json(record: RunRecord) -> str:
-    """The list under a record document's "rows" key."""
+def _rows_json(record: RunRecord) -> list:
+    """The items of the list under a record document's "rows" key."""
     n, m = record.eigenvalues.shape[1], len(record.tracked)
     tracked = _tracked_json(record)
     eigenvalues = _pair_texts(record.eigenvalues, 4)
     permutation = list(map(str, record.permutation.ravel().tolist()))
-    rows = [
+    return [
         "{\n"
         f'   "eigenvalues": {_container(eigenvalues[k * n:(k + 1) * n], 3)},\n'
         f'   "flags": {_flags_text(f, STEP_FLAGS, 3)},\n'
@@ -675,7 +676,41 @@ def _rows_json(record: RunRecord) -> str:
         for k, (t, f) in enumerate(zip(_json_floats(record.t),
                                        record.step_flags.tolist()))
     ]
-    return _container(rows, 1)
+
+
+# the per-step columns of a record: a row block slices each of them
+_STEP_COLUMNS = ("t", "eigenvalues", "permutation", *_VALUES,
+                 "has_conjugate_force", "has_expected_force", "step_flags",
+                 "value_flags")
+
+
+def _row_blocks(record: RunRecord):
+    """The record as records of consecutive steps, each holding about
+    ``_BLOCK_ENTRIES`` complex values (a step holds n eigenvalues and six
+    values per tracked path): an export formats one block at a time, so
+    its memory does not grow with the number of steps."""
+    width = record.eigenvalues.shape[1] + len(_VALUES) * len(record.tracked)
+    size = max(1, _BLOCK_ENTRIES // max(1, width))
+    for start in range(0, len(record.t), size):
+        rows = slice(start, start + size)
+        yield replace(record, **{name: getattr(record, name)[rows]
+                                 for name in _STEP_COLUMNS})
+
+
+def _json_chunks(record: RunRecord):
+    """The text of :func:`record_json` in pieces, one per row block."""
+    events = [{"t_lo": e.t_lo, "t_hi": e.t_hi, "pair": list(e.pair),
+               "min_abs_im": e.min_abs_im} for e in record.events]
+    yield (f'{{\n "events": {_dumps(events, 1)},\n'
+           f' "provenance": {_dumps(dict(record.provenance), 1)},\n'
+           ' "rows": ')
+    # the rows list as _container(rows, 1) would write it
+    opened = False
+    for block in _row_blocks(record):
+        yield ",\n  " if opened else "[\n  "
+        yield ",\n  ".join(_rows_json(block))
+        opened = True
+    yield "\n ]\n}" if opened else "[]\n}"
 
 
 def record_json(record: RunRecord) -> str:
@@ -683,12 +718,7 @@ def record_json(record: RunRecord) -> str:
     ``provenance``); absent values are null.  Keys are sorted and indented
     by one space per level: the bytes of ``json.dumps(document,
     sort_keys=True, indent=1)``."""
-    events = [{"t_lo": e.t_lo, "t_hi": e.t_hi, "pair": list(e.pair),
-               "min_abs_im": e.min_abs_im} for e in record.events]
-    # the rows text is the one large part; it is copied once, here
-    return (f'{{\n "events": {_dumps(events, 1)},\n'
-            f' "provenance": {_dumps(dict(record.provenance), 1)},\n'
-            f' "rows": {_rows_json(record)}\n}}')
+    return "".join(_json_chunks(record))
 
 
 def record_from_dict(data: dict) -> RunRecord:
@@ -936,27 +966,54 @@ def _csv_columns(record: RunRecord) -> list:
     return [t, j, *floats, flags]
 
 
+def _csv_chunks(record: RunRecord):
+    """The CSV text in pieces: the header, then one piece per row block."""
+    yield _CSV_LINE % tuple(_CSV_COLUMNS)
+    for block in _row_blocks(record):
+        yield "".join(map(_CSV_LINE.__mod__, zip(*_csv_columns(block))))
+
+
+def _open_beside(path: Path, newline):
+    """A new text file in ``path``'s directory, open for writing, and its
+    path; created as a plain open() creates a file (0o666 less the
+    umask), never over an existing one."""
+    for attempt in itertools.count():
+        temporary = path.with_name(f".{path.name}.{os.getpid()}.{attempt}.tmp")
+        try:
+            return temporary, open(temporary, "x", newline=newline)
+        except FileExistsError:
+            continue
+
+
 def export(record: RunRecord, format: str, path) -> None:
     """Write a run record as CSV (one row per step and tracked index) or
-    JSON (lossless, including events and provenance)."""
-    path = Path(path)
+    JSON (lossless, including events and provenance).  The text is
+    formatted and written one row block at a time into a new file beside
+    ``path``, which then replaces ``path``: a failed export leaves any
+    earlier file there as it was."""
     if format == "json":
-        with path.open("w") as fh:  # no copy of the text to append "\n"
-            fh.write(record_json(record))
-            fh.write("\n")
-        return
-    if format == "csv":
-        with path.open("w", newline="") as fh:
-            fh.write(_CSV_LINE % tuple(_CSV_COLUMNS))
-            fh.writelines(map(_CSV_LINE.__mod__, zip(*_csv_columns(record))))
-        return
-    raise UnsupportedFormat(f"unsupported export format {format!r}")
+        chunks, newline = itertools.chain(_json_chunks(record), "\n"), None
+    elif format == "csv":
+        chunks, newline = _csv_chunks(record), ""
+    else:
+        raise UnsupportedFormat(f"unsupported export format {format!r}")
+    temporary, fh = _open_beside(Path(path), newline)
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def load_record(path) -> RunRecord:
-    """Inverse of JSON export."""
+    """Inverse of JSON export.  Raises RecordInvalid for a file that
+    cannot be read, is not JSON or does not follow the record schema."""
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise RecordInvalid(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise RecordInvalid(f"cannot read record file {path}: {exc}") from exc
     return record_from_dict(data)

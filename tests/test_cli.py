@@ -121,6 +121,9 @@ class TestRun:
                          "--set", "time.steps=2", "--out", str(tmp_path / out)])
         assert code == cli.EXIT_RUNTIME
         assert capsys.readouterr().err.startswith("error: ")
+        # an export that fails removes its temporary file
+        assert sorted(p.name for p in tmp_path.rglob("*")) == [
+            "dir-at-target", "file", "record.json", "ring.json"]
 
     def test_non_string_output_dir(self, ring_scenario, tmp_path, capsys,
                                    monkeypatch):

@@ -2,6 +2,9 @@ import copy
 import csv
 import dataclasses
 import json
+import os
+import stat
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -887,6 +890,16 @@ class TestPersistence:
         with pytest.raises(RecordInvalid):
             engine.load_record(target)
 
+    @pytest.mark.parametrize("case", ["not-utf-8", "missing", "directory"])
+    def test_unreadable_record_is_record_invalid(self, tmp_path, case):
+        target = tmp_path / "record.json"
+        if case == "not-utf-8":
+            target.write_bytes(b"\xff\xfe{")
+        elif case == "directory":
+            target.mkdir()
+        with pytest.raises(RecordInvalid, match="cannot read record file"):
+            engine.load_record(target)
+
     def test_json_export_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         engine.export(self.run_sample(), "json", a)
@@ -1021,14 +1034,20 @@ def _reference_from_dict(data):
 def _record_case(case, monkeypatch):
     """A run record that exercises one corner of the JSON layout."""
     two = {"type": "explicit", "matrix": [[0.0, 1.0], [-1.0, 0.0]]}
+    twelve = {"type": "ring", "sites": 12, "tilt": 0.3,
+              "fluctuation_rate": [0.1, 0.0] * 6}
     if case in ("ring", "collision", "noisy"):
         return engine.run_scenario(
             ScenarioConfig.from_file(SCENARIOS / f"{case}.json"))
     if case == "twelve-tracked":
         # keys "10" and "11" sort before "2"
-        raw = base_config(model={"type": "ring", "sites": 12, "tilt": 0.3,
-                                 "fluctuation_rate": [0.1, 0.0] * 6},
-                          time={"t0": 0.0, "t1": 1.0, "steps": 3})
+        raw = base_config(model=twelve, time={"t0": 0.0, "t1": 1.0, "steps": 3})
+    elif case in ("two-blocks", "two-blocks-and-a-row"):
+        # export writes whole row blocks: exactly two, and one row past them
+        rows = 2 * _BLOCK_ROWS_TWELVE + (case == "two-blocks-and-a-row")
+        raw = base_config(model=twelve,
+                          time={"t0": 0.0, "t1": 2.0, "steps": rows - 1},
+                          perturbation={"kind": "diagonal", "sigma2": 0.01})
     elif case == "none-tracked":
         raw = base_config(tracked=[])
     elif case == "noisy-collision":
@@ -1063,7 +1082,11 @@ def _record_case(case, monkeypatch):
 
 _RECORD_CASES = ("ring", "collision", "noisy", "twelve-tracked", "none-tracked",
                  "noisy-collision", "singular-gap", "pairing-failed",
-                 "nan-inf-zero")
+                 "nan-inf-zero", "two-blocks", "two-blocks-and-a-row")
+# the steps of one export row block of a 12-site record tracking every
+# path: about 2**14 complex values, 12 eigenvalues and six values per
+# tracked path a step
+_BLOCK_ROWS_TWELVE = engine._BLOCK_ENTRIES // (12 + 6 * 12)
 
 
 class TestRecordJson:
@@ -1080,6 +1103,8 @@ class TestRecordJson:
         ("pairing-failed", ['"pairing-failed"', '"conjugate_force": null']),
         ("nan-inf-zero", ["NaN,", "Infinity\n", "-Infinity,", "-0.0,",
                           '"t": -0.0', "null"]),
+        ("two-blocks", ['"11": {\n', '"expected_force": [']),
+        ("two-blocks-and-a-row", ['"11": {\n', '"expected_force": [']),
     ])
     def test_export_bytes_match_reference(self, tmp_path, monkeypatch, case,
                                           shows):
@@ -1090,6 +1115,72 @@ class TestRecordJson:
         target = tmp_path / "record.json"
         engine.export(record, "json", target)
         assert target.read_bytes() == want.encode()
+        assert engine.record_json(record) + "\n" == want
+
+    @pytest.mark.parametrize("case,blocks", [("twelve-tracked", 1),
+                                             ("two-blocks", 2),
+                                             ("two-blocks-and-a-row", 3)])
+    def test_long_cases_span_row_blocks(self, monkeypatch, case, blocks):
+        record = _record_case(case, monkeypatch)
+        assert len(list(engine._row_blocks(record))) == blocks
+
+    @pytest.mark.parametrize("fmt,formats", [("json", "_rows_json"),
+                                             ("csv", "_csv_columns")])
+    def test_failed_export_keeps_the_earlier_file(self, tmp_path, monkeypatch,
+                                                  fmt, formats):
+        target = tmp_path / f"record.{fmt}"
+        engine.export(_record_case("ring", monkeypatch), fmt, target)
+        earlier = target.read_bytes()
+        # the second row block fails after the first was written
+        calls = []
+        original = getattr(engine, formats)
+
+        def fail_second(block):
+            calls.append(len(block.t))
+            if len(calls) == 2:
+                raise MemoryError
+            return original(block)
+
+        monkeypatch.setattr(engine, formats, fail_second)
+        with pytest.raises(MemoryError):
+            engine.export(_record_case("two-blocks", monkeypatch), fmt, target)
+        assert calls == [_BLOCK_ROWS_TWELVE] * 2
+        assert target.read_bytes() == earlier
+        assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_export_mode_follows_the_umask(self, tmp_path, monkeypatch, fmt):
+        umask = os.umask(0o027)
+        try:
+            engine.export(_record_case("twelve-tracked", monkeypatch), fmt,
+                          tmp_path / f"record.{fmt}")
+        finally:
+            os.umask(umask)
+        mode = (tmp_path / f"record.{fmt}").stat().st_mode
+        assert stat.S_IMODE(mode) == 0o640
+
+    def test_export_memory_does_not_grow_with_steps(self, tmp_path):
+        # a 64-site ring tracking every path, over 100 and 400 steps
+        rng = np.random.default_rng(0)
+        model = {"type": "ring", "sites": 64, "growth": 0.1, "tilt": 0.03,
+                 "fluctuations": rng.normal(0.0, 0.3, 64).tolist(),
+                 "fluctuation_rate": rng.normal(0.0, 0.2, 64).tolist()}
+        records = [engine.run_scenario(ScenarioConfig.from_dict(base_config(
+            model=model, time={"t0": 0.0, "t1": 1.0, "steps": steps})))
+            for steps in (100, 400)]
+        for fmt in ("json", "csv"):
+            peaks = []
+            for record in records:
+                tracemalloc.start()
+                try:
+                    engine.export(record, fmt, tmp_path / f"record.{fmt}")
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            # the long record's file is 12.4 MB (JSON) and 5.8 MB (CSV)
+            assert (tmp_path / f"record.{fmt}").stat().st_size > 5e6
+            assert peaks[1] < 8e6, (fmt, peaks)
+            assert peaks[1] <= 1.25 * peaks[0], (fmt, peaks)
 
     @pytest.mark.parametrize("case", _RECORD_CASES)
     def test_csv_bytes_match_reference(self, tmp_path, monkeypatch, case):
