@@ -262,16 +262,16 @@ def _pair_greedy(w: np.ndarray, tol: float) -> np.ndarray:
     return partner
 
 
-def match_paths(
-    prev: SpectralDecomposition,
-    next: SpectralDecomposition,
-    ambiguity_tol: float = 1e-12,
-) -> PathMatch:
+_AMBIGUITY_TOL = 1e-12  # the ties of match_paths
+
+
+def match_paths(prev: SpectralDecomposition,
+                next: SpectralDecomposition) -> PathMatch:
     """Match eigenvalue indices across time steps.
 
     Minimizes the total |lambda_next - lambda_prev| assignment cost.  A
     pair of indices whose swap changes the total cost by less than
-    ``ambiguity_tol`` times the scale of the spectrum is a tie (the
+    ``_AMBIGUITY_TOL`` times the scale of the spectrum is a tie (the
     signature of a collision vicinity): it flags the match as ambiguous
     and is swapped when that raises the left/right eigenvector overlap.
     Tied pairs (a, b), a < b, are visited in lexicographic order, and
@@ -292,7 +292,7 @@ def match_paths(
     for s in np.ndindex(w.shape[:-1]):
         perm[s] = linear_sum_assignment(cost[s])[1]
 
-    tol = ambiguity_tol * np.maximum(cost.max(axis=(-2, -1)), 1.0)
+    tol = _AMBIGUITY_TOL * np.maximum(cost.max(axis=(-2, -1)), 1.0)
     tied = np.less.outer(np.arange(n), np.arange(n)) & (
         np.abs(_swap_deltas(cost, perm)) < tol[..., None, None])
     ambiguous = tied.any(axis=(-2, -1))

@@ -17,6 +17,7 @@ import json
 import math
 import operator
 import os
+import re
 from collections import ChainMap, namedtuple
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -342,20 +343,18 @@ class ScenarioConfig:
             raise ConfigInvalid("scenario root must be an object")
         base_dir = Path(base_dir)
         v = _parse(raw, SCHEMA[""], "", ChainMap({"base_dir": base_dir}))
-        cfg = ScenarioConfig(
-            model=raw["model"], **v["time"], tracked=v["tracked"],
+        # t1 > t0 alone lets the step underflow to 0 or overflow to inf
+        time = v["time"]
+        dt = (time["t1"] - time["t0"]) / time["steps"]
+        if not 0 < dt < math.inf:
+            raise ConfigInvalid(f"time: the step (t1 - t0) / steps must be finite "
+                                f"and > 0, got {dt!r}")
+        return ScenarioConfig(
+            model=raw["model"], **time, tracked=v["tracked"],
             collision_threshold=v["collision_threshold"], seed=v["seed"],
             perturbation=raw.get("perturbation"), output_dir=v["output"]["dir"],
             output_formats=tuple(v["output"]["formats"]), params=v["model"],
             noise=v["perturbation"], base_dir=base_dir)
-        try:
-            # t1 > t0 alone lets the step underflow to 0 or overflow to inf;
-            # the schema bounds the perturbation's own keys
-            cfg.process()
-        except ValueError as e:
-            raise ConfigInvalid(f"time: the perturbation's step (t1 - t0) / steps: "
-                                f"{e}") from None
-        return cfg
 
     @staticmethod
     def from_file(path) -> "ScenarioConfig":
@@ -586,12 +585,10 @@ def _float_texts(x, fmt, nonfinite=None) -> np.ndarray:
 
 
 # The JSON text is that of json.dumps(document, sort_keys=True, indent=1),
-# written column by column: each float is formatted once, each [re, im]
-# pair and each tracked entry from one template.  ``pad`` is the
-# indentation of the line a value starts on.
+# written column by column: each float is formatted once, and each [re, im]
+# pair and each row is one template, which json.dumps lays out.  ``pad`` is
+# the indentation of the line a value starts on.
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# a tracked entry's keys, sorted as json sorts them
-_CELL_KEYS = tuple(sorted(_VALUES + ("flags",)))
 
 
 def _dumps(value, pad: int) -> str:
@@ -600,12 +597,13 @@ def _dumps(value, pad: int) -> str:
         "\n", "\n" + " " * pad)
 
 
-def _container(items: list, pad: int, brackets: str = "[]") -> str:
-    """A JSON list (or object) of already encoded items (or members)."""
-    if not items:
-        return brackets
-    sep = "\n" + " " * (pad + 1)
-    return f"{brackets[0]}{sep}{(',' + sep).join(items)}\n{' ' * pad}{brackets[1]}"
+def _template(skeleton, pad: int) -> tuple:
+    """A %-template of ``_dumps(skeleton, pad)``, whose string leaves are
+    the slots "@0", "@1", ...: each slot is a %s, and the slot numbers
+    are returned in text order."""
+    parts = re.split(r'"@(\d+)"', _dumps(skeleton, pad))
+    text = "%s".join(part.replace("%", "%%") for part in parts[::2])
+    return text, list(map(int, parts[1::2]))
 
 
 def _json_floats(x) -> list:
@@ -616,14 +614,13 @@ def _json_floats(x) -> list:
 def _pair_texts(z, pad: int, present=None) -> list:
     """json's text of each [re, im] pair of ``z``, flattened; null where
     not ``present``, and those are never formatted."""
-    inner = " " * (pad + 1)
-    template = f"[\n{inner}%s,\n{inner}%s\n{' ' * pad}]"
+    template, _ = _template(["@0", "@1"], pad)
     z = np.ravel(z)
     out = np.full(z.shape, "null", dtype=object)
     keep = slice(None) if present is None else np.ravel(present)
-    re, im = _float_texts(np.stack([z[keep].real, z[keep].imag]), float.__repr__,
-                          _NONFINITE).reshape(2, -1).tolist()
-    out[keep] = list(map(template.__mod__, zip(re, im)))
+    re_im = _float_texts(np.stack([z[keep].real, z[keep].imag]), float.__repr__,
+                         _NONFINITE).reshape(2, -1).tolist()
+    out[keep] = list(map(template.__mod__, zip(*re_im)))
     return out.tolist()
 
 
@@ -632,50 +629,43 @@ def _flags_text(mask: int, names: tuple, pad: int) -> str:
     return _dumps(list(_flag_names(mask, names)), pad)
 
 
-def _tracked_json(record: RunRecord) -> list:
-    """The members of every step's "tracked" object, step by step, each
-    from one template over the formatted columns; keys in string order
-    ("10" sorts before "2")."""
-    order = sorted(range(len(record.tracked)),
-                   key=lambda c: str(record.tracked[c]))
-    keys = [str(j) for j in record.tracked[order].tolist()]
-    flags = record.value_flags[:, order]
-    intact = flags == 0
-    present = [np.ones_like(intact), intact, intact, intact,
-               record.has_conjugate_force[:, order],
-               record.has_expected_force[:, order]]
-    # one pass over the value columns: conjugate_force repeats
-    # conjugate_term, and a repeated float is formatted once
-    texts = _pair_texts(np.stack([getattr(record, name)[:, order]
-                                  for name in _VALUES]), 5, np.stack(present))
-    size = flags.size
-    columns = {name: texts[c * size:(c + 1) * size]
-               for c, name in enumerate(_VALUES)}
-    columns["flags"] = [_flags_text(f, VALUE_FLAGS, 5)
-                        for f in flags.ravel().tolist()]
-    entry = "\"%s\": {\n" + ",\n".join(
-        f'     "{key}": %s' for key in _CELL_KEYS) + "\n    }"
-    return [entry % values for values in zip(
-        keys * len(record.t), *(columns[key] for key in _CELL_KEYS))]
-
-
 def _rows_json(record: RunRecord) -> list:
-    """The items of the list under a record document's "rows" key."""
+    """The items of the list under a record document's "rows" key: each
+    row fills one template, made from a skeleton row whose leaves are
+    slots, with one column of texts per slot."""
     n, m = record.eigenvalues.shape[1], len(record.tracked)
-    tracked = _tracked_json(record)
+    size = record.value_flags.size
+    columns = []
+
+    def slot(texts: list) -> str:
+        columns.append(texts)
+        return f"@{len(columns) - 1}"
+
     eigenvalues = _pair_texts(record.eigenvalues, 4)
     permutation = list(map(str, record.permutation.ravel().tolist()))
-    return [
-        "{\n"
-        f'   "eigenvalues": {_container(eigenvalues[k * n:(k + 1) * n], 3)},\n'
-        f'   "flags": {_flags_text(f, STEP_FLAGS, 3)},\n'
-        f'   "permutation": {_container(permutation[k * n:(k + 1) * n], 3)},\n'
-        f'   "t": {t},\n'
-        f'   "tracked": {_container(tracked[k * m:(k + 1) * m], 3, "{}")}\n'
-        "  }"
-        for k, (t, f) in enumerate(zip(_json_floats(record.t),
-                                       record.step_flags.tolist()))
-    ]
+    intact = record.value_flags == 0
+    present = [np.ones_like(intact), intact, intact, intact,
+               record.has_conjugate_force, record.has_expected_force]
+    # one pass over the value columns: conjugate_force repeats
+    # conjugate_term, and a repeated float is formatted once
+    values = _pair_texts(np.stack([getattr(record, name) for name in _VALUES]),
+                         5, np.stack(present))
+    value_flags = [_flags_text(f, VALUE_FLAGS, 5)
+                   for f in record.value_flags.ravel().tolist()]
+    skeleton = {
+        "eigenvalues": [slot(eigenvalues[j::n]) for j in range(n)],
+        "flags": slot([_flags_text(f, STEP_FLAGS, 3)
+                       for f in record.step_flags.tolist()]),
+        "permutation": [slot(permutation[j::n]) for j in range(n)],
+        "t": slot(_json_floats(record.t)),
+        "tracked": {str(j): {
+            **{name: slot(values[c * size + p:(c + 1) * size:m])
+               for c, name in enumerate(_VALUES)},
+            "flags": slot(value_flags[p::m]),
+        } for p, j in enumerate(record.tracked.tolist())},
+    }
+    template, order = _template(skeleton, 2)
+    return [template % row for row in zip(*(columns[i] for i in order))]
 
 
 # the per-step columns of a record: a row block slices each of them
@@ -704,7 +694,7 @@ def _json_chunks(record: RunRecord):
     yield (f'{{\n "events": {_dumps(events, 1)},\n'
            f' "provenance": {_dumps(dict(record.provenance), 1)},\n'
            ' "rows": ')
-    # the rows list as _container(rows, 1) would write it
+    # the rows list as json.dumps writes it at indentation 1
     opened = False
     for block in _row_blocks(record):
         yield ",\n  " if opened else "[\n  "

@@ -168,6 +168,28 @@ class TestOutOfRange:
         assert err.startswith(f"error: {named}") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    # the step (t1 - t0) / steps of a run without noise overflows or
+    # underflows: rejected before numpy spaces the times
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("time,got", [
+        ({"t0": -1e308, "t1": 1e308, "steps": 4}, "inf"),
+        ({"t0": 0.0, "t1": 5e-324, "steps": 4}, "0.0"),
+    ], ids=repr)
+    @pytest.mark.parametrize("command", ["validate", "run", "oracle"])
+    def test_step_out_of_range_exits_2(self, tmp_path, capsys, time, got,
+                                       command):
+        scenario = tmp_path / "ring.json"
+        scenario.write_text(json.dumps(
+            {"model": {"type": "ring", "sites": 4}, "time": time}))
+        argv = [command, "--scenario", str(scenario)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "error: time: the step (t1 - t0) / steps must be finite and > 0, "
+            f"got {got}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("error,line", [
         (MemoryError(), "out of memory"),
         (MemoryError("Unable to allocate 8.00 EiB"), "Unable to allocate 8.00 EiB"),

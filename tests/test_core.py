@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -442,7 +443,8 @@ class TestMatchPaths:
     @given(tied_decompositions())
     def test_matches_reference_on_ties(self, case):
         prev, nxt, tol = case
-        got = core.match_paths(prev, nxt, tol)
+        with mock.patch.object(core, "_AMBIGUITY_TOL", tol):
+            got = core.match_paths(prev, nxt)
         want = _reference_match(prev, nxt, tol)
         np.testing.assert_array_equal(got.permutation, want.permutation)
         assert got.ambiguous == want.ambiguous
@@ -470,9 +472,8 @@ class TestStackedMatchPaths:
     """A stacked ``next`` matches each step to the one before it, to the
     bits of one call per pair of steps."""
 
-    def _chain(self, prev, stacked, tol=1e-12):
-        return [core.match_paths(prev if s == 0 else stacked[s - 1],
-                                 stacked[s], tol)
+    def _chain(self, prev, stacked):
+        return [core.match_paths(prev if s == 0 else stacked[s - 1], stacked[s])
                 for s in range(len(stacked.eigenvalues))]
 
     @pytest.mark.parametrize("n", [3, 5, 9])
@@ -502,8 +503,10 @@ class TestStackedMatchPaths:
             np.array([d.min_gap for d in steps]),
             np.array([d.degenerate for d in steps]))
         prev, tol = cases[0][0], cases[0][2]
-        got = core.match_paths(prev, stacked, tol)
-        for s, one in enumerate(self._chain(prev, stacked, tol)):
+        with mock.patch.object(core, "_AMBIGUITY_TOL", tol):
+            got = core.match_paths(prev, stacked)
+            chain = self._chain(prev, stacked)
+        for s, one in enumerate(chain):
             assert _same_bits(got.permutation[s], one.permutation)
             assert got.cost[s] == one.cost
             assert got.ambiguous_steps[s] == one.ambiguous

@@ -571,10 +571,6 @@ class TestSchema:
         assert (term["l"], term["l_rate"]) == (0j, 0.1j)
         assert cfg.noise == {"kind": "full", "sigma2": 0.5, "seed": 3}
 
-    def test_step_unchecked_without_a_perturbation(self):
-        time = {"t0": 0.0, "t1": 5e-324, "steps": 2}
-        assert ScenarioConfig.from_dict(base_config(time=time)).t1 == 5e-324
-
     def test_null_is_absent_only_for_the_perturbation(self):
         cfg = ScenarioConfig.from_dict(base_config(perturbation=None))
         assert cfg.noise is None and cfg.perturbation is None
@@ -599,12 +595,17 @@ class TestSchema:
         ({"time": {"t0": 0.0, "t1": 1.0, "steps": 2**62}},
          "time.steps: steps must be < "),
         ({"seed": -1}, "seed: expected a non-negative integer, got -1"),
-        # t1 > t0, but the noise walk's step underflows or overflows
+        # t1 > t0, but the step underflows or overflows, with and
+        # without a noise walk
         ({"time": {"t0": 0.0, "t1": 5e-324, "steps": 2}, "perturbation": {}},
-         r"time: the perturbation's step \(t1 - t0\) / steps: dt must be finite "
-         r"and > 0, got 0\.0"),
+         r"time: the step \(t1 - t0\) / steps must be finite and > 0, "
+         r"got 0\.0$"),
         ({"time": {"t0": -1e308, "t1": 1e308, "steps": 2}, "perturbation": {}},
-         r"time: the perturbation's step .* got inf"),
+         r"time: the step \(t1 - t0\) / steps .* got inf$"),
+        ({"time": {"t0": 0.0, "t1": 5e-324, "steps": 4}},
+         r"time: the step \(t1 - t0\) / steps .* got 0\.0$"),
+        ({"time": {"t0": -1e308, "t1": 1e308, "steps": 4}},
+         r"time: the step \(t1 - t0\) / steps .* got inf$"),
         ({"output": {"formats": ["json", "xml"]}},
          r"output.formats\[1\]: unknown format 'xml'"),
     ], ids=repr)
@@ -1089,7 +1090,77 @@ _RECORD_CASES = ("ring", "collision", "noisy", "twelve-tracked", "none-tracked",
 _BLOCK_ROWS_TWELVE = engine._BLOCK_ENTRIES // (12 + 6 * 12)
 
 
+# floats whose texts json spells in its own way, beside ordinary ones
+_SPECIAL_FLOATS = (0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, 0.1,
+                   -2.5)
+
+
+@st.composite
+def _records(draw):
+    """A run record built column by column, not run: n from 1 to 12, any
+    tracked subset (so "10" may sort before "2"), any flags and masks, and
+    values that include NaN, infinities and -0.0."""
+    n, rows = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    tracked = np.array(sorted(draw(st.sets(st.integers(0, n - 1)))), dtype=int)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def floats(*shape):
+        pool = np.concatenate([_SPECIAL_FLOATS, rng.standard_normal(8)])
+        return rng.choice(pool, shape)
+
+    def complexes(*shape):  # not re + 1j * im: 1j * inf has a NaN real part
+        return floats(*shape, 2).view(complex)[..., 0]
+
+    shape = (rows, len(tracked))
+    events = [engine.CollisionEvent(*floats(2).tolist(), pair, min_abs_im)
+              for pair, min_abs_im in draw(st.lists(st.tuples(
+                  st.sampled_from([(-1, -1), (0, 1), (10, 2)]),
+                  st.sampled_from([np.nan, 0.5, -0.0])), max_size=2))]
+    return engine.RunRecord(
+        t=floats(rows), eigenvalues=complexes(rows, n),
+        permutation=rng.integers(0, n, (rows, n)), tracked=tracked,
+        **{name: complexes(*shape) for name in engine._VALUES},
+        has_conjugate_force=rng.random(shape) < 0.5,
+        has_expected_force=rng.random(shape) < 0.5,
+        step_flags=rng.integers(0, 2**len(engine.STEP_FLAGS), rows),
+        value_flags=rng.integers(0, 2**len(engine.VALUE_FLAGS), shape),
+        events=events,
+        # a slot-like string and a % stay text
+        provenance={"config_hash": "@0",
+                    "note": draw(st.text(max_size=8)) + "%s"},
+    )
+
+
+def _bits(x):
+    """The bits of a float or complex array; every NaN reads as one."""
+    x = np.ascontiguousarray(x).view(float)
+    return np.where(np.isnan(x), np.nan, x).view(np.int64)
+
+
 class TestRecordJson:
+    @settings(max_examples=200, deadline=None)
+    @given(_records())
+    def test_writer_is_json_dumps(self, record):
+        text = engine.record_json(record)
+        data = json.loads(text)
+        assert text == json.dumps(data, sort_keys=True, indent=1)
+        got = engine.record_from_dict(data)
+        for name in ("permutation", "tracked", "step_flags", "value_flags",
+                     "has_conjugate_force", "has_expected_force"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(record, name), name)
+        for name in ("t", "eigenvalues"):
+            np.testing.assert_array_equal(_bits(getattr(got, name)),
+                                          _bits(getattr(record, name)), name)
+        intact = record.value_flags == 0
+        present = (np.ones_like(intact), intact, intact, intact,
+                   record.has_conjugate_force, record.has_expected_force)
+        for name, mask in zip(engine._VALUES, present):
+            np.testing.assert_array_equal(_bits(getattr(got, name)[mask]),
+                                          _bits(getattr(record, name)[mask]), name)
+        assert [repr(e) for e in got.events] == [repr(e) for e in record.events]
+        assert got.provenance == record.provenance
+
     @pytest.mark.parametrize("case,shows", [
         ("ring", ['"events": [\n  {']),
         ("collision", ['"pair": [']),
