@@ -456,22 +456,19 @@ def _trajectory(p: dict) -> MatrixTrajectory:
 
         return MatrixTrajectory(2, s_matrix, first, second)
 
-    # effective_hamiltonian
+    # effective_hamiltonian: affine in the displacements l + t l_rate
     h, terms = p["H"], p["lindblad"]
-    ops, l1 = [item["L"] for item in terms], [item["l_rate"] for item in terms]
     try:  # shapes and Hermiticity are checked once, here
         spec = models.EffectiveHamiltonianSpec(
-            h, ops, [item["l"] for item in terms], l1)
+            h, [item["L"] for item in terms], [item["l"] for item in terms])
+        rate = replace(spec, h=np.zeros_like(h),
+                       displacements=[item["l_rate"] for item in terms])
+        # polynomial rejects an overflowing coefficient, without a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return MatrixTrajectory.polynomial(models.effective_hamiltonian(spec),
+                                               models.effective_hamiltonian(rate))
     except EigendynError as exc:
         raise ConfigInvalid(f"model: {exc}") from exc
-    acc = np.zeros_like(h)
-    for op, rate in zip(ops, l1):
-        acc = acc + np.conjugate(rate) * op - rate * op.conj().T
-    return MatrixTrajectory(
-        h.shape[0], lambda t: models.effective_hamiltonian(spec, t),
-        dynamics.constant_in_time(0.5j * acc),
-        dynamics.constant_in_time(np.zeros_like(h)),
-    )
 
 
 def build_trajectory(cfg: ScenarioConfig) -> MatrixTrajectory:

@@ -13,12 +13,11 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import dynamics
 from .core import as_square_matrix
 from .errors import (
     DimensionMismatch,
@@ -70,12 +69,7 @@ def build_omega(ring: BiophysicalRing) -> np.ndarray:
     """Linearized diffusion matrix: circulant, diagonal a - 2D, nearest
     neighbours D on the periodic ring.  Every row sums to a (the uniform
     mode is an eigenvector with eigenvalue a)."""
-    n, d, a = ring.n, ring.diffusion, ring.growth
-    row = np.zeros(n)
-    row[0] = a - 2 * d
-    row[1] = d
-    row[-1] = d
-    return dynamics.circulant_matrix(row).real.astype(float)
+    return build_omega_le(replace(ring, tilt=0.0))
 
 
 def build_omega_le(ring: BiophysicalRing) -> np.ndarray:
@@ -89,10 +83,9 @@ def build_omega_le(ring: BiophysicalRing) -> np.ndarray:
     n, d, a, h = ring.n, ring.diffusion, ring.growth, ring.tilt
     m = np.zeros((n, n))
     np.fill_diagonal(m, a - 2 * d)
-    fwd, bwd = d * np.exp(h), d * np.exp(-h)
-    for i in range(n):
-        m[i, (i + 1) % n] = fwd
-        m[i, (i - 1) % n] = bwd
+    sites = np.arange(n)
+    m[sites, (sites + 1) % n] = d * np.exp(h)
+    m[sites, (sites - 1) % n] = d * np.exp(-h)
     return m
 
 
@@ -110,8 +103,7 @@ def omega_le_spectrum(ring: BiophysicalRing) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EffectiveHamiltonianSpec:
-    """Hermitian H plus Lindblad operators L_k displaced by scalars
-    l_k(t) = l_k + t r_k; the rates r_k default to zero.
+    """Hermitian H plus Lindblad operators L_k displaced by scalars l_k.
 
     Warns when an entry of H - H^dagger exceeds 1e-10 in magnitude.
     """
@@ -119,14 +111,11 @@ class EffectiveHamiltonianSpec:
     h: np.ndarray
     lindblad_ops: Sequence[np.ndarray] = field(default_factory=tuple)
     displacements: Sequence[complex] = field(default_factory=tuple)
-    rates: Sequence[complex] = field(default_factory=tuple)
 
     def __post_init__(self):
         h = as_square_matrix(self.h)
         if len(self.lindblad_ops) != len(self.displacements):
             raise DimensionMismatch("one displacement scalar per Lindblad operator")
-        if self.rates and len(self.rates) != len(self.displacements):
-            raise DimensionMismatch("one displacement rate per Lindblad operator")
         for op in self.lindblad_ops:
             if as_square_matrix(op).shape != h.shape:
                 raise DimensionMismatch("Lindblad operator dimension mismatch")
@@ -134,25 +123,22 @@ class EffectiveHamiltonianSpec:
             warnings.warn("H is not Hermitian to tolerance", stacklevel=3)
 
 
-def effective_hamiltonian(spec: EffectiveHamiltonianSpec, t=0.0) -> np.ndarray:
-    """H + (i/2) sum_k (conj(l_k(t)) L_k - l_k(t) L_k^dagger) at time t,
-    or a stack with the shape of an array of times in front.
+def effective_hamiltonian(spec: EffectiveHamiltonianSpec) -> np.ndarray:
+    """H + (i/2) sum_k (conj(l_k) L_k - l_k L_k^dagger).
 
     With all l_k = 0 the result is H itself; with Hermitian L_k and real
     l_k the displacement terms cancel.  Each displacement term
     (i/2)(conj(l) L - l L^dagger) is Hermitian, so Hermitian H stays
     Hermitian: the displacement is a frame change, and non-Hermiticity
     enters through a non-Hermitian H block (e.g. a system block dressed
-    with decay rates).
+    with decay rates).  The result is affine in the l_k: displacements
+    l_k + t r_k give the value at l_k plus t times the value of the spec
+    with H = 0 and displacements r_k.
     """
     h = np.asarray(spec.h, dtype=complex)
-    t = np.asarray(t, dtype=float)[..., None, None]
-    if len(spec.lindblad_ops) == 0:
-        return np.broadcast_to(h, t.shape[:-2] + h.shape).copy()
     acc = np.zeros_like(h)
-    for op, l0, rate in zip(spec.lindblad_ops, spec.displacements,
-                            spec.rates or [0.0] * len(spec.displacements)):
-        op, l = np.asarray(op, dtype=complex), complex(l0) + t * complex(rate)
+    for op, l in zip(spec.lindblad_ops, spec.displacements):
+        op, l = np.asarray(op, dtype=complex), complex(l)
         acc = acc + np.conjugate(l) * op - l * op.conj().T
     return h + 0.5j * acc
 

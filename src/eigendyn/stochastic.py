@@ -23,6 +23,7 @@ import contextlib
 import math
 import numbers
 import os
+import signal
 import threading
 import warnings
 from dataclasses import dataclass
@@ -242,40 +243,14 @@ def _workers(samples: int) -> int:
     return min(cores, most)
 
 
-def _kill(pids) -> None:
-    """SIGKILL and reap the children ``pids``."""
-    import signal
-
-    for pid in pids:
-        with contextlib.suppress(ProcessLookupError):
-            os.kill(pid, signal.SIGKILL)
-    for pid in pids:
-        with contextlib.suppress(ChildProcessError):
-            os.waitpid(pid, 0)
-
-
-def _reap(children: dict) -> list:
-    """Wait for the children ``children`` (pid -> index range) and return
-    (range, wait status) pairs.  When the wait is interrupted, the children
-    not yet reaped are killed and reaped before the exception goes on."""
-    pending = dict(children)
-    statuses = []
-    try:
-        for pid, span in children.items():
-            statuses.append((span, os.waitpid(pid, 0)[1]))
-            del pending[pid]
-    except BaseException:
-        _kill(pending)
-        raise
-    return statuses
-
-
 def _fill_forked(samples: int, workers: int, *args) -> np.ndarray:
     """The ``samples`` summands, filled by this process and up to
     workers - 1 forked children.  Each writes a contiguous range of whole
     blocks of one shared anonymous mapping; this process takes the first
     range (all of them for one worker) and every range it could not fork a
-    child for, and reaps every child, also when its own ranges raise."""
+    child for.  It waits for each child in turn; when its own ranges, a
+    wait or a child fail, the children not yet reaped are killed and
+    reaped before the exception goes on."""
     import mmap
 
     vals = np.frombuffer(mmap.mmap(-1, samples * np.dtype(complex).itemsize),
@@ -312,14 +287,20 @@ def _fill_forked(samples: int, workers: int, *args) -> np.ndarray:
             children[pid] = (start, stop)
         _fill(vals, edges[0], edges[1], *args)
         _fill(vals, rest, samples, *args)
-    except BaseException:
-        _kill(children)
-        raise
-    for (start, stop), status in _reap(children):
-        if status:
-            raise EigendynError(
-                f"Monte Carlo worker for samples [{start}, {stop}) ended with "
-                f"exit code {os.waitstatus_to_exitcode(status)}")
+        for pid, (start, stop) in list(children.items()):
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if status:
+                raise EigendynError(
+                    f"Monte Carlo worker for samples [{start}, {stop}) ended "
+                    f"with exit code {os.waitstatus_to_exitcode(status)}")
+    finally:
+        for pid in children:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        for pid in children:
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
     return vals
 
 

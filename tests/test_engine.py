@@ -411,17 +411,18 @@ def _reference_model(cfg):
               engine.parse_complex(item["l_rate"]))
              for item in model["lindblad"]]
 
-    def value(t):
+    def displaced(h, ls):
         acc = np.zeros_like(h)
-        for op, l0, l1 in terms:
-            l = complex(l0 + t * l1)
+        for (op, _, _), l in zip(terms, ls):
             acc = acc + np.conjugate(l) * op - l * op.conj().T
         return h + 0.5j * acc
 
-    rate = np.zeros_like(h)
-    for op, _, l1 in terms:
-        rate = rate + np.conjugate(l1) * op - l1 * op.conj().T
-    return lambda t: (value(t), 0.5j * rate, np.zeros_like(h))
+    # affine in the displacements l0 + t*l1: A + t*B with A the value at
+    # l0 and B the displacement part at l1
+    a = displaced(h, [l0 for _, l0, _ in terms])
+    b = displaced(np.zeros_like(h), [l1 for _, _, l1 in terms])
+    c = np.zeros_like(h)
+    return lambda t: (a + t * b + t * t * c, b + 2 * t * c, 2 * c)
 
 
 class TestModelReference:

@@ -1,9 +1,12 @@
+import itertools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eigendyn import core, dynamics, models
+from eigendyn import core, dynamics, engine, models
 from eigendyn.dynamics import MatrixTrajectory
 from eigendyn.errors import (
     DimensionMismatch,
@@ -29,6 +32,26 @@ def assert_spectra_close(got, want, atol):
 
 
 class TestRing:
+    def test_builders_match_their_definitions_bit_for_bit(self):
+        # build_omega against the circulant it was defined as, and
+        # build_omega_le against its per-site hop loop
+        grid = itertools.product([3, 4, 5, 8, 13, 64, 128],
+                                 [1e-3, 0.4, 1.0, 2.5, 1e3], [-1.7, 0.0, 0.1, 1.3])
+        for n, d, a in grid:
+            row = np.zeros(n)
+            row[0], row[1], row[-1] = a - 2 * d, d, d
+            want = dynamics.circulant_matrix(row).real.astype(float)
+            got = models.build_omega(BiophysicalRing(n=n, diffusion=d, growth=a))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, d, a)
+            for h in (-0.3, 0.03, 1.0):
+                want = np.diag(np.full(n, a - 2 * d))
+                for i in range(n):
+                    want[i, (i + 1) % n] = d * np.exp(h)
+                    want[i, (i - 1) % n] = d * np.exp(-h)
+                got = models.build_omega_le(
+                    BiophysicalRing(n=n, diffusion=d, growth=a, tilt=h))
+                assert got.tobytes() == want.tobytes(), (n, d, a, h)
+
     def test_three_site_rows(self):
         ring = BiophysicalRing(n=3, diffusion=1.0)
         m = models.build_omega(ring)
@@ -128,28 +151,50 @@ class TestEffectiveHamiltonian:
         # once, when the spec is built: evaluating it does not warn again
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            models.effective_hamiltonian(spec, np.linspace(0.0, 1.0, 3))
+            models.effective_hamiltonian(spec)
 
-    def test_rates_over_an_array_of_times(self):
-        rng = np.random.default_rng(4)
-        h = np.diag([0.0, 1.0, 2.0])
-        ops = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-               for _ in range(2)]
-        spec = EffectiveHamiltonianSpec(h, ops, [0.3, -0.2j], [1.0 + 1j, 0.5])
-        ts = np.linspace(0.0, 2.0, 5)
-        stack = models.effective_hamiltonian(spec, ts)
-        assert stack.shape == (5, 3, 3)
-        for t, got in zip(ts, stack):
-            fixed = EffectiveHamiltonianSpec(
-                h, ops, [0.3 + t * (1.0 + 1j), -0.2j + t * 0.5])
-            np.testing.assert_array_equal(got, models.effective_hamiltonian(fixed))
-        assert models.effective_hamiltonian(spec, 1.5).shape == (3, 3)
-        assert models.effective_hamiltonian(EffectiveHamiltonianSpec(h), ts).shape \
-            == (5, 3, 3)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_trajectory_follows_moving_displacements(self, data):
+        # an effective-Hamiltonian scenario's M(t) is the per-time formula
+        # with displacements l0 + t*l1, and Mdot its l1 part, to a few ulp
+        # of the largest term summed
+        n = data.draw(st.integers(1, 4), label="n")
+        number = st.complex_numbers(max_magnitude=10.0)
+        square = st.lists(st.lists(number, min_size=n, max_size=n),
+                          min_size=n, max_size=n)
+        h = np.array(data.draw(square, label="H"), dtype=complex)
+        terms = data.draw(st.lists(st.tuples(square, number, number),
+                                   max_size=3), label="terms")
+        t = data.draw(st.floats(-10.0, 10.0), label="t")
+        model = {"type": "effective_hamiltonian", "H": h.tolist(),
+                 "lindblad": [{"L": op, "l": l0, "l_rate": l1}
+                              for op, l0, l1 in terms]}
+        cfg = engine.ScenarioConfig.from_dict({
+            "model": model, "time": {"t0": 0.0, "t1": 1.0, "steps": 4}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # non-Hermitian H
+            m, mdot, mddot = engine.build_trajectory(cfg).at(t)
+
+        ops = [np.array(op) for op, _, _ in terms]
+
+        def displaced(ls):
+            acc = sum((np.conjugate(l) * op - l * op.conj().T
+                       for op, l in zip(ops, ls)), np.zeros((n, n)))
+            return 0.5j * acc
+
+        def largest_term(ls):
+            return sum(abs(l) * np.abs(op).max() for op, l in zip(ops, ls))
+
+        l0s, l1s = [l0 for _, l0, _ in terms], [l1 for _, _, l1 in terms]
+        ulp = 8 * np.finfo(float).eps
+        want = h + displaced([l0 + t * l1 for l0, l1 in zip(l0s, l1s)])
+        scale = np.abs(h).max() + largest_term(l0s) + abs(t) * largest_term(l1s)
+        assert np.abs(m - want).max() <= ulp * scale
+        assert np.abs(mdot - displaced(l1s)).max() <= ulp * largest_term(l1s)
+        assert not mddot.any()
 
     def test_rejects_mismatched_lists(self):
-        with pytest.raises(DimensionMismatch):
-            EffectiveHamiltonianSpec(np.eye(2), [np.eye(2)], [1.0], [0.1, 0.2])
         with pytest.raises(DimensionMismatch):
             EffectiveHamiltonianSpec(np.eye(2), [np.eye(2)], [])
         with pytest.raises(DimensionMismatch):

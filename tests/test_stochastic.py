@@ -395,9 +395,7 @@ class TestMonteCarloWorkers:
     @pytest.mark.parametrize("failing_fork", [1, 2])
     def test_failed_fork_fills_the_rest_in_process(self, real_8x8, monkeypatch,
                                                    failing_fork):
-        samples = 3 * 4096 + 5
-        if min(usable_cores(), samples // 4096) <= failing_fork:
-            pytest.skip(f"fewer than {failing_fork} workers to fork")
+        samples = 3 * 4096 + 5  # three workers on three usable cores
         m, d, _ = real_8x8
         j = complex_index(d)
         proc = PerturbationProcess(kind="full", seed=6)
@@ -411,6 +409,9 @@ class TestMonteCarloWorkers:
             return fork()
 
         with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                          raising=False)
+            patch.setattr(os, "cpu_count", lambda: 3)
             patch.setattr(os, "fork", failing)
             forked = stochastic.monte_carlo_conjugate_force(m, proc, j, samples)
         assert len(forks) == failing_fork
