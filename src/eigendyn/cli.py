@@ -176,8 +176,7 @@ def cmd_oracle(args) -> int:
     span = cfg.t1 - cfg.t0
     times = [cfg.t0 + f * span for f in (0.2, 0.4, 0.6, 0.8)]
     d_vel, d_acc = 1e-4, 1e-3
-    max_vel_err = 0.0
-    max_acc_err = 0.0
+    max_vel_err = max_acc_err = 0.0
     print(f"{'t':>10} {'j':>3} {'vel_rel_err':>14} {'acc_rel_err':>14}")
 
     def matched_eigs(tq, ref):
@@ -187,18 +186,20 @@ def cmd_oracle(args) -> int:
     for t in times:
         m, mdot, mddot = trajectory.at(t)
         d0 = core.decompose(m)
-        vel_fd = (matched_eigs(t + d_vel, d0)
-                  - matched_eigs(t - d_vel, d0)) / (2 * d_vel)
-        acc_fd = (matched_eigs(t + d_acc, d0) - 2 * d0.eigenvalues
-                  + matched_eigs(t - d_acc, d0)) / d_acc**2
-        forces = dynamics.force_columns(
-            d0.left, d0.right, d0.eigenvalues, mdot, mddot, np.arange(d0.n)
-        )
-        forces.raise_singular()
-        ev = np.abs(forces.velocity - vel_fd) / np.maximum(np.abs(vel_fd), 1e-12)
-        ea = np.abs(forces.total - acc_fd) / np.maximum(np.abs(acc_fd), 1e-12)
-        max_vel_err = max(max_vel_err, float(ev.max()))
-        max_acc_err = max(max_acc_err, float(ea.max()))
+        # a huge model overflows to an inf or NaN error, which fails below
+        with np.errstate(over="ignore", invalid="ignore"):
+            vel_fd = (matched_eigs(t + d_vel, d0)
+                      - matched_eigs(t - d_vel, d0)) / (2 * d_vel)
+            acc_fd = (matched_eigs(t + d_acc, d0) - 2 * d0.eigenvalues
+                      + matched_eigs(t - d_acc, d0)) / d_acc**2
+            forces = dynamics.force_columns(d0.left, d0.right, d0.eigenvalues,
+                                            mdot, mddot, np.arange(d0.n))
+            forces.raise_singular()
+            ev = np.abs(forces.velocity - vel_fd) / np.maximum(np.abs(vel_fd), 1e-12)
+            ea = np.abs(forces.total - acc_fd) / np.maximum(np.abs(acc_fd), 1e-12)
+        # np.maximum, unlike max, keeps a NaN error, which no tolerance passes
+        max_vel_err = np.maximum(max_vel_err, ev.max())
+        max_acc_err = np.maximum(max_acc_err, ea.max())
         for j, (e_vel, e_acc) in enumerate(zip(ev, ea)):
             print(f"{t:>10.4g} {j:>3} {e_vel:>14.3e} {e_acc:>14.3e}")
 

@@ -316,12 +316,23 @@ def _parse(section: dict, table: dict, where: str, ctx: ChainMap) -> dict:
     return values.maps[0]
 
 
+def _with_file_entries(written, typed):
+    """``written`` with each matrix file's path beside its parsed entries."""
+    if isinstance(written, str) and isinstance(typed, np.ndarray):
+        return {"path": written,
+                "entries": np.stack([typed.real, typed.imag], -1).tolist()}
+    if isinstance(written, dict):
+        return {key: _with_file_entries(v, typed[key]) for key, v in written.items()}
+    if isinstance(written, list):
+        return [_with_file_entries(v, t) for v, t in zip(written, typed)]
+    return written
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A scenario parsed by SCHEMA.  ``model`` and ``perturbation`` are the
-    sections as written, which ``to_dict`` and so the config hash read;
-    ``params`` and ``noise`` are their typed values (``noise`` is None
-    without a perturbation)."""
+    sections as written, which the config hash reads; ``params`` and ``noise``
+    are their typed values (``noise`` is None without a perturbation)."""
 
     model: dict
     t0: float
@@ -335,14 +346,12 @@ class ScenarioConfig:
     output_formats: tuple
     params: dict = field(compare=False)
     noise: Optional[dict] = field(compare=False)
-    base_dir: Path = field(default_factory=Path)
 
     @staticmethod
     def from_dict(raw: dict, base_dir=".") -> "ScenarioConfig":
         if not isinstance(raw, dict):
             raise ConfigInvalid("scenario root must be an object")
-        base_dir = Path(base_dir)
-        v = _parse(raw, SCHEMA[""], "", ChainMap({"base_dir": base_dir}))
+        v = _parse(raw, SCHEMA[""], "", ChainMap({"base_dir": Path(base_dir)}))
         # t1 > t0 alone lets the step underflow to 0 or overflow to inf
         time = v["time"]
         dt = (time["t1"] - time["t0"]) / time["steps"]
@@ -354,39 +363,25 @@ class ScenarioConfig:
             collision_threshold=v["collision_threshold"], seed=v["seed"],
             perturbation=raw.get("perturbation"), output_dir=v["output"]["dir"],
             output_formats=tuple(v["output"]["formats"]), params=v["model"],
-            noise=v["perturbation"], base_dir=base_dir)
+            noise=v["perturbation"])
 
     @staticmethod
     def from_file(path) -> "ScenarioConfig":
         return ScenarioConfig.from_dict(read_scenario(path),
                                         base_dir=Path(path).parent)
 
-    def process(self) -> Optional[stochastic.PerturbationProcess]:
-        """The noise walk, stepping (t1 - t0) / steps; None without a
-        perturbation."""
-        if self.noise is None:
-            return None
-        return stochastic.PerturbationProcess(
-            **self.noise, dt=(self.t1 - self.t0) / self.steps)
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
+    def config_hash(self) -> str:
+        """The sha256 of what the scenario computes: its sections as written,
+        a matrix file by path and entries, and not where results go."""
+        payload = {
+            "model": _with_file_entries(self.model, self.params),
             "time": {"t0": self.t0, "t1": self.t1, "steps": self.steps},
             "tracked": self.tracked,
             "collision_threshold": self.collision_threshold,
             "seed": self.seed,
             "perturbation": self.perturbation,
-            "output": {"dir": self.output_dir, "formats": list(self.output_formats)},
         }
-
-    def config_hash(self) -> str:
-        # the hash identifies the computation; where results are written
-        # does not change what was computed
-        payload = self.to_dict()
-        payload.pop("output")
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def _power(k, p: int):
@@ -401,11 +396,8 @@ def _power(k, p: int):
 def _trajectory(p: dict) -> MatrixTrajectory:
     """The matrix trajectory of a model section's typed values."""
     if p["type"] == "explicit":
-        try:
-            return MatrixTrajectory.polynomial(p["matrix"], p["velocity"],
-                                               p["acceleration"])
-        except EigendynError as exc:
-            raise ConfigInvalid(f"model: {exc}") from exc
+        return MatrixTrajectory.polynomial(p["matrix"], p["velocity"],
+                                           p["acceleration"])
 
     if p["type"] == "ring":
         n, u0, u1 = p["sites"], p["fluctuations"], p["fluctuation_rate"]
@@ -438,11 +430,8 @@ def _trajectory(p: dict) -> MatrixTrajectory:
         def s_matrix(k):
             return models.scattering_data(tmodel, k).s_matrix
 
-        try:  # evaluates the model once, at k = 0
-            scale = max(1.0, float(np.linalg.norm(core.as_square_matrix(
-                s_matrix(0.0)))))
-        except EigendynError as exc:
-            raise ConfigInvalid(f"model: {exc}") from exc
+        # evaluates the model once, at k = 0
+        scale = max(1.0, float(np.linalg.norm(core.as_square_matrix(s_matrix(0.0)))))
         # central differences of S at steps scaled by ||S(0)||_F; both are
         # products with the scale: a difference quotient magnifies a
         # last-bit change of a step by up to 1/h2**2
@@ -458,23 +447,24 @@ def _trajectory(p: dict) -> MatrixTrajectory:
 
     # effective_hamiltonian: affine in the displacements l + t l_rate
     h, terms = p["H"], p["lindblad"]
-    try:  # shapes and Hermiticity are checked once, here
-        spec = models.EffectiveHamiltonianSpec(
-            h, [item["L"] for item in terms], [item["l"] for item in terms])
-        rate = replace(spec, h=np.zeros_like(h),
-                       displacements=[item["l_rate"] for item in terms])
-        # polynomial rejects an overflowing coefficient, without a numpy warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            return MatrixTrajectory.polynomial(models.effective_hamiltonian(spec),
-                                               models.effective_hamiltonian(rate))
-    except EigendynError as exc:
-        raise ConfigInvalid(f"model: {exc}") from exc
+    spec = models.EffectiveHamiltonianSpec(  # checks shapes and Hermiticity
+        h, [item["L"] for item in terms], [item["l"] for item in terms])
+    rate = replace(spec, h=np.zeros_like(h),
+                   displacements=[item["l_rate"] for item in terms])
+    # polynomial rejects an overflowing coefficient, without a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return MatrixTrajectory.polynomial(models.effective_hamiltonian(spec),
+                                           models.effective_hamiltonian(rate))
 
 
 def build_trajectory(cfg: ScenarioConfig) -> MatrixTrajectory:
     """Instantiate the scenario's model as a matrix trajectory; the tracked
-    indices must lie within its size."""
-    trajectory = _trajectory(cfg.params)
+    indices must lie within its size.  A model the package rejects while
+    building it is an invalid scenario: ConfigInvalid("model: ...")."""
+    try:
+        trajectory = _trajectory(cfg.params)
+    except EigendynError as exc:
+        raise ConfigInvalid(f"model: {exc}") from exc
     for j in [] if cfg.tracked == "all" else cfg.tracked:
         if j >= trajectory.n:
             raise ConfigInvalid(f"tracked: index {j} outside 0..{trajectory.n - 1}")
@@ -757,16 +747,16 @@ def record_from_dict(data: dict) -> RunRecord:
 _BLOCK_ENTRIES = 2**14
 
 
-def _block_inputs(trajectory: MatrixTrajectory, proc, ts, rows: slice, noise):
+def _block_inputs(trajectory: MatrixTrajectory, proc, dt, ts, rows: slice, noise):
     """M, Mdot and Mddot at the times ``ts[rows]`` as (B, n, n) stacks,
-    with the noise walk applied, and the walk's state after them."""
+    with the noise walk of step ``dt`` applied, and its state after them."""
     m, mdot, mddot = trajectory.at(ts[rows])
     if proc is not None:
         for s, k in enumerate(range(rows.start, rows.stop)):
             p = proc.sample(trajectory.n, k)
             m[s] += noise
             mdot[s] += p
-            noise = noise + proc.dt * p  # applied from the next step on
+            noise = noise + dt * p  # applied from the next step on
     return m, mdot, mddot, noise
 
 
@@ -779,7 +769,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
 
     tracked = np.arange(n) if cfg.tracked == "all" else np.array(
         sorted(set(cfg.tracked)), dtype=int)
-    proc = cfg.process()
+    proc = None if cfg.noise is None else stochastic.PerturbationProcess(**cfg.noise)
 
     shape = (len(ts), len(tracked))
     eigenvalues = np.empty((len(ts), n), dtype=complex)
@@ -796,7 +786,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
     noise = np.zeros((n, n), dtype=complex)
     for start in range(0, len(ts), block):
         rows = slice(start, min(start + block, len(ts)))
-        m, mdot, mddot, noise = _block_inputs(trajectory, proc, ts, rows, noise)
+        m, mdot, mddot, noise = _block_inputs(
+            trajectory, proc, (cfg.t1 - cfg.t0) / cfg.steps, ts, rows, noise)
         d = core.decompose(m)
         # per step, raw index at the step before -> raw index; the first
         # step of the run fixes the path order

@@ -120,21 +120,17 @@ class PerturbationProcess:
     seed    non-negative integer master seed; sample i draws from
             default_rng(SeedSequence(seed, spawn_key=(i,))), so it is a
             pure function of (seed, i) and replays byte-identically
-    dt      step size of the walk, positive and finite
     """
 
     kind: str = "diagonal"
     sigma2: float = 1.0
     seed: int = 0
-    dt: float = 1e-2
 
     def __post_init__(self):
         if self.kind not in ("diagonal", "full"):
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
         if not (math.isfinite(self.sigma2) and self.sigma2 >= 0):
             raise ValueError(f"sigma2 must be finite and >= 0, got {self.sigma2!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
         if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
                 or self.seed < 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")

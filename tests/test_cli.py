@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from eigendyn import cli
+from eigendyn import cli, dynamics
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -338,3 +340,27 @@ class TestOracle:
         code = cli.main(["oracle", "--scenario", str(ring_scenario),
                          "--tolerance", "1e-300"])
         assert code == cli.EXIT_TOLERANCE
+
+    def test_nan_error_is_a_violation(self, ring_scenario, capsys, monkeypatch):
+        force_columns = dynamics.force_columns
+
+        def nan_inertial(*args, **kwargs):
+            out = force_columns(*args, **kwargs)
+            return dataclasses.replace(out, inertial=np.full_like(out.inertial, np.nan))
+
+        monkeypatch.setattr(dynamics, "force_columns", nan_inertial)
+        code = cli.main(["oracle", "--scenario", str(ring_scenario)])
+        assert code == cli.EXIT_TOLERANCE
+        assert "max acceleration rel err: nan" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_model_fails_without_numpy_warnings(self, tmp_path, capsys):
+        p = tmp_path / "eh.json"
+        p.write_text(json.dumps({
+            "model": {"type": "effective_hamiltonian", "H": [[0, "1+1i"], ["1-1i", 2]],
+                      "lindblad": [{"L": [[0, 1e308], [0, 0]], "l": 0.5,
+                                    "l_rate": "0.1i"}]},
+            "time": {"t0": 0, "t1": 1, "steps": 4}}))
+        code = cli.main(["oracle", "--scenario", str(p)])
+        assert code == cli.EXIT_TOLERANCE
+        assert capsys.readouterr().err == "error: oracle tolerance violated\n"

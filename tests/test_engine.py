@@ -172,11 +172,16 @@ class TestScenarioConfig:
         assert a == b
         assert a != c
 
-    def test_from_file(self, tmp_path):
-        p = tmp_path / "scn.json"
-        p.write_text(json.dumps(base_config()))
-        cfg = ScenarioConfig.from_file(p)
-        assert cfg.base_dir == tmp_path
+    def test_from_file(self, tmp_path, monkeypatch):
+        # matrix files are read beside the scenario, whatever the working
+        # directory
+        (tmp_path / "m.txt").write_text("1 0\n0 2\n")
+        (tmp_path / "scn.json").write_text(json.dumps(
+            base_config(model={"type": "explicit", "matrix": "m.txt"})))
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        cfg = ScenarioConfig.from_file(Path("..") / "scn.json")
+        np.testing.assert_array_equal(cfg.params["matrix"], [[1, 0], [0, 2]])
 
     def test_bad_json_reports_line(self, tmp_path):
         p = tmp_path / "scn.json"
@@ -328,6 +333,33 @@ class TestBuildTrajectory:
                                  "entries": {"M11": ["1"]}})
         with pytest.raises(ConfigInvalid, match="M12"):
             engine.build_trajectory(ScenarioConfig.from_dict(raw))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model,message", [
+        ({"type": "explicit", "matrix": [[0, 1], [-1, 0]], "velocity": [[1]]},
+         "polynomial coefficients must share shape"),
+        # det M(0) = 2
+        ({"type": "transfer", "entries": {"M11": ["2"], "M12": ["0"],
+                                          "M21": ["0"], "M22": ["1"]}},
+         r"\|det M\(k=0\.0\) - 1\|"),
+        ({"type": "effective_hamiltonian", "H": [[0, 1], [1, 0]],
+          "lindblad": [{"L": [[1]]}]}, "Lindblad operator dimension mismatch"),
+        # conj(l) L overflows
+        ({"type": "effective_hamiltonian", "H": [[0, 1], [1, 0]],
+          "lindblad": [{"L": [[0, 1e308], [0, 0]], "l": 4}]}, "NaN/Inf"),
+    ], ids=["velocity-shape", "transfer-det", "lindblad-shape", "eh-overflow"])
+    def test_model_build_error_is_a_model_config_error(self, tmp_path, capsys,
+                                                        model, message):
+        raw = base_config(model=model, time={"t0": 0.5, "t1": 1.0, "steps": 4})
+        with pytest.raises(ConfigInvalid, match=f"^model: .*{message}"):
+            engine.build_trajectory(ScenarioConfig.from_dict(raw))
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(raw))
+        for argv in (["validate"], ["run", "--out", str(tmp_path / "out")],
+                     ["oracle"]):
+            assert cli.main(argv + ["--scenario", str(p)]) == cli.EXIT_INVALID
+            err = capsys.readouterr().err
+            assert err.startswith("error: model: ") and err.count("\n") == 1, err
 
 
 _ENTRY_NAMES = ("M11", "M12", "M21", "M22")
@@ -523,7 +555,8 @@ class TestScenarioFuzz:
 # and so every record's provenance, does not depend on how keys are parsed
 PINNED_HASHES = {
     "ring": "787412f37a2a91d360d52725cb5ad8a4aa4fd905881b69cc6a5c57fb8df18ab6",
-    "collision": "a20075adc97f2bfd3c2fb0529f3a5d0e1afe2fbc69348f53e989eddef70111b0",
+    # its matrices are files: the hash holds their entries beside their paths
+    "collision": "1f9ed5066f9bb5dcee29783807bc814d5a98bf1665779970052d7e6197f07717",
     "noisy": "0256ee81bb5251a1ac037f4be896502472c39388fd3cfcf079b54f7f0e0aeb51",
     "transfer": "1ca1ff469d59106dd875ab22c58d8f5b356cc8469b79c4c754a74fc9b9438c0a",
     "effective_hamiltonian":
@@ -540,6 +573,32 @@ class TestSchema:
         if (SCENARIOS / f"{name}.json").exists():
             shipped = ScenarioConfig.from_file(SCENARIOS / f"{name}.json")
             assert shipped.config_hash() == PINNED_HASHES[name]
+
+    @pytest.mark.parametrize("scenario,matrix,old,new", [
+        ("collision.json", "collision_m.txt", "0 1", "0 2"),
+        ("collision.json", "collision_v.txt", "1 0", "2 0"),
+        ("eh.json", "h.txt", " 2", " 3"), ("eh.json", "l.txt", "0 1", "0 2")],
+        ids=["collision-matrix", "collision-velocity", "eh-H", "eh-L"])
+    def test_config_hash_reads_matrix_files(self, tmp_path, scenario, matrix,
+                                            old, new):
+        files = {name: (SCENARIOS / name).read_text() for name in
+                 ("collision.json", "collision_m.txt", "collision_v.txt")}
+        files.update({"h.txt": "0 1+1i\n1-1i 2\n", "l.txt": "0 1\n0 0\n",
+                      "eh.json": json.dumps(base_config(model={
+                          "type": "effective_hamiltonian", "H": "h.txt",
+                          "lindblad": [{"L": "l.txt"}, {"L": "l.txt", "l": 1}]}))})
+        hashes = []
+        for copy_ in ("a", "b", "c"):
+            (tmp_path / copy_).mkdir()
+            for name, text in files.items():
+                (tmp_path / copy_ / name).write_text(text)
+            if copy_ == "c":  # one entry of one file differs
+                path = tmp_path / copy_ / matrix
+                path.write_text(path.read_text().replace(old, new, 1))
+            hashes.append(ScenarioConfig.from_file(tmp_path / copy_ / scenario)
+                          .config_hash())
+        # the same contents in a fresh copy hash alike, an edited file not
+        assert hashes[0] == hashes[1] != hashes[2]
 
     def test_defaults_fill_absent_keys(self):
         cfg = ScenarioConfig.from_dict(base_config(
@@ -1330,7 +1389,7 @@ def _per_step_run(cfg):
         proc = stochastic.PerturbationProcess(
             kind=cfg.perturbation.get("kind", "diagonal"),
             sigma2=float(cfg.perturbation.get("sigma2", 1.0)),
-            seed=int(cfg.perturbation.get("seed", cfg.seed)), dt=dt)
+            seed=int(cfg.perturbation.get("seed", cfg.seed)))
     shape = (len(ts), len(tracked))
     eigenvalues = np.empty((len(ts), n), dtype=complex)
     permutation = np.empty((len(ts), n), dtype=int)
