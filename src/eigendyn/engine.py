@@ -476,12 +476,24 @@ def build_trajectory(cfg: ScenarioConfig) -> MatrixTrajectory:
 
 # flag names in bit order: bit b of a flag mask stands for names[b]
 STEP_FLAGS = ("degenerate", "ambiguous-match", "pairing-failed", "jump")
-VALUE_FLAGS = ("near-real", "singular-gap")
+VALUE_FLAGS = ("near-real", "singular-gap", "non-finite")
 _DEGENERATE, _AMBIGUOUS, _PAIRING_FAILED, _JUMP = 1, 2, 4, 8
-_NEAR_REAL, _SINGULAR_GAP = 1, 2
-# the complex (S, m) columns, in the order of a tracked entry's JSON keys
-_VALUES = ("velocity", "inertial", "conjugate_term", "others",
-           "conjugate_force", "expected_force")
+_NEAR_REAL, _SINGULAR_GAP, _NON_FINITE = 1, 2, 4
+# One complex (S, m) value column of a record: its key in a tracked JSON
+# entry, the stem of its CSV fields re_<stem> and im_<stem> (None: not in
+# the CSV), and the rule of where a run holds it.  "finite": wherever the
+# value is finite.  "intact": where the path has no value flag.  "paired":
+# where the path has a conjugate partner and no near-real or non-finite
+# flag.  "noisy": as "paired", in a run with a perturbation.
+_Column = namedtuple("_Column", "key stem rule")
+_COLUMNS = (
+    _Column("velocity", "vel", "finite"),
+    _Column("inertial", "inertial", "intact"),
+    _Column("conjugate_term", "conj", "intact"),
+    _Column("others", "others", "intact"),
+    _Column("conjugate_force", None, "paired"),
+    _Column("expected_force", None, "noisy"),
+)
 
 
 @dataclass(frozen=True)
@@ -497,12 +509,11 @@ class RunRecord:
     """A run as columns over S = steps + 1 steps, n paths and m tracked
     paths: ``t`` (S,); path-ordered ``eigenvalues`` and ``permutation``
     (path -> raw solver index), (S, n); ``tracked`` (m,), sorted and
-    unique; complex (S, m) ``velocity``, ``inertial``, ``conjugate_term``,
-    ``others``, ``conjugate_force`` and ``expected_force``; the bitmasks
-    ``step_flags`` (S,) over STEP_FLAGS and ``value_flags`` (S, m) over
-    VALUE_FLAGS.  An absent value is NaN, but absence is read from the
-    masks, never from NaN: the acceleration split is absent where a value
-    flag is set, a force where its ``has_*`` mask is False.
+    unique; the complex (S, m) value columns of ``_COLUMNS``; ``present``
+    (len(_COLUMNS), S, m), where each value column holds a value, in table
+    order; the bitmasks ``step_flags`` (S,) over STEP_FLAGS and
+    ``value_flags`` (S, m) over VALUE_FLAGS.  An absent value is NaN, but
+    absence is read from ``present``, never from NaN.
     """
 
     t: np.ndarray
@@ -515,8 +526,7 @@ class RunRecord:
     others: np.ndarray
     conjugate_force: np.ndarray
     expected_force: np.ndarray
-    has_conjugate_force: np.ndarray
-    has_expected_force: np.ndarray
+    present: np.ndarray
     step_flags: np.ndarray
     value_flags: np.ndarray
     events: list
@@ -593,11 +603,6 @@ def _template(skeleton, pad: int) -> tuple:
     return text, list(map(int, parts[1::2]))
 
 
-def _json_floats(x) -> list:
-    """json's text of each float of ``x``, flattened."""
-    return _float_texts(x, float.__repr__, _NONFINITE).tolist()
-
-
 def _pair_texts(z, pad: int, present=None) -> list:
     """json's text of each [re, im] pair of ``z``, flattened; null where
     not ``present``, and those are never formatted."""
@@ -630,13 +635,10 @@ def _rows_json(record: RunRecord) -> list:
 
     eigenvalues = _pair_texts(record.eigenvalues, 4)
     permutation = list(map(str, record.permutation.ravel().tolist()))
-    intact = record.value_flags == 0
-    present = [np.ones_like(intact), intact, intact, intact,
-               record.has_conjugate_force, record.has_expected_force]
     # one pass over the value columns: conjugate_force repeats
     # conjugate_term, and a repeated float is formatted once
-    values = _pair_texts(np.stack([getattr(record, name) for name in _VALUES]),
-                         5, np.stack(present))
+    values = _pair_texts(np.stack([getattr(record, c.key) for c in _COLUMNS]), 5,
+                         record.present)
     value_flags = [_flags_text(f, VALUE_FLAGS, 5)
                    for f in record.value_flags.ravel().tolist()]
     skeleton = {
@@ -644,10 +646,10 @@ def _rows_json(record: RunRecord) -> list:
         "flags": slot([_flags_text(f, STEP_FLAGS, 3)
                        for f in record.step_flags.tolist()]),
         "permutation": [slot(permutation[j::n]) for j in range(n)],
-        "t": slot(_json_floats(record.t)),
+        "t": slot(_float_texts(record.t, float.__repr__, _NONFINITE).tolist()),
         "tracked": {str(j): {
-            **{name: slot(values[c * size + p:(c + 1) * size:m])
-               for c, name in enumerate(_VALUES)},
+            **{c.key: slot(values[i * size + p:(i + 1) * size:m])
+               for i, c in enumerate(_COLUMNS)},
             "flags": slot(value_flags[p::m]),
         } for p, j in enumerate(record.tracked.tolist())},
     }
@@ -655,23 +657,19 @@ def _rows_json(record: RunRecord) -> list:
     return [template % row for row in zip(*(columns[i] for i in order))]
 
 
-# the per-step columns of a record: a row block slices each of them
-_STEP_COLUMNS = ("t", "eigenvalues", "permutation", *_VALUES,
-                 "has_conjugate_force", "has_expected_force", "step_flags",
-                 "value_flags")
-
-
 def _row_blocks(record: RunRecord):
     """The record as records of consecutive steps, each holding about
     ``_BLOCK_ENTRIES`` complex values (a step holds n eigenvalues and six
     values per tracked path): an export formats one block at a time, so
     its memory does not grow with the number of steps."""
-    width = record.eigenvalues.shape[1] + len(_VALUES) * len(record.tracked)
+    width = record.eigenvalues.shape[1] + len(_COLUMNS) * len(record.tracked)
     size = max(1, _BLOCK_ENTRIES // max(1, width))
+    steps = {name: value for name, value in vars(record).items()
+             if isinstance(value, np.ndarray) and name not in ("tracked", "present")}
     for start in range(0, len(record.t), size):
         rows = slice(start, start + size)
-        yield replace(record, **{name: getattr(record, name)[rows]
-                                 for name in _STEP_COLUMNS})
+        yield replace(record, **{name: value[rows] for name, value in steps.items()},
+                      present=record.present[:, rows])
 
 
 def _json_chunks(record: RunRecord):
@@ -700,39 +698,44 @@ def record_json(record: RunRecord) -> str:
 
 def record_from_dict(data: dict) -> RunRecord:
     """Inverse of :func:`record_json` read by ``json.loads``.  Raises
-    RecordInvalid when ``data`` does not follow the record schema."""
+    RecordInvalid when ``data`` does not follow the record schema, or when
+    a tracked key or a permutation row is not one of n paths."""
     try:
         rows = data["rows"]
         keys = sorted(rows[0]["tracked"], key=int)
-        shape = (len(rows), len(keys))
         # every step's tracked entries, step by step: each column is read
         # in one pass over them
         cells = [row["tracked"][key] for row in rows for key in keys]
+        values = [cell[c.key] for c in _COLUMNS for cell in cells]
+        shape = (len(_COLUMNS), len(rows), len(keys))
+        table = _complex([(np.nan, np.nan) if v is None else v for v in values],
+                         shape)
         eigenvalues = [row["eigenvalues"] for row in rows]
         if len(set(map(len, eigenvalues))) != 1:
             raise ValueError("rows hold different numbers of eigenvalues")
-        values, has = {}, {}
-        for name in _VALUES:
-            column = [cell[name] for cell in cells]
-            values[name] = _complex([v or (np.nan, np.nan) for v in column],
-                                    shape)
-            if name in ("conjugate_force", "expected_force"):
-                has[f"has_{name}"] = np.array(
-                    [v is not None for v in column], dtype=bool).reshape(shape)
+        n = len(eigenvalues[0])
+        if not set(keys) <= set(map(str, range(n))):
+            raise ValueError(f"tracked keys {keys} are not indices 0..{n - 1}")
+        perms = [row["permutation"] for row in rows]
+        permutation = np.array(perms, dtype=int)
+        if permutation.shape != (len(rows), n) or permutation.tolist() != perms or (
+                np.sort(permutation) != np.arange(n)).any():
+            raise ValueError(f"a permutation row is not one of 0..{n - 1}")
         return RunRecord(
             t=np.array([row["t"] for row in rows], dtype=float),
             eigenvalues=_complex(list(itertools.chain.from_iterable(eigenvalues)),
-                                 (len(rows), -1)),
-            permutation=np.array([row["permutation"] for row in rows], dtype=int),
+                                 (len(rows), n)),
+            permutation=permutation,
             tracked=np.array(keys, dtype=int),
+            **{c.key: table[i] for i, c in enumerate(_COLUMNS)},
+            present=np.fromiter((v is not None for v in values), bool).reshape(shape),
             step_flags=np.array([_flag_mask(tuple(row["flags"]), STEP_FLAGS)
                                  for row in rows], dtype=int),
             value_flags=np.array([_flag_mask(tuple(cell["flags"]), VALUE_FLAGS)
-                                  for cell in cells], dtype=int).reshape(shape),
+                                  for cell in cells], dtype=int).reshape(shape[1:]),
             events=[CollisionEvent(e["t_lo"], e["t_hi"], tuple(e["pair"]),
                                    e["min_abs_im"]) for e in data["events"]],
             provenance=dict(data["provenance"]),
-            **values, **has,
         )
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise RecordInvalid(f"malformed run record: {exc!r}") from exc
@@ -774,9 +777,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
     shape = (len(ts), len(tracked))
     eigenvalues = np.empty((len(ts), n), dtype=complex)
     permutation = np.empty((len(ts), n), dtype=int)
-    # absent values stay NaN
-    values = {name: np.full(shape, complex(np.nan, np.nan)) for name in _VALUES}
-    has_conjugate_force = np.zeros(shape, dtype=bool)
+    # the value columns in table order; absent values stay NaN
+    values = np.full((len(_COLUMNS),) + shape, complex(np.nan, np.nan))
+    present = np.zeros(values.shape, dtype=bool)
     step_flags = np.zeros(len(ts), dtype=int)
     value_flags = np.zeros(shape, dtype=int)
 
@@ -820,30 +823,36 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
         paired = np.take_along_axis(partner, raw, axis=-1) != raw
         near_real = paired & (np.abs(np.take_along_axis(
             d.eigenvalues, raw, axis=-1).imag) < cfg.collision_threshold)
-        # the terms of a near-real pair may overflow; they are dropped below
+        # the terms of a near-real pair, or of a large model, may overflow:
+        # a cell whose value is not finite is flagged below
         with np.errstate(over="ignore", invalid="ignore"):
             forces = dynamics.force_columns(d.left, d.right, d.eigenvalues, mdot,
                                             mddot, raw, partner, gap_tol=1e-14)
-        singular = ~near_real & (forces.singular >= 0)
-        intact = ~near_real & ~singular
-        conj = paired & ~near_real
+            singular = ~near_real & (forces.singular >= 0)
+            conj = paired & ~near_real
+            rules = {"finite": np.ones_like(conj), "intact": ~near_real & ~singular,
+                     "paired": conj, "noisy": conj & (proc is not None)}
+            expected = np.full(conj.shape, complex(np.nan, np.nan))
+            for s, p in np.argwhere(rules["noisy"]).tolist():
+                expected[s, p] = stochastic.expected_conjugate_force_iid(
+                    d[s], proc.sigma2, raw[s, p], kind=proc.kind)
+        terms = dict(vars(forces), conjugate_force=forces.conjugate_term,
+                     expected_force=expected)
+        block_values = np.stack([terms[c.key] for c in _COLUMNS])
+        held = np.stack([rules[c.rule] for c in _COLUMNS])
+        here = held & np.isfinite(block_values)
+        non_finite = (held & ~here).any(axis=0)
+        # a cell flagged non-finite keeps only its finite "finite" columns
+        here[[c.rule != "finite" for c in _COLUMNS]] &= ~non_finite
 
         eigenvalues[rows] = np.take_along_axis(d.eigenvalues, perms, axis=-1)
         permutation[rows] = perms
         step_flags[rows] = (_DEGENERATE * d.degenerate + _AMBIGUOUS * ambiguous
                             + _PAIRING_FAILED * failed)
-        value_flags[rows] = _NEAR_REAL * near_real + _SINGULAR_GAP * singular
-        values["velocity"][rows] = forces.velocity
-        for name in ("inertial", "conjugate_term", "others"):
-            values[name][rows][intact] = getattr(forces, name)[intact]
-        has_conjugate_force[rows] = conj
-        values["conjugate_force"][rows][conj] = forces.conjugate_term[conj]
-        if proc is not None:
-            values["expected_force"][rows][conj] = [
-                stochastic.expected_conjugate_force_iid(d[s], proc.sigma2, j,
-                                                        kind=proc.kind)
-                for s, j in zip(np.nonzero(conj)[0].tolist(), raw[conj].tolist())
-            ]
+        value_flags[rows] = (_NEAR_REAL * near_real + _SINGULAR_GAP * singular
+                             + _NON_FINITE * non_finite)
+        present[:, rows] = here
+        values[:, rows][here] = block_values[here]
         prev = d[-1]
 
     # a step whose largest path displacement exceeds 10x the step's median
@@ -853,18 +862,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
     step_flags[1:][(med > 0) & (disp.max(axis=1) > 10 * med)] |= _JUMP
 
     record = RunRecord(
-        t=ts, eigenvalues=eigenvalues, permutation=permutation,
-        tracked=tracked, has_conjugate_force=has_conjugate_force,
-        # the expectation exists wherever the force does, given noise
-        has_expected_force=has_conjugate_force & (proc is not None),
-        step_flags=step_flags,
-        value_flags=value_flags, events=[],
-        provenance={
-            "config_hash": cfg.config_hash(),
-            "seed": cfg.seed,
-            "version": __version__,
-        },
-        **values,
+        t=ts, eigenvalues=eigenvalues, permutation=permutation, tracked=tracked,
+        **{c.key: values[i] for i, c in enumerate(_COLUMNS)}, present=present,
+        step_flags=step_flags, value_flags=value_flags, events=[],
+        provenance={"config_hash": cfg.config_hash(), "seed": cfg.seed,
+                    "version": __version__},
     )
     return replace(record,
                    events=detect_collisions(record, cfg.collision_threshold))
@@ -888,19 +890,16 @@ def detect_collisions(record: RunRecord, threshold: float) -> list:
     # at the first step only a genuinely complex eigenvalue below
     # threshold counts; permanently real ones never "reach" the axis
     start[:1] &= ims[:1] != 0.0
-    events = []
-    seen = set()
+    found = {}  # the first event of each step and pair
     for k, j in np.argwhere(start).tolist():
         dist = np.abs(w[k] - w[k, j].conjugate())
         dist[j] = np.inf
         partner = int(np.argmin(dist)) if w.shape[1] > 1 else j
-        key = (k, frozenset((j, partner)))
-        if key not in seen:
-            seen.add(key)
-            events.append(CollisionEvent(t[max(k - 1, 0)], t[k], (j, partner),
-                                         float(ims[k, j])))
-    events += [CollisionEvent(t[max(k - 1, 0)], t[k], (-1, -1), float("nan"))
-               for k in np.flatnonzero(record.flagged("ambiguous-match")).tolist()]
+        found.setdefault((k, frozenset((j, partner))), CollisionEvent(
+            t[max(k - 1, 0)], t[k], (j, partner), float(ims[k, j])))
+    events = list(found.values()) + [
+        CollisionEvent(t[max(k - 1, 0)], t[k], (-1, -1), float("nan"))
+        for k in np.flatnonzero(record.flagged("ambiguous-match")).tolist()]
     events.sort(key=lambda e: (e.t_hi, e.pair))
     return events
 
@@ -908,15 +907,15 @@ def detect_collisions(record: RunRecord, threshold: float) -> list:
 # ---------------------------------------------------------------------------
 # persistence
 
-_CSV_COLUMNS = [
-    "t", "j", "re_lambda", "im_lambda", "re_vel", "im_vel",
-    "re_acc_total", "im_acc_total", "re_inertial", "im_inertial",
-    "re_conj", "im_conj", "re_others", "im_others", "flags",
-]
-
-
+# The CSV's float fields are pairs re_<stem>, im_<stem>: the tracked
+# eigenvalues ("lambda"), then the value columns with a stem, the first
+# (the velocity) followed by the total ("acc_total") of the others, the
+# acceleration split.
+_STEMS = [c.stem for c in _COLUMNS if c.stem]
+_CSV_HEADER = ["t", "j", *(f"{part}_{stem}" for stem in (
+    "lambda", _STEMS[0], "acc_total", *_STEMS[1:]) for part in ("re", "im")), "flags"]
 # one CSV line: no field ever needs quoting
-_CSV_LINE = ",".join(["%s"] * len(_CSV_COLUMNS)) + "\r\n"
+_CSV_LINE = ",".join(["%s"] * len(_CSV_HEADER)) + "\r\n"
 
 
 @functools.cache
@@ -934,9 +933,9 @@ def _csv_columns(record: RunRecord) -> list:
     # value over all the complex columns
     t = np.repeat(_float_texts(record.t, fmt), m).tolist()
     j = list(map(str, record.tracked.tolist())) * len(record.t)
-    parts = [part for z in (record.eigenvalues[:, record.tracked],
-                            record.velocity, record.total, record.inertial,
-                            record.conjugate_term, record.others)
+    first, *split = [getattr(record, c.key) for c in _COLUMNS if c.stem]
+    parts = [part for z in (record.eigenvalues[:, record.tracked], first,
+                            record.total, *split)
              for part in (z.real, z.imag)]
     floats = _float_texts(np.stack(parts), fmt).reshape(len(parts), -1).tolist()
     flags = [_csv_flags(step, value) for step, row in zip(
@@ -946,7 +945,7 @@ def _csv_columns(record: RunRecord) -> list:
 
 def _csv_chunks(record: RunRecord):
     """The CSV text in pieces: the header, then one piece per row block."""
-    yield _CSV_LINE % tuple(_CSV_COLUMNS)
+    yield _CSV_LINE % tuple(_CSV_HEADER)
     for block in _row_blocks(record):
         yield "".join(map(_CSV_LINE.__mod__, zip(*_csv_columns(block))))
 

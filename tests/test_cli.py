@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import shutil
@@ -317,6 +318,14 @@ class TestSweep:
         assert not (tmp_path / "sweep").exists()
 
 
+# an effective Hamiltonian whose force terms overflow on every row
+OVERFLOWING_EH = {
+    "model": {"type": "effective_hamiltonian", "H": [[0, "1+1i"], ["1-1i", 2]],
+              "lindblad": [{"L": [[0, 1e308], [0, 0]], "l": 0.5, "l_rate": "0.1i"}]},
+    "time": {"t0": 0, "t1": 1, "steps": 4},
+}
+
+
 class TestOracle:
     def test_ring_passes(self, ring_scenario, capsys):
         code = cli.main(["oracle", "--scenario", str(ring_scenario),
@@ -356,11 +365,29 @@ class TestOracle:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_model_fails_without_numpy_warnings(self, tmp_path, capsys):
         p = tmp_path / "eh.json"
-        p.write_text(json.dumps({
-            "model": {"type": "effective_hamiltonian", "H": [[0, "1+1i"], ["1-1i", 2]],
-                      "lindblad": [{"L": [[0, 1e308], [0, 0]], "l": 0.5,
-                                    "l_rate": "0.1i"}]},
-            "time": {"t0": 0, "t1": 1, "steps": 4}}))
+        p.write_text(json.dumps(OVERFLOWING_EH))
         code = cli.main(["oracle", "--scenario", str(p)])
         assert code == cli.EXIT_TOLERANCE
         assert capsys.readouterr().err == "error: oracle tolerance violated\n"
+
+    def test_run_flags_what_oracle_fails(self, tmp_path, capsys):
+        # a run records the overflowed force terms as flagged absences
+        p, out = tmp_path / "eh.json", tmp_path / "out"
+        p.write_text(json.dumps(OVERFLOWING_EH))
+        code = cli.main(["run", "--scenario", str(p), "--out", str(out),
+                         "--set", 'output.formats=["json","csv"]'])
+        assert code == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        text = (out / "record.json").read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        cells = [cell for row in json.loads(text)["rows"]
+                 for cell in row["tracked"].values()]
+        assert len(cells) == 10
+        for cell in cells:
+            assert cell["flags"] == ["non-finite"]
+            assert cell["velocity"] is not None
+            assert cell["others"] is None and cell["inertial"] is None
+        with (out / "record.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert {row["flags"] for row in rows} == {"non-finite"}
+        assert {row["re_others"] for row in rows} == {"nan"}

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import csv
 import dataclasses
@@ -19,6 +20,16 @@ from eigendyn.errors import (ConfigInvalid, PairingFailure, RecordInvalid,
                              UnsupportedFormat)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# the value columns of a record, in table order
+KEYS = [c.key for c in engine._COLUMNS]
+CSV_HEADER = ["t", "j", "re_lambda", "im_lambda", "re_vel", "im_vel",
+              "re_acc_total", "im_acc_total", "re_inertial", "im_inertial",
+              "re_conj", "im_conj", "re_others", "im_others", "flags"]
+
+
+def _present(record, key):
+    """Where value column ``key`` of ``record`` holds a value."""
+    return record.present[KEYS.index(key)]
 
 
 class TestParseComplex:
@@ -457,12 +468,22 @@ def _reference_model(cfg):
     return lambda t: (a + t * b + t * t * c, b + 2 * t * c, 2 * c)
 
 
+def _warns_not_hermitian(case):
+    """The effective-Hamiltonian cases draw a random H, which is not
+    Hermitian: building their model warns."""
+    if case != "effective-hamiltonian":
+        return contextlib.nullcontext()
+    return pytest.warns(UserWarning, match="not Hermitian")
+
+
 class TestModelReference:
     @pytest.mark.parametrize("case", ["explicit", "ring", "transfer",
                                       "effective-hamiltonian"])
     def test_callables_match_per_time_formulas(self, case):
         cfg = ScenarioConfig.from_dict(_model_case(case))
-        traj, reference = engine.build_trajectory(cfg), _reference_model(cfg)
+        with _warns_not_hermitian(case):
+            traj = engine.build_trajectory(cfg)
+        reference = _reference_model(cfg)
         ts = np.linspace(cfg.t0, cfg.t1, cfg.steps + 1)
         for t in [*ts, 0.75]:
             got = (traj.value(t), traj.first_derivative(t),
@@ -759,7 +780,7 @@ class TestRunScenario:
             seed=7,
         )
         record = engine.run_scenario(ScenarioConfig.from_dict(raw))
-        assert record.has_expected_force[0, 0]
+        assert _present(record, "expected_force")[0, 0]
         assert record.expected_force[0, 0].imag != 0.0
 
     def test_tracked_subset(self, tmp_path):
@@ -813,7 +834,7 @@ class TestRunScenario:
         flagged = record.flagged("near-real")
         assert flagged.any()
         assert np.isnan(record.total[flagged]).all()
-        assert not record.has_conjugate_force[flagged].any()
+        assert not _present(record, "conjugate_force")[flagged].any()
 
     def test_singular_gap_flagged(self):
         raw = base_config(model={"type": "explicit",
@@ -834,7 +855,7 @@ class TestRunScenario:
                                  "matrix": [[0.0, 1.0], [-1.0, 0.0]]})
         record = engine.run_scenario(ScenarioConfig.from_dict(raw))
         assert record.flagged("pairing-failed").all()
-        assert not record.has_conjugate_force.any()
+        assert not _present(record, "conjugate_force").any()
         assert (record.conjugate_term == 0).all()
 
     def test_pairing_bug_propagates(self, monkeypatch):
@@ -846,6 +867,53 @@ class TestRunScenario:
                                  "matrix": [[0.0, 1.0], [-1.0, 0.0]]})
         with pytest.raises(TypeError):
             engine.run_scenario(ScenarioConfig.from_dict(raw))
+
+
+# the overflowing effective Hamiltonian of ROADMAP aim 3: its forces are
+# not finite on every row
+OVERFLOWING_EH = {
+    "model": {"type": "effective_hamiltonian", "H": [[0, "1+1i"], ["1-1i", 2]],
+              "lindblad": [{"L": [[0, 1e308], [0, 0]], "l": 0.5, "l_rate": "0.1i"}]},
+    "time": {"t0": 0, "t1": 1, "steps": 4},
+}
+
+
+def _scaled_collision(k):
+    """scenarios/collision.json with its matrices scaled by 10**k, inline."""
+    raw = json.loads((SCENARIOS / "collision.json").read_text())
+    for key in ("matrix", "velocity"):
+        m = engine.read_matrix_file(SCENARIOS / raw["model"][key])
+        raw["model"][key] = (m.real * 10.0**k).tolist()
+    return raw
+
+
+class TestNonFiniteValues:
+    """A value that is not finite after the kernel is a flagged absence."""
+
+    @pytest.mark.parametrize("raw,flagged,no_velocity", [
+        (_scaled_collision(0), 0, 0),
+        # at 10**154 products of two entries overflow: 4 conjugate terms,
+        # 42 others and 4 conjugate forces
+        (_scaled_collision(154), 46, 0),
+        (_scaled_collision(200), 120, 0),
+        # here the velocity itself overflows in 12 cells
+        (_scaled_collision(308), 120, 12),
+        (OVERFLOWING_EH, 10, 0),  # both paths on all 5 rows
+    ], ids=["collision", "collision-e154", "collision-e200", "collision-e308",
+            "overflowing-eh"])
+    def test_every_present_value_is_finite(self, raw, flagged, no_velocity):
+        record = engine.run_scenario(ScenarioConfig.from_dict(raw))
+        for name in KEYS:
+            assert np.isfinite(getattr(record, name)[_present(record, name)]).all()
+        non_finite = record.flagged("non-finite")
+        assert non_finite.sum() == flagged
+        # as a near-real cell, it holds no acceleration split and no forces
+        assert not record.present[1:, non_finite].any()
+        assert (~_present(record, "velocity")).sum() == no_velocity
+        data = json.loads(engine.record_json(record))
+        rows = json.dumps(data["rows"])
+        assert "Infinity" not in rows and "NaN" not in rows
+        _assert_same_record(engine.record_from_dict(data), record)
 
 
 class TestPersistence:
@@ -865,7 +933,7 @@ class TestPersistence:
         engine.export(record, "csv", target)
         with target.open() as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == engine._CSV_COLUMNS
+        assert rows[0] == CSV_HEADER
         assert len(rows) == 1 + 4 * 2  # header + (steps+1) * tracked
 
     def test_csv_roundtrips_doubles(self, tmp_path):
@@ -991,11 +1059,8 @@ def _reference_json(record) -> str:
     def names(mask, flags):
         return [f for b, f in enumerate(flags) if mask >> b & 1]
 
-    intact = record.value_flags == 0
-    present = (np.ones_like(intact), intact, intact, intact,
-               record.has_conjugate_force, record.has_expected_force)
-    columns = [pairs(getattr(record, name), mask)
-               for name, mask in zip(engine._VALUES, present)]
+    columns = [pairs(getattr(record, name), _present(record, name))
+               for name in KEYS]
     keys = [str(j) for j in record.tracked.tolist()]
     value_flags = record.value_flags.tolist()
     rows = [{
@@ -1004,7 +1069,7 @@ def _reference_json(record) -> str:
         "permutation": permutation,
         "flags": names(flags, engine.STEP_FLAGS),
         "tracked": {
-            key: dict(zip(engine._VALUES, values),
+            key: dict(zip(KEYS, values),
                       flags=names(f, engine.VALUE_FLAGS))
             for key, values, f in zip(keys, zip(*(col[k] for col in columns)),
                                       value_flags[k])
@@ -1045,7 +1110,7 @@ def _reference_csv(record, path) -> None:
         columns += [fmt(z.real), fmt(z.imag)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(engine._CSV_COLUMNS)
+        writer.writerow(CSV_HEADER)
         writer.writerows(zip(*columns, flags))
 
 
@@ -1066,12 +1131,18 @@ def _reference_from_dict(data):
         keys = sorted(rows[0]["tracked"], key=int)
         cells = [[row["tracked"][key] for key in keys] for row in rows]
         shape = (len(rows), len(keys))
-        values = {name: pairs([[c[name] or (np.nan, np.nan) for c in r]
-                               for r in cells], shape)
-                  for name in engine._VALUES}
-        has = {f"has_{name}": np.array([[c[name] is not None for c in r]
-                                        for r in cells], dtype=bool).reshape(shape)
-               for name in ("conjugate_force", "expected_force")}
+        values = {name: pairs([[(np.nan, np.nan) if c[name] is None else c[name]
+                                for c in r] for r in cells], shape)
+                  for name in KEYS}
+        present = np.array([[[c[name] is not None for c in r] for r in cells]
+                            for name in KEYS], dtype=bool).reshape(len(KEYS), *shape)
+        n = len(rows[0]["eigenvalues"])
+        for key in keys:
+            if key not in [str(j) for j in range(n)]:
+                raise RecordInvalid(f"tracked key {key!r} is not a path index")
+        for row in rows:
+            if sorted(row["permutation"]) != list(range(n)):
+                raise RecordInvalid(f"{row['permutation']} is not a permutation")
         return engine.RunRecord(
             t=np.array([row["t"] for row in rows], dtype=float),
             eigenvalues=pairs([row["eigenvalues"] for row in rows],
@@ -1086,7 +1157,7 @@ def _reference_from_dict(data):
             events=[engine.CollisionEvent(e["t_lo"], e["t_hi"], tuple(e["pair"]),
                                           e["min_abs_im"]) for e in data["events"]],
             provenance=dict(data["provenance"]),
-            **values, **has,
+            present=present, **values,
         )
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise RecordInvalid(f"malformed run record: {exc!r}") from exc
@@ -1178,10 +1249,10 @@ def _records(draw):
                   st.sampled_from([np.nan, 0.5, -0.0])), max_size=2))]
     return engine.RunRecord(
         t=floats(rows), eigenvalues=complexes(rows, n),
-        permutation=rng.integers(0, n, (rows, n)), tracked=tracked,
-        **{name: complexes(*shape) for name in engine._VALUES},
-        has_conjugate_force=rng.random(shape) < 0.5,
-        has_expected_force=rng.random(shape) < 0.5,
+        permutation=np.array([rng.permutation(n) for _ in range(rows)]),
+        tracked=tracked,
+        **{name: complexes(*shape) for name in KEYS},
+        present=rng.random((len(KEYS),) + shape) < 0.5,
         step_flags=rng.integers(0, 2**len(engine.STEP_FLAGS), rows),
         value_flags=rng.integers(0, 2**len(engine.VALUE_FLAGS), shape),
         events=events,
@@ -1197,6 +1268,28 @@ def _bits(x):
     return np.where(np.isnan(x), np.nan, x).view(np.int64)
 
 
+def _rename_tracked(old, new):
+    def edit(data):
+        for row in data["rows"]:
+            row["tracked"][new] = row["tracked"].pop(old)
+    return edit
+
+
+# records whose tracked keys or permutation rows are not of n = 2 paths
+_BROKEN_INVARIANTS = [
+    _rename_tracked("0", "7"), _rename_tracked("0", "2"),
+    _rename_tracked("0", "-1"), _rename_tracked("1", "01"),
+    _rename_tracked("1", "+1"), _rename_tracked("1", " 1"),
+    lambda data: data["rows"][1].update(permutation=[0, 0]),
+    lambda data: data["rows"][1].update(permutation=[1, 2]),
+    lambda data: data["rows"][1].update(permutation=[0]),
+    lambda data: data["rows"][1].update(permutation=[0, 1, 2]),
+    lambda data: data["rows"][1].update(permutation=[-1, 0]),
+    lambda data: data["rows"][1].update(permutation=[1.5, 0.25]),
+    lambda data: data["rows"][1].update(permutation=["1", "0"]),
+]
+
+
 class TestRecordJson:
     @settings(max_examples=200, deadline=None)
     @given(_records())
@@ -1206,16 +1299,14 @@ class TestRecordJson:
         assert text == json.dumps(data, sort_keys=True, indent=1)
         got = engine.record_from_dict(data)
         for name in ("permutation", "tracked", "step_flags", "value_flags",
-                     "has_conjugate_force", "has_expected_force"):
+                     "present"):
             np.testing.assert_array_equal(getattr(got, name),
                                           getattr(record, name), name)
         for name in ("t", "eigenvalues"):
             np.testing.assert_array_equal(_bits(getattr(got, name)),
                                           _bits(getattr(record, name)), name)
-        intact = record.value_flags == 0
-        present = (np.ones_like(intact), intact, intact, intact,
-                   record.has_conjugate_force, record.has_expected_force)
-        for name, mask in zip(engine._VALUES, present):
+        for name in KEYS:
+            mask = _present(record, name)
             np.testing.assert_array_equal(_bits(getattr(got, name)[mask]),
                                           _bits(getattr(record, name)[mask]), name)
         assert [repr(e) for e in got.events] == [repr(e) for e in record.events]
@@ -1375,6 +1466,24 @@ class TestRecordJson:
             _assert_same_record(engine.record_from_dict(data), want)
 
 
+class TestRecordInvariants:
+    def sample(self):
+        raw = base_config(model={"type": "explicit",
+                                 "matrix": [[0.0, 1.0], [-1.0, 0.0]]},
+                          time={"t0": 0.0, "t1": 1.0, "steps": 3})
+        return json.loads(engine.record_json(
+            engine.run_scenario(ScenarioConfig.from_dict(raw))))
+
+    @pytest.mark.parametrize("edit", _BROKEN_INVARIANTS)
+    def test_rejected_like_reference(self, edit):
+        data = self.sample()
+        edit(data)
+        with pytest.raises(RecordInvalid):
+            engine.record_from_dict(data)
+        with pytest.raises(RecordInvalid):
+            _reference_from_dict(data)
+
+
 def _per_step_run(cfg):
     """``engine.run_scenario`` as a loop over single steps: the reference
     the blocked engine must reproduce bit for bit."""
@@ -1393,9 +1502,8 @@ def _per_step_run(cfg):
     shape = (len(ts), len(tracked))
     eigenvalues = np.empty((len(ts), n), dtype=complex)
     permutation = np.empty((len(ts), n), dtype=int)
-    values = {name: np.full(shape, complex(np.nan, np.nan))
-              for name in engine._VALUES}
-    has_conjugate_force = np.zeros(shape, dtype=bool)
+    values = {name: np.full(shape, complex(np.nan, np.nan)) for name in KEYS}
+    present = np.zeros((len(KEYS),) + shape, dtype=bool)
     step_flags = np.zeros(len(ts), dtype=int)
     value_flags = np.zeros(shape, dtype=int)
     prev_decomp, prev_perm, noise = None, np.arange(n), None
@@ -1436,31 +1544,39 @@ def _per_step_run(cfg):
                                             mdot, mddot, raw, partner,
                                             gap_tol=1e-14)
         singular = ~near_real & (forces.singular >= 0)
-        intact = ~near_real & ~singular
-        conj = paired & ~near_real
         eigenvalues[k] = d.eigenvalues[perm]
         permutation[k] = perm
         value_flags[k] = (engine._NEAR_REAL * near_real
                           + engine._SINGULAR_GAP * singular)
-        values["velocity"][k] = forces.velocity
-        for name in ("inertial", "conjugate_term", "others"):
-            values[name][k, intact] = getattr(forces, name)[intact]
-        has_conjugate_force[k] = conj
-        values["conjugate_force"][k, conj] = forces.conjugate_term[conj]
-        if proc is not None:
-            values["expected_force"][k, conj] = [
-                stochastic.expected_conjugate_force_iid(
-                    d, proc.sigma2, j, kind=proc.kind)
-                for j in raw[conj].tolist()]
+        for c, j in enumerate(raw.tolist()):
+            # what the cell would hold, and whether any of it is not finite
+            intact = not (near_real[c] or singular[c])
+            conj = paired[c] and not near_real[c]
+            cell = {"velocity": forces.velocity[c]}
+            if intact:
+                cell.update(inertial=forces.inertial[c], others=forces.others[c],
+                            conjugate_term=forces.conjugate_term[c])
+            if conj:
+                cell["conjugate_force"] = forces.conjugate_term[c]
+            if conj and proc is not None:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    cell["expected_force"] = stochastic.expected_conjugate_force_iid(
+                        d, proc.sigma2, j, kind=proc.kind)
+            if not all(np.isfinite(list(cell.values()))):
+                value_flags[k, c] |= engine._NON_FINITE
+                # only a finite velocity is kept
+                cell = {name: z for name, z in cell.items()
+                        if name == "velocity" and np.isfinite(z)}
+            for name, z in cell.items():
+                values[name][k, c] = z
+                present[KEYS.index(name), k, c] = True
         prev_decomp, prev_perm = d, perm
     disp = np.abs(np.diff(eigenvalues, axis=0))
     med = np.median(disp, axis=1)
     step_flags[1:][(med > 0) & (disp.max(axis=1) > 10 * med)] |= engine._JUMP
     record = engine.RunRecord(
         t=ts, eigenvalues=eigenvalues, permutation=permutation, tracked=tracked,
-        has_conjugate_force=has_conjugate_force,
-        has_expected_force=has_conjugate_force & (proc is not None),
-        step_flags=step_flags, value_flags=value_flags, events=[],
+        present=present, step_flags=step_flags, value_flags=value_flags, events=[],
         provenance={}, **values)
     return dataclasses.replace(record, events=engine.detect_collisions(
         record, cfg.collision_threshold))
@@ -1526,7 +1642,8 @@ class TestBlockedEngine:
     def test_matches_per_step_loop(self, monkeypatch, case, entries):
         monkeypatch.setattr(engine, "_BLOCK_ENTRIES", entries)
         cfg = ScenarioConfig.from_dict(_blocked_case(case), base_dir=SCENARIOS)
-        _assert_same_record(engine.run_scenario(cfg), _per_step_run(cfg))
+        with _warns_not_hermitian(case):
+            _assert_same_record(engine.run_scenario(cfg), _per_step_run(cfg))
 
     def test_one_pairing_failure_in_a_block(self, monkeypatch):
         # the fifth step's pairing fails inside a block of 51 steps: only
@@ -1551,5 +1668,5 @@ class TestBlockedEngine:
         calls = []
         _assert_same_record(record, _per_step_run(cfg))
         np.testing.assert_array_equal(np.flatnonzero(record.flagged("pairing-failed")), [4])
-        assert not record.has_conjugate_force[4].any()
-        assert record.has_conjugate_force[[3, 5]].any()
+        assert not _present(record, "conjugate_force")[4].any()
+        assert _present(record, "conjugate_force")[[3, 5]].any()
