@@ -34,7 +34,6 @@ from .errors import DimensionMismatch, NonFiniteMatrix, RealEigenvalue, Singular
 
 __all__ = [
     "MatrixTrajectory",
-    "constant_in_time",
     "ForceBreakdown",
     "ForceColumns",
     "force_columns",
@@ -47,13 +46,6 @@ __all__ = [
     "circulant_matrix",
     "circulant_eigenvalues",
 ]
-
-
-def constant_in_time(m) -> Callable:
-    """A callable giving ``m`` at a time, or a stack of copies of ``m``
-    with the shape of an array of times in front."""
-    m = np.asarray(m)
-    return lambda t: np.broadcast_to(m, np.shape(t) + m.shape).copy()
 
 
 def _times(t) -> np.ndarray:
@@ -106,7 +98,7 @@ class MatrixTrajectory:
             n,
             lambda t: a + _times(t) * b + _times(t) * _times(t) * c,
             lambda t: b + 2 * _times(t) * c,
-            constant_in_time(mddot),
+            lambda t: np.broadcast_to(mddot, np.shape(t) + mddot.shape).copy(),
         )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -147,19 +147,29 @@ def effective_hamiltonian(spec: EffectiveHamiltonianSpec) -> np.ndarray:
 # transfer matrices / scattering
 
 
+def _power(k, p: int):
+    """k**p; for p >= 2 each entry of an array k is raised by Python's
+    float power, as a scalar k is: numpy's array power rounds some
+    entries differently."""
+    if p < 2 or np.ndim(k) == 0:
+        return k**p
+    return np.reshape([x**p for x in np.ravel(k).tolist()], np.shape(k))
+
+
 @dataclass(frozen=True)
 class TransferMatrixModel:
-    """2x2 transfer matrix entries as functions of the wavenumber k.
+    """2x2 transfer matrix entries as polynomials in the wavenumber k: each
+    field lists the coefficients of k^0, k^1, ... of its entry.
 
     The transfer matrix relates field amplitudes on the two sides of a
     1D scatterer, E+ = M E-.  det M(k) must equal 1 to ``unimodular_tol``
     at every queried k.
     """
 
-    m11: Callable[[float], complex]
-    m12: Callable[[float], complex]
-    m21: Callable[[float], complex]
-    m22: Callable[[float], complex]
+    m11: Sequence[complex]
+    m12: Sequence[complex]
+    m21: Sequence[complex]
+    m22: Sequence[complex]
     unimodular_tol: float = 1e-9
 
     @staticmethod
@@ -167,17 +177,13 @@ class TransferMatrixModel:
         m = as_square_matrix(m)
         if m.shape != (2, 2):
             raise DimensionMismatch("transfer matrix must be 2x2")
-        return TransferMatrixModel(
-            lambda k: complex(m[0, 0]),
-            lambda k: complex(m[0, 1]),
-            lambda k: complex(m[1, 0]),
-            lambda k: complex(m[1, 1]),
-        )
+        return TransferMatrixModel(*m.reshape(4, 1).tolist())
 
     def matrix(self, k) -> np.ndarray:
         """M(k), or a stack with the shape of an array ``k`` in front."""
-        entries = [np.broadcast_to(f(k), np.shape(k))
-                   for f in (self.m11, self.m12, self.m21, self.m22)]
+        entries = [np.broadcast_to(sum(c * _power(k, q) for q, c in enumerate(coeffs)),
+                                   np.shape(k))
+                   for coeffs in (self.m11, self.m12, self.m21, self.m22)]
         return np.stack(entries, axis=-1).astype(complex).reshape(
             np.shape(k) + (2, 2))
 

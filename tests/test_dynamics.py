@@ -509,13 +509,9 @@ class TestTrajectory:
     def test_transfer_keeps_the_generic_central_differences(self):
         cfg = engine.ScenarioConfig.from_dict(CORPUS_TRANSFER)
         traj = engine.build_trajectory(cfg)
-
-        def entry(coeffs):
-            return lambda k: sum(complex(c) * engine._power(k, q)
-                                 for q, c in enumerate(coeffs))
-
         model = models.TransferMatrixModel(
-            *map(entry, CORPUS_TRANSFER["model"]["entries"].values()))
+            *([complex(c) for c in coeffs]
+              for coeffs in CORPUS_TRANSFER["model"]["entries"].values()))
         want = generic_central_differences(
             lambda k: models.scattering_data(model, k).s_matrix)
         # the times of the run's one block

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import stat
@@ -397,6 +398,14 @@ def _model_case(case):
         model = {"type": "ring", "sites": 6, "diffusion": 0.8, "growth": 0.2,
                  "tilt": 0.3, "fluctuations": rng.normal(size=6).tolist(),
                  "fluctuation_rate": rng.normal(size=6).tolist()}
+    elif case == "ring-clean-diagonal":
+        # the clean diagonal growth - 2 diffusion is exactly 0, and over
+        # t in [-1, 1] u0 + t*u1 is -0.0 at some sites and times
+        model = {"type": "ring", "sites": 6, "diffusion": 0.8, "growth": 1.6,
+                 "tilt": 0.3,
+                 "fluctuations": [-0.0, -0.0, 0.0, *rng.normal(size=3).tolist()],
+                 "fluctuation_rate": [0.0, -1.0, 0.5, *rng.normal(size=3).tolist()]}
+        return base_config(model=model, time={"t0": -1.0, "t1": 1.0, "steps": 8})
     elif case == "transfer":
         # enough wavenumbers that numpy's array power would round some
         # cube differently from a scalar one
@@ -477,8 +486,8 @@ def _warns_not_hermitian(case):
 
 
 class TestModelReference:
-    @pytest.mark.parametrize("case", ["explicit", "ring", "transfer",
-                                      "effective-hamiltonian"])
+    @pytest.mark.parametrize("case", ["explicit", "ring", "ring-clean-diagonal",
+                                      "transfer", "effective-hamiltonian"])
     def test_callables_match_per_time_formulas(self, case):
         cfg = ScenarioConfig.from_dict(_model_case(case))
         with _warns_not_hermitian(case):
@@ -1117,7 +1126,15 @@ def _reference_csv(record, path) -> None:
 def _reference_from_dict(data):
     """``record_from_dict`` built row by row and cell by cell: the
     reference for reading a record back."""
+    def number(x):
+        if type(x) not in (int, float):
+            raise RecordInvalid(f"{x!r} is not a number")
+        return x
+
     def pairs(cells, shape):
+        for pair in itertools.chain.from_iterable(cells):
+            for x in pair:
+                number(x)
         return np.array(cells, dtype=float).reshape(*shape, 2).view(complex)[..., 0]
 
     def mask(flags, names):
@@ -1141,10 +1158,16 @@ def _reference_from_dict(data):
             if key not in [str(j) for j in range(n)]:
                 raise RecordInvalid(f"tracked key {key!r} is not a path index")
         for row in rows:
-            if sorted(row["permutation"]) != list(range(n)):
+            if sorted(row["tracked"], key=int) != keys:
+                raise RecordInvalid(f"{row['tracked']} tracks other paths")
+            if (sorted(row["permutation"]) != list(range(n))
+                    or any(type(i) is not int for i in row["permutation"])):
                 raise RecordInvalid(f"{row['permutation']} is not a permutation")
+        for e in data["events"]:
+            for x in (e["t_lo"], e["t_hi"], *e["pair"], e["min_abs_im"]):
+                number(x)
         return engine.RunRecord(
-            t=np.array([row["t"] for row in rows], dtype=float),
+            t=np.array([number(row["t"]) for row in rows], dtype=float),
             eigenvalues=pairs([row["eigenvalues"] for row in rows],
                               (len(rows), -1)),
             permutation=np.array([row["permutation"] for row in rows], dtype=int),
@@ -1159,7 +1182,8 @@ def _reference_from_dict(data):
             provenance=dict(data["provenance"]),
             present=present, **values,
         )
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
         raise RecordInvalid(f"malformed run record: {exc!r}") from exc
 
 
@@ -1275,7 +1299,16 @@ def _rename_tracked(old, new):
     return edit
 
 
-# records whose tracked keys or permutation rows are not of n = 2 paths
+def _event(**fields):
+    def edit(data):
+        data["events"].append(dict({"t_lo": 0.25, "t_hi": 0.5, "pair": [0, 1],
+                                    "min_abs_im": 1e-3}, **fields))
+    return edit
+
+
+# records whose tracked keys or permutation rows are not of n = 2 paths,
+# whose rows track different paths, or which hold a time, an eigenvalue,
+# a value or an event field that is not a number
 _BROKEN_INVARIANTS = [
     _rename_tracked("0", "7"), _rename_tracked("0", "2"),
     _rename_tracked("0", "-1"), _rename_tracked("1", "01"),
@@ -1287,6 +1320,17 @@ _BROKEN_INVARIANTS = [
     lambda data: data["rows"][1].update(permutation=[-1, 0]),
     lambda data: data["rows"][1].update(permutation=[1.5, 0.25]),
     lambda data: data["rows"][1].update(permutation=["1", "0"]),
+    lambda data: data["rows"][1].update(permutation=[True, False]),
+    lambda data: data["rows"][2]["tracked"].update({"7": {}}),
+    lambda data: data["rows"][2].update(t="0.5"),
+    lambda data: data["rows"][2].update(t=True),
+    lambda data: data["rows"][2].update(t=None),
+    lambda data: data["rows"][2].update(t=10**400),
+    lambda data: data["rows"][1]["eigenvalues"].__setitem__(0, ["1", "2"]),
+    lambda data: data["rows"][2]["tracked"]["0"].update(velocity=[True, 2]),
+    lambda data: data["rows"][2]["tracked"]["0"].update(velocity=[None, 2]),
+    _event(t_lo="a"), _event(t_hi=None), _event(min_abs_im=False),
+    _event(pair=["0", 1]),
 ]
 
 

@@ -251,20 +251,16 @@ class TestScattering:
             models.scattering_data(model, 1.0)
 
     def test_k_dependent_entries(self):
-        model = TransferMatrixModel(
-            m11=lambda k: 1.0 + k * k,
-            m12=lambda k: k,
-            m21=lambda k: k,
-            m22=lambda k: 1.0,
-        )
+        # M11 = 1 + k**2, M12 = M21 = k, M22 = 1
+        model = TransferMatrixModel(m11=[1.0, 0.0, 1.0], m12=[0.0, 1.0],
+                                    m21=[0.0, 1.0], m22=[1.0])
         data = models.scattering_data(model, 0.3)
         assert data.s_matrix[0, 0] == pytest.approx(1.0)
         assert data.s_matrix[0, 1] == pytest.approx(0.3)
 
     def test_array_of_wavenumbers(self):
-        model = TransferMatrixModel(
-            m11=lambda k: 1.0 + k * k, m12=lambda k: k, m21=lambda k: k,
-            m22=lambda k: 1.0)
+        model = TransferMatrixModel(m11=[1.0, 0.0, 1.0], m12=[0.0, 1.0],
+                                    m21=[0.0, 1.0], m22=[1.0])
         ks = np.array([[0.1, 0.4], [0.9, 1.3]])
         data = models.scattering_data(model, ks)
         assert data.s_matrix.shape == (2, 2, 2, 2)
@@ -275,15 +271,13 @@ class TestScattering:
 
     def test_first_offending_wavenumber_named(self):
         # det M = 1 - k**2 / 4: the first bad k is named
-        model = TransferMatrixModel(
-            m11=lambda k: 1.0 + 0 * k, m12=lambda k: 0.5 * k,
-            m21=lambda k: 0.5 * k, m22=lambda k: 1.0 + 0 * k)
+        model = TransferMatrixModel(m11=[1.0], m12=[0.0, 0.5],
+                                    m21=[0.0, 0.5], m22=[1.0])
         with pytest.raises(NotUnimodular, match=r"k=0\.5\)"):
             models.scattering_data(model, np.array([0.0, 0.5, 0.7]))
         # det M = (1 + k)(1 - k) + k**2 = 1, and M22 = 1 - k
-        model = TransferMatrixModel(
-            m11=lambda k: 1.0 + k, m12=lambda k: k, m21=lambda k: -k,
-            m22=lambda k: 1.0 - k)
+        model = TransferMatrixModel(m11=[1.0, 1.0], m12=[0.0, 1.0],
+                                    m21=[0.0, -1.0], m22=[1.0, -1.0])
         with pytest.raises(SpectralSingularity, match=r"M22\(k=1\.0\)"):
             models.scattering_data(model, np.array([0.5, 1.0, 1.0]))
 
