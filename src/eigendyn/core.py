@@ -13,7 +13,7 @@ left set.  All downstream force formulas assume this convention.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
@@ -41,7 +41,7 @@ def as_square_matrix(entries, stacked: bool = False) -> np.ndarray:
     if (m.ndim not in ((2, 3) if stacked else (2,))
             or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0):
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    if np.count_nonzero(np.isfinite(m)) != m.size:
         raise NonFiniteMatrix("matrix contains NaN/Inf entries")
     return m
 
@@ -63,6 +63,11 @@ class SpectralDecomposition:
     the spectrum is closer than 1e-9.  A stacked decomposition carries a
     leading step axis on every field; ``d[s]`` is the decomposition of
     step s.
+
+    The arrays are never changed after construction: :func:`decompose`
+    returns them read-only, and a decomposition built by hand must leave
+    its arrays as they are too, because the rows of
+    :meth:`coupling_rows` are kept on it.
     """
 
     eigenvalues: np.ndarray
@@ -71,10 +76,28 @@ class SpectralDecomposition:
     condition_flags: np.ndarray
     min_gap: float
     degenerate: bool
+    _rows: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[-1]
+
+    def coupling_rows(self, j: int, i: int) -> np.ndarray:
+        """The read-only (2, n**2) rows [conj(u_i) (x) v_j, conj(u_j) (x) v_i]
+        of a single decomposition: ``rows @ Mdot.reshape(-1)`` is
+        (u_i^H Mdot v_j, u_j^H Mdot v_i).  Built on a call for (j, i) and
+        kept until a call for another pair."""
+        rows = self._rows.get((j, i))
+        if rows is None:
+            # both outer products as one (2, n, n) product
+            rows = (self.left[:, [i, j]].conj().T[:, :, None]
+                    * self.right[:, [j, i]].T[:, None, :]).reshape(2, -1)
+            rows.setflags(write=False)
+            # one pair's rows: every pair's would take 32 n**3 bytes
+            self._rows.clear()
+            self._rows[j, i] = rows
+        return rows
 
     def __getitem__(self, s) -> "SpectralDecomposition":
         return SpectralDecomposition(
@@ -184,14 +207,19 @@ def decompose(m) -> SpectralDecomposition:
     gaps = np.abs(w[..., None, :] - w[..., :, None]) + np.diag(np.full(n, np.inf))
     nearest = gaps.min(axis=-2, initial=np.inf)
     flags = (nearest < 1e-9) | bad
+    min_gap = nearest.min(axis=-1, initial=np.inf)
+    degenerate = flags.any(axis=-1)
+    for a in (w, right, left, flags, min_gap, degenerate):
+        if isinstance(a, np.ndarray):  # a single step's last two are scalars
+            a.setflags(write=False)
 
     return SpectralDecomposition(
         eigenvalues=w,
         right=right,
         left=left,
         condition_flags=flags,
-        min_gap=nearest.min(axis=-1, initial=np.inf),
-        degenerate=flags.any(axis=-1),
+        min_gap=min_gap,
+        degenerate=degenerate,
     )
 
 

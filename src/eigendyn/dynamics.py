@@ -310,6 +310,10 @@ def conjugate_force(
     variant whose magnitude scales as 1/Im(lambda_j) as a pair approaches
     the real axis.
 
+    The default form's two bilinear forms are one product against the
+    rows :meth:`SpectralDecomposition.coupling_rows` keeps on ``d``, so
+    calls for one pair (a Monte Carlo estimate's) build them once.
+
     Raises RealEigenvalue when Im(lambda_j) = 0, and
     DimensionMismatch when j is not in 0..n-1.
     """
@@ -328,11 +332,11 @@ def conjugate_force(
     jbar = int(pairing.partner[j])
     if jbar == j:
         raise RealEigenvalue(f"lambda_{j} is self-paired (real)")
+    # (u_jbar^H Mdot v_j, u_j^H Mdot v_jbar), in some order: their product
+    # is the same for j and jbar, so both ask for the rows in one order
+    c = d.coupling_rows(min(j, jbar), max(j, jbar)) @ mdot.reshape(-1)
     w = d.eigenvalues
-    num = (d.left[:, jbar].conj() @ mdot @ d.right[:, j]) * (
-        d.left[:, j].conj() @ mdot @ d.right[:, jbar]
-    )
-    return complex(2.0 * num / (w[j] - w[jbar]))
+    return complex(2.0 * (c[0] * c[1]) / (w[j] - w[jbar]))
 
 
 def pairwise_conjugate_summand(

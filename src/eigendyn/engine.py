@@ -688,8 +688,9 @@ def record_from_dict(data: dict) -> RunRecord:
     """Inverse of :func:`record_json` read by ``json.loads``.  Raises
     RecordInvalid when ``data`` does not follow the record schema, when a
     time, eigenvalue, value or event field is not a number, when rows
-    track different paths, or when a tracked key or a permutation row is
-    not one of n paths."""
+    track different paths, when a tracked key or a permutation row is
+    not one of n paths, when an event's pair is not two of them or
+    (-1, -1), or when the provenance is not an object."""
     try:
         rows = data["rows"]
         keys = sorted(rows[0]["tracked"], key=int)
@@ -719,7 +720,16 @@ def record_from_dict(data: dict) -> RunRecord:
             raise ValueError(f"a permutation row is not one of 0..{n - 1}")
         events = [CollisionEvent(e["t_lo"], e["t_hi"], tuple(e["pair"]),
                                  e["min_abs_im"]) for e in data["events"]]
-        _numbers([x for e in events for x in (e.t_lo, e.t_hi, *e.pair, e.min_abs_im)])
+        _numbers([x for e in events for x in (e.t_lo, e.t_hi, e.min_abs_im)])
+        for pair in (e.pair for e in events):
+            # two paths, or the (-1, -1) of an ambiguous match
+            if (set(map(type, pair)) - {int} or len(pair) != 2
+                    or pair != (-1, -1) and not all(0 <= i < n for i in pair)):
+                raise ValueError(f"event pair {list(pair)} is not two of "
+                                 f"0..{n - 1} or [-1, -1]")
+        provenance = data["provenance"]
+        if not isinstance(provenance, dict):
+            raise ValueError(f"provenance {provenance!r} is not an object")
         return RunRecord(
             t=np.array(_numbers([row["t"] for row in rows]), dtype=float),
             eigenvalues=_complex(list(itertools.chain.from_iterable(eigenvalues)),
@@ -733,7 +743,7 @@ def record_from_dict(data: dict) -> RunRecord:
             value_flags=np.array([_flag_mask(tuple(cell["flags"]), VALUE_FLAGS)
                                   for cell in cells], dtype=int).reshape(shape[1:]),
             events=events,
-            provenance=dict(data["provenance"]),
+            provenance=dict(provenance),
         )
     except (KeyError, IndexError, TypeError, ValueError, AttributeError,
             OverflowError) as exc:  # OverflowError: an int beyond a float

@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
+import operator
 import os
 import signal
 import threading
@@ -140,7 +141,12 @@ class PerturbationProcess:
         ``default_rng(SeedSequence(seed, spawn_key=(index,)))``: an
         independent substream per index, so worker count cannot change
         the draw."""
-        block, offset = divmod(int(index), _BLOCK)
+        # a float or a string raises TypeError here; a bool is an int
+        i = operator.index(index)
+        if i < 0 or isinstance(index, bool):
+            raise ValueError(f"sample index must be a non-negative integer, "
+                             f"got {index!r}")
+        block, offset = divmod(i, _BLOCK)
         s_hi, s_lo, i_hi, i_lo = _block_seeds(int(self.seed), block)[offset].tolist()
         # pcg_setseq_128_srandom_r: two LCG steps from state 0
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
@@ -154,7 +160,8 @@ class PerturbationProcess:
         return rng
 
     def sample(self, n: int, index: int) -> np.ndarray:
-        """Draw the perturbation matrix P for sample ``index``."""
+        """Draw the perturbation matrix P for sample ``index``, a
+        non-negative integer."""
         rng = self._rng(index)
         scale = np.sqrt(self.sigma2)
         if self.kind == "diagonal":

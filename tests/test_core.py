@@ -59,6 +59,49 @@ class TestDecompose:
         assert np.array_equal(d1.right, d2.right)
         assert np.array_equal(d1.left, d2.left)
 
+    @pytest.mark.parametrize("field", ["eigenvalues", "right", "left",
+                                       "condition_flags"])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_arrays_are_read_only(self, field, stacked):
+        m = random_real(4, 8)
+        d = core.decompose(np.stack([m, m.T]) if stacked else m)
+        array = getattr(d, field)
+        with pytest.raises(ValueError, match="read-only"):
+            array[..., 0] = array[..., 1]
+        if stacked:
+            step = getattr(d[1], field)
+            with pytest.raises(ValueError, match="read-only"):
+                step[..., 0] = step[..., 1]
+            for scalar in ("min_gap", "degenerate"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(d, scalar)[0] = getattr(d, scalar)[1]
+
+    def test_coupling_rows_are_kept_and_read_only(self):
+        d = core.decompose(random_real(5, 4))
+        u, v = d.left, d.right
+        rows = d.coupling_rows(1, 3)
+        assert d.coupling_rows(1, 3) is rows
+        np.testing.assert_array_equal(rows, [np.kron(u[:, 3].conj(), v[:, 1]),
+                                             np.kron(u[:, 1].conj(), v[:, 3])])
+        mdot = random_real(5, 9)
+        np.testing.assert_allclose(
+            rows @ mdot.reshape(-1),
+            [u[:, 3].conj() @ mdot @ v[:, 1], u[:, 1].conj() @ mdot @ v[:, 3]],
+            rtol=1e-13)
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0.0
+        # one pair's rows are kept: another pair's replace them
+        np.testing.assert_array_equal(d.coupling_rows(1, 4)[0],
+                                      np.kron(u[:, 4].conj(), v[:, 1]))
+        np.testing.assert_array_equal(d.coupling_rows(3, 1), rows[::-1])
+        assert len(d._rows) == 1
+        again = d.coupling_rows(1, 3)
+        assert again is not rows
+        np.testing.assert_array_equal(again, rows)
+        # a decomposition's copy with other vectors keeps no rows of d's
+        other = dataclasses.replace(d, left=2.0 * d.left)
+        np.testing.assert_array_equal(other.coupling_rows(1, 3), 2.0 * rows)
+
     def test_degenerate_flagged_not_raised(self):
         d = core.decompose(np.eye(3))
         assert d.degenerate

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from eigendyn import core, dynamics, engine, models
 from eigendyn.dynamics import MatrixTrajectory
-from eigendyn.errors import PairingFailure, RealEigenvalue, SingularGap
+from eigendyn.errors import (NonFiniteMatrix, PairingFailure, RealEigenvalue,
+                             SingularGap)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -392,6 +393,96 @@ class TestConjugateForce:
         pair = core.pair_conjugates(d)
         with pytest.raises(RealEigenvalue):
             dynamics.conjugate_force(d, pair, np.eye(2), 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+           complex_m=st.booleans(), complex_mdot=st.booleans())
+    def test_matches_the_two_bilinear_forms(self, n, seed, complex_m,
+                                            complex_mdot):
+        rng = np.random.default_rng(seed)
+        m, mdot = (rng.standard_normal((n, n))
+                   + (1j * rng.standard_normal((n, n)) if c else 0)
+                   for c in (complex_m, complex_mdot))
+        d = core.decompose(m)
+        # a complex M has no conjugate-closed spectrum: pair neighbours
+        pairing = (core.ConjugatePairing(np.arange(n) ^ 1 if n % 2 == 0
+                                         else np.append(np.arange(n - 1) ^ 1, n - 1))
+                   if complex_m else core.pair_conjugates(d))
+        u, v, w = d.left, d.right, d.eigenvalues
+        for j in np.flatnonzero(pairing.partner != np.arange(n)).tolist():
+            if w[j].imag == 0.0:
+                continue
+            jbar = int(pairing.partner[j])
+            a = u[:, jbar].conj() @ mdot @ v[:, j]
+            b = u[:, j].conj() @ mdot @ v[:, jbar]
+            want = 2 * a * b / (w[j] - w[jbar])
+            # relative to the scale of the forms: a form may cancel
+            scale = 2 * np.prod([np.linalg.norm(x) for x in (
+                u[:, jbar], v[:, j], u[:, j], v[:, jbar])]) * np.linalg.norm(
+                    mdot) ** 2 / abs(w[j] - w[jbar])
+            got = dynamics.conjugate_force(d, pairing, mdot, j)
+            assert abs(got - want) <= 1e-12 * max(abs(want), scale)
+
+    def test_each_decomposition_keeps_its_own_rows(self):
+        rng = np.random.default_rng(4)
+        ms = rng.standard_normal((2, 6, 6))
+        mdot = rng.standard_normal((6, 6))
+
+        def want(d, pairing, j):
+            jbar = pairing.partner[j]
+            u, v, w = d.left, d.right, d.eigenvalues
+            return (2 * (u[:, jbar].conj() @ mdot @ v[:, j])
+                    * (u[:, j].conj() @ mdot @ v[:, jbar]) / (w[j] - w[jbar]))
+
+        stack = core.decompose(ms)
+        singles = [core.decompose(m) for m in ms]
+        steps = [stack[0], stack[1]]
+        j = int(np.argmax(singles[0].eigenvalues.imag))
+        for _ in range(2):  # the second pass reads the kept rows
+            got = []
+            for d in singles + steps:
+                pairing = core.pair_conjugates(d)
+                if pairing.partner[j] == j:
+                    continue
+                f = dynamics.conjugate_force(d, pairing, mdot, j)
+                assert f == pytest.approx(want(d, pairing, j), rel=1e-12)
+                got.append(f)
+            assert len(got) == 4 and got[0] != got[1]
+        # one complex eigenvalue paired in turn with two others: each pair
+        # its own rows
+        d = singles[0]
+        j = int(np.flatnonzero(d.eigenvalues.imag != 0)[0])
+        assert j + 2 < 6
+        for k in (j + 1, j + 2, j + 1):
+            partner = np.arange(6)
+            partner[[j, k]] = k, j
+            other = core.ConjugatePairing(partner)
+            assert dynamics.conjugate_force(d, other, mdot, j) == pytest.approx(
+                want(d, other, j), rel=1e-12)
+
+    def test_repeated_calls_bit_identical(self):
+        m = np.random.default_rng(6).standard_normal((8, 8))
+        mdot = np.random.default_rng(7).standard_normal((8, 8))
+        d = core.decompose(m)
+        pairing = core.pair_conjugates(d)
+        j = int(np.argmax(d.eigenvalues.imag))
+        first = dynamics.conjugate_force(d, pairing, mdot, j)
+        again = [dynamics.conjugate_force(d, pairing, mdot, j) for _ in range(3)]
+        fresh = core.decompose(m)
+        again.append(dynamics.conjugate_force(fresh, core.pair_conjugates(fresh),
+                                              mdot, j))
+        assert all(np.array(f).tobytes() == np.array(first).tobytes()
+                   for f in again)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_non_finite_mdot_raises(self, bad, part):
+        mdot = np.zeros((2, 2), dtype=complex)
+        mdot[1, 0] = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
+        # with the kept rows too
+        dynamics.conjugate_force(self.d, self.pair, np.eye(2), self.j)
+        with pytest.raises(NonFiniteMatrix):
+            dynamics.conjugate_force(self.d, self.pair, mdot, self.j)
 
     def test_unsquared_form_unit_vectors(self):
         mdot = np.diag([1.0, 0.0])

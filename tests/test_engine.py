@@ -1164,8 +1164,14 @@ def _reference_from_dict(data):
                     or any(type(i) is not int for i in row["permutation"])):
                 raise RecordInvalid(f"{row['permutation']} is not a permutation")
         for e in data["events"]:
-            for x in (e["t_lo"], e["t_hi"], *e["pair"], e["min_abs_im"]):
+            for x in (e["t_lo"], e["t_hi"], e["min_abs_im"]):
                 number(x)
+            pair = e["pair"]
+            if (len(pair) != 2 or any(type(i) is not int for i in pair)
+                    or pair != [-1, -1] and not all(0 <= i < n for i in pair)):
+                raise RecordInvalid(f"{pair} is not a pair of paths")
+        if type(data["provenance"]) is not dict:
+            raise RecordInvalid(f"{data['provenance']!r} is not an object")
         return engine.RunRecord(
             t=np.array([number(row["t"]) for row in rows], dtype=float),
             eigenvalues=pairs([row["eigenvalues"] for row in rows],
@@ -1267,9 +1273,12 @@ def _records(draw):
         return floats(*shape, 2).view(complex)[..., 0]
 
     shape = (rows, len(tracked))
+    # pairs of paths (with n = 12, "11" sorts before "2"), or the
+    # (-1, -1) of an ambiguous match
     events = [engine.CollisionEvent(*floats(2).tolist(), pair, min_abs_im)
               for pair, min_abs_im in draw(st.lists(st.tuples(
-                  st.sampled_from([(-1, -1), (0, 1), (10, 2)]),
+                  st.sampled_from([(-1, -1), (0, min(1, n - 1)),
+                                   (n - 1, min(2, n - 1))]),
                   st.sampled_from([np.nan, 0.5, -0.0])), max_size=2))]
     return engine.RunRecord(
         t=floats(rows), eigenvalues=complexes(rows, n),
@@ -1306,9 +1315,10 @@ def _event(**fields):
     return edit
 
 
-# records whose tracked keys or permutation rows are not of n = 2 paths,
-# whose rows track different paths, or which hold a time, an eigenvalue,
-# a value or an event field that is not a number
+# records whose tracked keys, permutation rows or event pairs are not of
+# n = 2 paths, whose rows track different paths, which hold a time, an
+# eigenvalue, a value or an event field that is not a number, or whose
+# provenance is not an object
 _BROKEN_INVARIANTS = [
     _rename_tracked("0", "7"), _rename_tracked("0", "2"),
     _rename_tracked("0", "-1"), _rename_tracked("1", "01"),
@@ -1331,6 +1341,10 @@ _BROKEN_INVARIANTS = [
     lambda data: data["rows"][2]["tracked"]["0"].update(velocity=[None, 2]),
     _event(t_lo="a"), _event(t_hi=None), _event(min_abs_im=False),
     _event(pair=["0", 1]),
+    _event(pair=[0, 1, 5]), _event(pair=[7, 9]), _event(pair=[-3, 1]),
+    _event(pair=[0.0, 1.0]), _event(pair=[-1, 0]), _event(pair=[-1.0, -1.0]),
+    _event(pair=[True, False]), _event(pair=[]),
+    lambda data: data.update(provenance=[["config_hash", "x"]]),
 ]
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import multiprocessing
 import os
+import re
 import sys
 import threading
 import time
@@ -124,6 +125,27 @@ class TestSample:
         assert np.array_equal(a, b)
         c = proc.sample(4, 4)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("kind", ["diagonal", "full"])
+    @pytest.mark.parametrize("index", [-1, -4096, True, False, np.int64(-2)],
+                             ids=repr)
+    def test_rejects_a_negative_or_bool_index(self, kind, index):
+        proc = PerturbationProcess(kind=kind, seed=3)
+        with pytest.raises(ValueError,
+                           match=rf"^sample index .*got {re.escape(repr(index))}$"):
+            proc.sample(3, index)
+
+    @pytest.mark.parametrize("index", [1.7, 1.0, "1", None, np.float64(2.0)],
+                             ids=repr)
+    def test_rejects_an_index_that_is_not_an_integer(self, index):
+        with pytest.raises(TypeError):
+            PerturbationProcess(seed=3).sample(3, index)
+
+    def test_accepts_a_numpy_integer_index(self):
+        proc = PerturbationProcess(kind="full", seed=3)
+        assert np.array_equal(proc.sample(3, np.int64(4097)), proc.sample(3, 4097))
+        assert np.array_equal(proc.sample(3, np.uint8(5)),
+                              reference_sample(proc, 3, 5))
 
     def test_diagonal_kind_off_diagonals_zero(self):
         proc = PerturbationProcess(kind="diagonal", sigma2=1.0, seed=0)
@@ -269,6 +291,26 @@ class TestMonteCarlo:
         want = stochastic.expected_conjugate_force_iid(d, 1.0, j,
                                                        kind="full")
         assert abs(est.mean - want) <= 3 * est.standard_error
+
+    @pytest.mark.parametrize("kind", ["diagonal", "full"])
+    def test_matches_a_loop_over_the_bilinear_forms(self, real_8x8, kind):
+        m, d, pairing = real_8x8
+        j = complex_index(d)
+        jbar = int(pairing.partner[j])
+        u, v, w = d.left, d.right, d.eigenvalues
+        proc = PerturbationProcess(kind=kind, sigma2=0.7, seed=5)
+        samples = 2 * 4096 + 5
+        est = stochastic.monte_carlo_conjugate_force(m, proc, j, samples)
+        vals = np.array([(u[:, jbar].conj() @ p @ v[:, j])
+                         * (u[:, j].conj() @ p @ v[:, jbar]) / (w[j] - w[jbar])
+                         for p in (proc.sample(8, i) for i in range(samples))])
+        se = [float(x.std(ddof=1) / np.sqrt(samples)) for x in (vals.real, vals.imag)]
+        assert abs(est.mean - vals.mean()) <= 1e-13 * abs(vals.mean())
+        # a real M's summands are imaginary up to round-off: their real
+        # parts, and so the first error, agree only to the scale of the
+        # estimate
+        for got, want in zip((est.standard_error_re, est.standard_error_im), se):
+            assert abs(got - want) <= 1e-13 * max(se)
 
     def test_sigma2_scaling_slope(self, real_8x8):
         m, d, _ = real_8x8
