@@ -167,6 +167,12 @@ def cmd_sweep(args) -> int:
     return EXIT_RUNTIME if failures else EXIT_OK
 
 
+def _relative_error(value, fd, bound) -> np.ndarray:
+    """|value - fd| / max(|fd|, bound, 1e-12); NaN (0 * bound) where the
+    bound is not finite."""
+    return np.abs(value - fd) / np.maximum(np.abs(fd), bound).clip(1e-12) + 0 * bound
+
+
 def cmd_oracle(args) -> int:
     cfg = _load_config(args)
     trajectory = engine.build_trajectory(cfg)
@@ -186,8 +192,9 @@ def cmd_oracle(args) -> int:
     for t in times:
         m, mdot, mddot = trajectory.at(t)
         d0 = core.decompose(m)
-        # a huge model overflows to an inf or NaN error, which fails below
-        with np.errstate(over="ignore", invalid="ignore"):
+        # a huge model or a tolerance of 0 gives an inf or NaN error, which
+        # fails below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             vel_fd = (matched_eigs(t + d_vel, d0)
                       - matched_eigs(t - d_vel, d0)) / (2 * d_vel)
             acc_fd = (matched_eigs(t + d_acc, d0) - 2 * d0.eigenvalues
@@ -195,8 +202,12 @@ def cmd_oracle(args) -> int:
             forces = dynamics.force_columns(d0.left, d0.right, d0.eigenvalues,
                                             mdot, mddot, np.arange(d0.n))
             forces.raise_singular()
-            ev = np.abs(forces.velocity - vel_fd) / np.maximum(np.abs(vel_fd), 1e-12)
-            ea = np.abs(forces.total - acc_fd) / np.maximum(np.abs(acc_fd), 1e-12)
+            # an eigenvalue of M(t) carries a round-off of about eps ||M||_F
+            # ||u_j|| (unit-norm v_j), which the quotients divide by h and
+            # h^2 / 4: an error within it reads as at most the tolerance
+            r = np.finfo(float).eps * np.linalg.norm(m) * np.linalg.norm(d0.left, axis=0)
+            ev = _relative_error(forces.velocity, vel_fd, r / d_vel / vel_tol)
+            ea = _relative_error(forces.total, acc_fd, 4 * r / d_acc**2 / acc_tol)
         # np.maximum, unlike max, keeps a NaN error, which no tolerance passes
         max_vel_err = np.maximum(max_vel_err, ev.max())
         max_acc_err = np.maximum(max_acc_err, ea.max())

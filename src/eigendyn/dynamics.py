@@ -19,6 +19,7 @@ the per-eigenvalue accelerations below are views on it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -253,26 +254,25 @@ def _check_dim(d: SpectralDecomposition, m: np.ndarray, name: str) -> None:
         raise DimensionMismatch(f"{name} has shape {m.shape}, expected {(d.n, d.n)}")
 
 
-def _check_index(d: SpectralDecomposition, j: int) -> None:
-    # a negative j would index from the end and pick another eigenvalue
-    if not 0 <= j < d.n:
-        raise DimensionMismatch(f"eigenvalue index {j} outside 0..{d.n - 1}")
+def _check_index(n: int, j) -> int:
+    # a float or a string raises TypeError; numpy would read a bool as a
+    # mask and a negative j as counted from the end
+    i = operator.index(j)
+    if isinstance(j, bool) or not 0 <= i < n:
+        raise DimensionMismatch(f"eigenvalue index {j!r} outside 0..{n - 1}")
+    return i
 
 
 def eigen_velocity(d: SpectralDecomposition, mdot, j: int) -> complex:
     """d(lambda_j)/dt = u_j^H Mdot v_j."""
+    j = _check_index(d.n, j)
     mdot = as_square_matrix(mdot)
     _check_dim(d, mdot, "Mdot")
     return complex(d.left[:, j].conj() @ mdot @ d.right[:, j])
 
 
-def eigen_acceleration(
-    d: SpectralDecomposition,
-    mdot,
-    mddot,
-    j: int,
-    pairing: Optional[ConjugatePairing] = None,
-) -> ForceBreakdown:
+def eigen_acceleration(d: SpectralDecomposition, mdot, mddot, j: int,
+                       pairing: Optional[ConjugatePairing] = None) -> ForceBreakdown:
     """d2(lambda_j)/dt2 decomposed into inertial/conjugate/rest terms.
 
     When ``pairing`` is given (real-matrix runs) the conjugate-partner
@@ -281,6 +281,7 @@ def eigen_acceleration(
     Raises SingularGap when some |lambda_i - lambda_j| < 1e-12, carrying
     the offending pair (the first such i).
     """
+    j = _check_index(d.n, j)
     mdot = as_square_matrix(mdot)
     mddot = as_square_matrix(mddot)
     _check_dim(d, mdot, "Mdot")
@@ -291,13 +292,8 @@ def eigen_acceleration(
     return f.breakdown(0)
 
 
-def conjugate_force(
-    d: SpectralDecomposition,
-    pairing: ConjugatePairing,
-    mdot,
-    j: int,
-    unsquared_form: bool = False,
-) -> complex:
+def conjugate_force(d: SpectralDecomposition, pairing: ConjugatePairing, mdot,
+                    j: int, unsquared_form: bool = False) -> complex:
     """Attraction of lambda_j toward its complex conjugate.
 
     Default: the i = conj-partner summand of :func:`eigen_acceleration`
@@ -317,9 +313,9 @@ def conjugate_force(
     Raises RealEigenvalue when Im(lambda_j) = 0, and
     DimensionMismatch when j is not in 0..n-1.
     """
+    j = _check_index(d.n, j)
     mdot = as_square_matrix(mdot)
     _check_dim(d, mdot, "Mdot")
-    _check_index(d, j)
     im = d.eigenvalues[j].imag
     if im == 0.0:
         raise RealEigenvalue(
@@ -374,12 +370,7 @@ def circulant_eigenvalues(first_row) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(m, np.arange(n)) / n) @ c
 
 
-def circulant_acceleration(
-    eigenvector_matrix,
-    p,
-    spectrum,
-    j: int,
-) -> complex:
+def circulant_acceleration(eigenvector_matrix, p, spectrum, j: int) -> complex:
     """Acceleration of eigenvalue j of a circulant under a diagonal
     perturbation, evaluated in the Fourier eigenbasis.
 
@@ -392,10 +383,11 @@ def circulant_acceleration(
     and must agree with :func:`eigen_acceleration` on the assembled
     circulant to near round-off.
     """
-    v = np.asarray(eigenvector_matrix, dtype=complex)
-    p = np.asarray(p, dtype=float)
     w = np.asarray(spectrum, dtype=complex)
     n = len(w)
+    j = _check_index(n, j)
+    v = np.asarray(eigenvector_matrix, dtype=complex)
+    p = np.asarray(p, dtype=float)
     if v.shape != (n, n) or len(p) != n:
         raise DimensionMismatch("eigenvector matrix / perturbation size mismatch")
 

@@ -764,11 +764,12 @@ def _block_inputs(trajectory: MatrixTrajectory, proc, dt, ts, rows: slice, noise
     with the noise walk of step ``dt`` applied, and its state after them."""
     m, mdot, mddot = trajectory.at(ts[rows])
     if proc is not None:
-        for s, k in enumerate(range(rows.start, rows.stop)):
-            p = proc.sample(trajectory.n, k)
-            m[s] += noise
-            mdot[s] += p
-            noise = noise + dt * p  # applied from the next step on
+        p = np.stack([proc.sample(trajectory.n, k)
+                      for k in range(rows.start, rows.stop)])
+        # the walk before each step and after the last (a draw moves M
+        # from the next step on), summed in step order
+        walk = np.cumsum(np.concatenate([noise[None], dt * p]), axis=0)
+        m, mdot, noise = m + walk[:-1], mdot + p, walk[-1]
     return m, mdot, mddot, noise
 
 
@@ -841,10 +842,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
             conj = paired & ~near_real
             rules = {"finite": np.ones_like(conj), "intact": ~near_real & ~singular,
                      "paired": conj, "noisy": conj & (proc is not None)}
-            expected = np.full(conj.shape, complex(np.nan, np.nan))
-            for s, p in np.argwhere(rules["noisy"]).tolist():
-                expected[s, p] = stochastic.expected_conjugate_force_iid(
-                    d[s], proc.sigma2, raw[s, p], kind=proc.kind)
+            expected = (np.full(conj.shape, complex(np.nan, np.nan)) if proc is None
+                        else stochastic.expected_force_columns(
+                            d.left, d.right, d.eigenvalues, raw, proc.sigma2, proc.kind))
         terms = dict(vars(forces), conjugate_force=forces.conjugate_term,
                      expected_force=expected)
         block_values = np.stack([terms[c.key] for c in _COLUMNS])

@@ -1,15 +1,10 @@
 """Stochastic perturbation steps and expected conjugate forces.
 
 The matrix walks as M(t_i + dt) = M(t_i) + dt * P(t_i) with P drawn from
-independent centered normals.  For a real matrix with a complex
-eigenvalue lambda_j, the expected pairwise force from its conjugate is
-
-    E[F] = -i sum_{m,l} E[p_ml^2] |u_j^m|^2 |v_j^l|^2 / (2 Im lambda_j),
-
-which for a full i.i.d. perturbation (all variances sigma^2, unit-norm
-v_j) collapses to -i sigma^2 ||u_j||_2^2 / (2 Im lambda_j).  For a
-diagonal perturbation only the (m, m) variances are present and the sum
-runs over the diagonal.
+independent centered normals, every entry (full) or the diagonal ones.
+For a real matrix with a complex eigenvalue lambda_j, the expected
+pairwise force from its conjugate is -i sum_{m,l} E[p_ml^2] |u_j^m|^2
+|v_j^l|^2 / (2 Im lambda_j): :func:`expected_force_columns`.
 
 A Monte Carlo estimate of that force runs on every usable core: sample i
 is a pure function of (seed, i), so forked workers fill disjoint index
@@ -35,14 +30,13 @@ import numpy as np
 from .core import SpectralDecomposition, as_square_matrix
 from .dynamics import _check_index, pairwise_conjugate_summand
 from . import core
-from .errors import (DimensionMismatch, EigendynError, EmptyEstimate,
-                     RealEigenvalue)
+from .errors import EigendynError, EmptyEstimate, RealEigenvalue
 
 __all__ = [
     "PerturbationProcess",
     "MonteCarloEstimate",
+    "expected_force_columns",
     "expected_conjugate_force_iid",
-    "expected_conjugate_force_general",
     "monte_carlo_conjugate_force",
 ]
 
@@ -185,41 +179,46 @@ class MonteCarloEstimate:
         return max(self.standard_error_re, self.standard_error_im)
 
 
-def expected_conjugate_force_general(
-    d: SpectralDecomposition,
-    variances,
-    j: int,
-) -> complex:
-    """Closed-form E[F(conj(lambda_j) -> lambda_j)] for independent
-    centered entries with per-entry variances E[p_ml^2]."""
-    _check_index(d, j)
-    lam = d.eigenvalues[j]
-    if lam.imag == 0.0:
-        raise RealEigenvalue(f"lambda_{j} = {lam} is real: expected force singular")
-    v = np.asarray(variances, dtype=float)
-    if v.shape != (d.n, d.n):
-        raise DimensionMismatch(f"variance matrix shape {v.shape} != {(d.n, d.n)}")
-    u2 = np.abs(d.left[:, j]) ** 2
-    v2 = np.abs(d.right[:, j]) ** 2
-    total = u2 @ v @ v2
-    return complex(-1j * total / (2.0 * lam.imag))
-
-
-def expected_conjugate_force_iid(
-    d: SpectralDecomposition,
-    sigma2: float,
-    j: int,
-    kind: str = "full",
-) -> complex:
-    """Closed-form expected conjugate force for i.i.d. N(0, sigma2) entries:
-    :func:`expected_conjugate_force_general` with every variance sigma2
-    (kind="full"; with unit-norm v_j this is the -i sigma^2 ||u_j||^2 /
-    (2 Im lambda_j) form) or only the diagonal ones (kind="diagonal").
-    """
+def expected_force_columns(left, right, eigenvalues, cols, sigma2: float,
+                           kind: str = "full") -> np.ndarray:
+    """Closed-form E[F(conj(lambda_j) -> lambda_j)] of the eigenvalues
+    ``cols`` for i.i.d. N(0, sigma2) entries of Mdot, all of them
+    (kind="full") or the diagonal ones ("diagonal"): -i sigma2 ||u_j||^2
+    ||v_j||^2 or -i sigma2 sum_m |u_j^m|^2 |v_j^m|^2, over 2 Im lambda_j,
+    and NaN where Im lambda_j = 0.  Takes a leading step axis as
+    :func:`~eigendyn.dynamics.force_columns` does.  u_j and v_j are
+    reduced as contiguous rows and the quotient is real until the final
+    -i, so a column has the same bits in a stack as alone."""
+    if not (math.isfinite(sigma2) and sigma2 >= 0):
+        raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2!r}")
     if kind not in ("full", "diagonal"):
         raise ValueError(f"unknown kind {kind!r}")
-    variances = np.ones((d.n, d.n)) if kind == "full" else np.eye(d.n)
-    return expected_conjugate_force_general(d, sigma2 * variances, j)
+    w = np.asarray(eigenvalues)
+    cols = np.broadcast_to(np.asarray(cols, dtype=int),
+                           w.shape[:-1] + np.shape(cols)[-1:])
+    # |u_j^m|^2 and |v_j^m|^2 as contiguous (..., k, n) rows
+    u2, v2 = (np.ascontiguousarray(np.abs(np.take_along_axis(
+        np.swapaxes(x, -1, -2), cols[..., None], axis=-2)) ** 2) for x in (left, right))
+    total = (sigma2 * u2.sum(axis=-1) * v2.sum(axis=-1) if kind == "full"
+             else sigma2 * (u2 * v2).sum(axis=-1))
+    im = np.take_along_axis(w, cols, axis=-1).imag
+    force = np.full(cols.shape, complex(np.nan, np.nan))
+    off = im != 0
+    force.real[off] = np.copysign(0.0, im[off])  # as a complex quotient signs it
+    force.imag[off] = -(total[off] / (2.0 * im[off]))
+    return force
+
+
+def expected_conjugate_force_iid(d: SpectralDecomposition, sigma2: float, j: int,
+                                 kind: str = "full") -> complex:
+    """:func:`expected_force_columns` of the one eigenvalue j.  Raises
+    RealEigenvalue when Im lambda_j = 0."""
+    j = _check_index(d.n, j)
+    force = expected_force_columns(d.left, d.right, d.eigenvalues, [j], sigma2, kind)
+    if d.eigenvalues[j].imag == 0.0:
+        raise RealEigenvalue(f"lambda_{j} = {d.eigenvalues[j]} is real: "
+                             "expected force singular")
+    return complex(force[0])
 
 
 def _fill(vals: np.ndarray, start: int, stop: int, d, pairing, proc, j) -> None:
@@ -307,12 +306,8 @@ def _fill_forked(samples: int, workers: int, *args) -> np.ndarray:
     return vals
 
 
-def monte_carlo_conjugate_force(
-    m,
-    proc: PerturbationProcess,
-    j: int,
-    samples: int,
-) -> MonteCarloEstimate:
+def monte_carlo_conjugate_force(m, proc: PerturbationProcess, j: int,
+                                samples: int) -> MonteCarloEstimate:
     """Monte Carlo mean of the pairwise conjugate summand with Mdot = P.
 
     The integrand is the undoubled pairwise force (half the conjugate
@@ -330,15 +325,15 @@ def monte_carlo_conjugate_force(
     ranges no child took.  A child that fails raises EigendynError naming
     its index range; an interrupted call kills and reaps its children.
     """
+    m = as_square_matrix(m)
+    j = _check_index(m.shape[0], j)
     if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
         raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples <= 0:
         raise EmptyEstimate("samples must be positive")
     samples = int(samples)
-    m = as_square_matrix(m)
     d = core.decompose(m)
     pairing = core.pair_conjugates(d, _PAIR_TOL)
-    _check_index(d, j)
     # d and j are fixed: a real or self-paired j is singular on every sample
     if pairing.partner[j] == j:
         raise RealEigenvalue(f"lambda_{j} = {d.eigenvalues[j]} is self-paired "

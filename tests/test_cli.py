@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigendyn import cli, dynamics
+from eigendyn import cli, dynamics, engine
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -325,8 +325,34 @@ OVERFLOWING_EH = {
     "time": {"t0": 0, "t1": 1, "steps": 4},
 }
 
+# lambda = 2 + t: a zero acceleration, which the second difference meets
+# only to its round-off
+LINEAR_1X1 = {
+    "model": {"type": "explicit", "matrix": [[2]], "velocity": [[1]]},
+    "time": {"t0": 0, "t1": 0.5, "steps": 4},
+}
+
 
 class TestOracle:
+    def test_zero_acceleration_passes(self, tmp_path, capsys):
+        p = tmp_path / "linear.json"
+        p.write_text(json.dumps(LINEAR_1X1))
+        assert cli.main(["oracle", "--scenario", str(p)]) == cli.EXIT_OK
+
+    def test_resolvable_acceleration_error_fails(self, tmp_path, capsys,
+                                                 monkeypatch):
+        build = engine.build_trajectory
+
+        def off(cfg):
+            traj = build(cfg)
+            return dataclasses.replace(
+                traj, second_derivative=lambda t: traj.second_derivative(t) + 1e-3)
+
+        monkeypatch.setattr(engine, "build_trajectory", off)
+        p = tmp_path / "linear.json"
+        p.write_text(json.dumps(LINEAR_1X1))
+        assert cli.main(["oracle", "--scenario", str(p)]) == cli.EXIT_TOLERANCE
+
     def test_ring_passes(self, ring_scenario, capsys):
         code = cli.main(["oracle", "--scenario", str(ring_scenario),
                          "--set", "fluctuation_rate=[0,0,0,0,0,0,0,0]"])

@@ -185,12 +185,6 @@ class TestClosedForms:
             val = stochastic.expected_conjugate_force_iid(d, s2, j)
             assert val == pytest.approx(s2 * one)
 
-    def test_general_zero(self, real_8x8):
-        _, d, _ = real_8x8
-        j = complex_index(d)
-        assert stochastic.expected_conjugate_force_general(
-            d, np.zeros((8, 8)), j) == 0
-
     def test_iid_full_collapses_to_norms(self, real_8x8):
         # every variance sigma^2: -i sigma^2 ||u_j||^2 ||v_j||^2 / (2 Im lambda_j)
         _, d, _ = real_8x8
@@ -210,25 +204,11 @@ class TestClosedForms:
                                                       kind="diagonal")
         assert abs(iid - want) <= 1e-12 * abs(want)
 
-    def test_single_entry_variance_formula(self, real_8x8):
-        _, d, _ = real_8x8
-        j = complex_index(d)
-        m, l = 2, 5
-        v = np.zeros((8, 8))
-        v[m, l] = 3.0
-        got = stochastic.expected_conjugate_force_general(d, v, j)
-        lam = d.eigenvalues[j]
-        want = -1j * 3.0 * abs(d.left[m, j]) ** 2 * abs(d.right[l, j]) ** 2 / (
-            2 * lam.imag)
-        assert got == pytest.approx(want)
-
     @pytest.mark.parametrize("j", [-1, 8])
     def test_index_outside_spectrum_raises(self, real_8x8, j):
         _, d, pairing = real_8x8
         with pytest.raises(DimensionMismatch):
             stochastic.expected_conjugate_force_iid(d, 1.0, j)
-        with pytest.raises(DimensionMismatch):
-            stochastic.expected_conjugate_force_general(d, np.ones((8, 8)), j)
         with pytest.raises(DimensionMismatch):
             dynamics.conjugate_force(d, pairing, np.ones((8, 8)), j)
 
@@ -236,6 +216,127 @@ class TestClosedForms:
         d = core.decompose(np.diag([1.0, 2.0]))
         with pytest.raises(RealEigenvalue):
             stochastic.expected_conjugate_force_iid(d, 1.0, 0)
+
+    @pytest.mark.parametrize("sigma2", [-1.0, np.nan, np.inf])
+    def test_sigma2_outside_the_law_raises(self, real_8x8, sigma2):
+        _, d, _ = real_8x8
+        j = complex_index(d)
+        with pytest.raises(ValueError, match="sigma2 must be finite and >= 0"):
+            stochastic.expected_conjugate_force_iid(d, sigma2, j)
+        with pytest.raises(ValueError, match="sigma2 must be finite and >= 0"):
+            stochastic.expected_force_columns(d.left, d.right, d.eigenvalues,
+                                              [j], sigma2, "diagonal")
+
+    def test_zero_real_part_signed_as_a_complex_quotient(self, real_8x8):
+        # -i t / (2 Im lambda) in complex arithmetic gives the real part
+        # 0.0 / Im lambda; records print -0.0 and 0.0 differently
+        _, d, _ = real_8x8
+        cols = np.flatnonzero(d.eigenvalues.imag != 0)
+        force = stochastic.expected_force_columns(d.left, d.right, d.eigenvalues,
+                                                  cols, 0.7, "diagonal")
+        im = d.eigenvalues[cols].imag
+        assert (im < 0).any() and (im > 0).any()
+        assert (force.real == 0).all()
+        assert (np.signbit(force.real) == (im < 0)).all()
+
+    def test_real_eigenvalue_column_is_nan_without_warning(self):
+        # pyproject.toml turns a numpy RuntimeWarning into a failure
+        d = core.decompose(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                                     [0.0, -1.0, 0.0]]))
+        force = stochastic.expected_force_columns(d.left, d.right,
+                                                  d.eigenvalues, [0, 1, 2], 1.0)
+        real = d.eigenvalues.imag == 0
+        assert real.any() and not real.all()
+        assert np.isnan(force[real].real).all() and np.isnan(force[real].imag).all()
+        assert np.isfinite(force[~real]).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 6),
+           n=st.integers(2, 12), k=st.integers(1, 12),
+           kind=st.sampled_from(["full", "diagonal"]),
+           # no subnormal products, whose rounding is not relative
+           sigma2=st.one_of(st.just(0.0), st.floats(1e-6, 1e3)))
+    def test_stack_matches_one_column_calls(self, seed, steps, n, k, kind, sigma2):
+        # a column of a stacked call has the bits of a one-column call on
+        # its step, and the value of the closed form
+        rng = np.random.default_rng(seed)
+        d = core.decompose(rng.standard_normal((steps, n, n)))
+        cols = rng.integers(0, n, size=(steps, k))
+        stack = stochastic.expected_force_columns(d.left, d.right, d.eigenvalues,
+                                                  cols, sigma2, kind)
+        assert stack.shape == cols.shape
+        for s in range(steps):
+            ds = d[s]
+            for c, j in enumerate(cols[s].tolist()):
+                one = stochastic.expected_force_columns(
+                    ds.left, ds.right, ds.eigenvalues, [j], sigma2, kind)
+                assert stack[s, c:c + 1].view(np.uint64).tolist() == \
+                    one.view(np.uint64).tolist()
+                im = ds.eigenvalues[j].imag
+                if im == 0:
+                    assert np.isnan(one[0])
+                    continue
+                assert stochastic.expected_conjugate_force_iid(
+                    ds, sigma2, j, kind) == one[0]
+                u2, v2 = np.abs(ds.left[:, j]) ** 2, np.abs(ds.right[:, j]) ** 2
+                total = u2.sum() * v2.sum() if kind == "full" else u2 @ v2
+                want = -1j * sigma2 * total / (2 * im)
+                assert abs(one[0] - want) <= 1e-14 * abs(want)
+
+
+# M = [[0, 1], [-1, 0.5]]: one conjugate pair, so every index names a
+# complex eigenvalue
+INDEXED_M = np.array([[0.0, 1.0], [-1.0, 0.5]])
+
+
+def _index_entry_points():
+    m = INDEXED_M
+    d = core.decompose(m)
+    pairing = core.pair_conjugates(d)
+    mdot, mddot = np.array([[0.3, -1.0], [0.2, 0.7]]), np.eye(2)
+    row = [1.0, 2.0]
+    return {
+        "eigen_velocity": lambda j: dynamics.eigen_velocity(d, mdot, j),
+        "eigen_acceleration": lambda j: dynamics.eigen_acceleration(
+            d, mdot, mddot, j, pairing),
+        "circulant_acceleration": lambda j: dynamics.circulant_acceleration(
+            dynamics.dft_basis(2), [0.5, -0.5],
+            dynamics.circulant_eigenvalues(row), j),
+        "conjugate_force": lambda j: dynamics.conjugate_force(d, pairing, mdot, j),
+        "expected_conjugate_force_iid": lambda j:
+            stochastic.expected_conjugate_force_iid(d, 1.0, j),
+        "monte_carlo_conjugate_force": lambda j:
+            stochastic.monte_carlo_conjugate_force(m, PerturbationProcess(seed=1),
+                                                   j, 10),
+    }
+
+
+class TestIndexRule:
+    """Every per-eigenvalue entry point takes j through operator.index and
+    names an index outside 0..n-1, or a bool, as a DimensionMismatch."""
+
+    ENTRY_POINTS = sorted(_index_entry_points())
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("j", [-1, 2, True], ids=repr)
+    def test_index_outside_the_spectrum(self, name, j):
+        with pytest.raises(DimensionMismatch, match=re.escape(repr(j))):
+            _index_entry_points()[name](j)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("j", [1.0, "0"], ids=repr)
+    def test_index_that_is_not_an_integer(self, name, j):
+        with pytest.raises(TypeError):
+            _index_entry_points()[name](j)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_numpy_integer_index(self, name):
+        call = _index_entry_points()[name]
+        want = call(1)
+        got = call(np.int64(1))
+        if isinstance(want, stochastic.MonteCarloEstimate):
+            want, got = want.mean, got.mean
+        assert got == want
 
 
 class TestMonteCarlo:
