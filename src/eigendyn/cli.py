@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -285,17 +286,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand and map what it raises to an exit code: an
     invalid scenario or override to 2, any other library error, an
-    unwritable output or a failed allocation to 3."""
+    unwritable output or a failed allocation to 3.  A warning shows as
+    one ``warning: <message>`` line on stderr."""
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigInvalid as exc:
-        return _fail(EXIT_INVALID, str(exc))
-    except (EigendynError, OSError) as exc:
-        return _fail(EXIT_RUNTIME, str(exc))
-    except MemoryError as exc:
-        # numpy's MemoryError names the allocation; a bare one has no text
-        return _fail(EXIT_RUNTIME, str(exc) or "out of memory")
+    with warnings.catch_warnings():
+        # one line, without the source line Python's own format echoes
+        warnings.showwarning = lambda message, *_: print(
+            f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except ConfigInvalid as exc:
+            return _fail(EXIT_INVALID, str(exc))
+        except (EigendynError, OSError) as exc:
+            return _fail(EXIT_RUNTIME, str(exc))
+        except MemoryError as exc:
+            # numpy's MemoryError names the allocation; a bare one has no text
+            return _fail(EXIT_RUNTIME, str(exc) or "out of memory")
 
 
 if __name__ == "__main__":

@@ -127,7 +127,6 @@ class PathMatch:
     """
 
     permutation: np.ndarray
-    cost: np.ndarray
     ambiguous_steps: np.ndarray
 
     @property
@@ -327,8 +326,7 @@ def match_paths(prev: SpectralDecomposition,
     for s in map(tuple, np.argwhere(ambiguous)):
         left = prev.left if not s or s[0] == 0 else next.left[s[0] - 1]
         _break_ties(cost[s], perm[s], tol[s], left, next.right[s])
-    total = np.take_along_axis(cost, perm[..., None], axis=-1)[..., 0].sum(axis=-1)
-    return PathMatch(permutation=perm, cost=total, ambiguous_steps=ambiguous)
+    return PathMatch(permutation=perm, ambiguous_steps=ambiguous)
 
 
 def _swap_deltas(cost: np.ndarray, perm: np.ndarray) -> np.ndarray:

@@ -172,9 +172,9 @@ def force_columns(
 ) -> ForceColumns:
     """The acceleration sum for the eigenvalues ``cols``, all i at once.
 
-    With C = U^H Mdot V (formed whole when ``cols`` has n entries, else
-    only its rows and columns ``cols``): velocity C[j, j], inertial
-    u_j^H Mddot v_j, and the pairwise terms
+    With C = U^H Mdot V, formed whole for any ``cols`` (so a column's
+    bits do not depend on which other columns are asked for): velocity
+    C[j, j], inertial u_j^H Mddot v_j, and the pairwise terms
     T[i, j] = 2 C[i, j] C[j, i] / (lambda_j - lambda_i).  T is
     antisymmetric, so over the whole spectrum the totals sum to tr Mddot
     and the velocities to tr Mdot.  With ``partner`` (an index per
@@ -198,29 +198,15 @@ def force_columns(
     # zero inertial terms: its products are skipped
     moving = mddot.any(axis=(-2, -1))
     u_mddot = np.zeros(steps + (k, n), dtype=complex)
-    if k == n:
-        c = np.empty(steps + (n, n), dtype=complex)
-        for s in np.ndindex(steps):
-            # trans_a=2: U^H
-            c[s] = zgemm(1.0, u[s], zgemm(1.0, mdot[s], v[s]), trans_a=2)
-            if moving[s]:
-                u_mddot[s] = zgemm(1.0, u[s][:, cols[s]], mddot[s], trans_a=2)
-        # gathers keep any order of cols, repeats too
-        c_col = np.take_along_axis(c, cols[..., None, :], axis=-1)  # C[i, j]
-        c_row = np.take_along_axis(c, cols[..., :, None], axis=-2)  # C[j, i]
-    else:
-        c_col = np.empty(steps + (n, k), dtype=complex)
-        c_row = np.empty(steps + (k, n), dtype=complex)
-        for s in np.ndindex(steps):
-            # n x n x k products: with few columns they stay below
-            # OpenBLAS's threading threshold, where numpy's BLAS costs
-            # nothing
-            us, vs, cs = u[s], v[s], cols[s]
-            ucols = us[:, cs].conj().T
-            c_col[s] = us.conj().T @ (mdot[s] @ vs[:, cs])
-            c_row[s] = (ucols @ mdot[s]) @ vs
-            if moving[s]:
-                u_mddot[s] = ucols @ mddot[s]
+    c = np.empty(steps + (n, n), dtype=complex)
+    for s in np.ndindex(steps):
+        # trans_a=2: U^H
+        c[s] = zgemm(1.0, u[s], zgemm(1.0, mdot[s], v[s]), trans_a=2)
+        if moving[s]:
+            u_mddot[s] = zgemm(1.0, u[s][:, cols[s]], mddot[s], trans_a=2)
+    # gathers keep any order of cols, repeats too
+    c_col = np.take_along_axis(c, cols[..., None, :], axis=-1)  # C[i, j]
+    c_row = np.take_along_axis(c, cols[..., :, None], axis=-2)  # C[j, i]
     velocity = np.take_along_axis(c_row, cols[..., :, None], axis=-1)[..., 0]
     inertial = np.zeros(steps + (k,), dtype=complex)
     if np.any(moving):
@@ -243,9 +229,12 @@ def force_columns(
         conjugate_term = np.take_along_axis(pairwise, jbar[..., None, :],
                                             axis=-2)[..., 0, :]
         rest = np.where(np.arange(n)[:, None] == jbar[..., None, :], 0.0, pairwise)
+    # row by row for every k: numpy sums a lone column pairwise, in other
+    # bits than the row-by-row sum of two or more columns
+    others = np.add.accumulate(rest, axis=-2)[..., -1, :]
     return ForceColumns(cols=cols, velocity=velocity, inertial=inertial,
                         pairwise=pairwise, conjugate_term=conjugate_term,
-                        others=rest.sum(axis=-2), singular=singular,
+                        others=others, singular=singular,
                         gap_tol=gap_tol)
 
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,25 @@ class TestNonFiniteModel:
         assert cli.main(argv) == code
         assert capsys.readouterr().err == f"error: {named} has NaN/Inf entries\n"
         assert not (tmp_path / "out").exists()
+
+
+class TestWarnings:
+    @pytest.mark.filterwarnings("default::UserWarning")
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_one_line(self, tmp_path, capsys, command):
+        # a non-Hermitian H: the model warns, the command still succeeds
+        scenario = tmp_path / "eh.json"
+        scenario.write_text(json.dumps({
+            "model": {"type": "effective_hamiltonian",
+                      "H": [["1-0.5i", 0.3], [0.3, "-1-0.2i"]]},
+            "time": {"t0": 0, "t1": 1, "steps": 4}}))
+        argv = [command, "--scenario", str(scenario)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        shown = warnings.showwarning
+        assert cli.main(argv) == cli.EXIT_OK
+        assert warnings.showwarning is shown
+        assert capsys.readouterr().err == "warning: H is not Hermitian to tolerance\n"
 
 
 class TestSweep:

@@ -353,6 +353,12 @@ def brute_force_cost(prev, nxt):
     return best, np.array(best_perm)
 
 
+def _assignment_cost(prev, nxt, perm):
+    """The total |lambda_next[perm[i]] - lambda_prev[i]| of a match."""
+    cost = np.abs(nxt[None, :] - prev[:, None])
+    return float(cost[np.arange(len(perm)), perm].sum())
+
+
 def _reference_match(prev, next, ambiguity_tol=1e-12):
     """The pair-swap scan of ``core.match_paths`` as a Python double loop
     over the full overlap matrix: the reference its array form must
@@ -378,8 +384,7 @@ def _reference_match(prev, next, ambiguity_tol=1e-12):
                 swapped = overlap[a, perm[b]] + overlap[b, perm[a]]
                 if swapped > kept:
                     perm[a], perm[b] = perm[b], perm[a]
-    total = float(cost[np.arange(n), perm].sum())
-    return core.PathMatch(permutation=perm, cost=total, ambiguous_steps=ambiguous)
+    return core.PathMatch(permutation=perm, ambiguous_steps=ambiguous)
 
 
 # eigenvalues on a coarse lattice repeat, and lattice moves make the
@@ -440,7 +445,8 @@ class TestMatchPaths:
         d2 = core.decompose(a + 0.05 * rng.standard_normal((5, 5)))
         m = core.match_paths(d1, d2)
         best, _ = brute_force_cost(d1.eigenvalues, d2.eigenvalues)
-        assert m.cost <= best + 1e-12
+        assert _assignment_cost(d1.eigenvalues, d2.eigenvalues,
+                                m.permutation) <= best + 1e-12
 
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_swap_recovered(self, n):
@@ -471,7 +477,8 @@ class TestMatchPaths:
             d2 = core.decompose(a + 0.3 * rng.standard_normal((6, 6)))
             m = core.match_paths(d1, d2)
             identity = float(np.abs(d2.eigenvalues - d1.eigenvalues).sum())
-            assert m.cost <= identity + 1e-12
+            assert _assignment_cost(d1.eigenvalues, d2.eigenvalues,
+                                    m.permutation) <= identity + 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -491,7 +498,9 @@ class TestMatchPaths:
         want = _reference_match(prev, nxt, tol)
         np.testing.assert_array_equal(got.permutation, want.permutation)
         assert got.ambiguous == want.ambiguous
-        assert got.cost == want.cost
+        w, w_next = prev.eigenvalues, nxt.eigenvalues
+        assert (_assignment_cost(w, w_next, got.permutation)
+                == _assignment_cost(w, w_next, want.permutation))
 
     def test_swap_seen_by_later_pairs(self):
         # every cost is 1, so every pair ties and |right| (left = I)
@@ -508,7 +517,8 @@ class TestMatchPaths:
         m = core.match_paths(prev, nxt)
         np.testing.assert_array_equal(m.permutation, [1, 0, 2])
         assert m.ambiguous
-        assert m.cost == 3.0
+        assert _assignment_cost(prev.eigenvalues, nxt.eigenvalues,
+                                m.permutation) == 3.0
 
 
 class TestStackedMatchPaths:
@@ -523,11 +533,14 @@ class TestStackedMatchPaths:
     def test_ring_chain(self, n):
         ms = _ring_stack(n, 30, n)
         d = core.decompose(ms[1:])
-        got = core.match_paths(core.decompose(ms[0]), d)
-        want = self._chain(core.decompose(ms[0]), d)
+        prev = core.decompose(ms[0])
+        got = core.match_paths(prev, d)
+        want = self._chain(prev, d)
+        w = np.concatenate([prev.eigenvalues[None], d.eigenvalues])
         for s, one in enumerate(want):
             assert _same_bits(got.permutation[s], one.permutation)
-            assert got.cost[s] == one.cost
+            assert (_assignment_cost(w[s], w[s + 1], got.permutation[s])
+                    == _assignment_cost(w[s], w[s + 1], one.permutation))
             assert got.ambiguous_steps[s] == one.ambiguous
         assert got.ambiguous == any(one.ambiguous for one in want)
 
@@ -549,7 +562,9 @@ class TestStackedMatchPaths:
         with mock.patch.object(core, "_AMBIGUITY_TOL", tol):
             got = core.match_paths(prev, stacked)
             chain = self._chain(prev, stacked)
+        w = np.concatenate([prev.eigenvalues[None], stacked.eigenvalues])
         for s, one in enumerate(chain):
             assert _same_bits(got.permutation[s], one.permutation)
-            assert got.cost[s] == one.cost
+            assert (_assignment_cost(w[s], w[s + 1], got.permutation[s])
+                    == _assignment_cost(w[s], w[s + 1], one.permutation))
             assert got.ambiguous_steps[s] == one.ambiguous

@@ -1687,6 +1687,33 @@ def _assert_same_record(got, want):
     assert repr(got.events) == repr(want.events)
 
 
+class TestTrackedSubset:
+    """A tracked path's values, presence and flags are the bits it gets
+    when every path is tracked."""
+
+    @pytest.mark.parametrize("tracked", [[1, 4, 11], [4]])
+    @pytest.mark.parametrize("case", ["ring-noisy", "explicit"])
+    def test_same_bits_as_all(self, case, tracked):
+        if case == "ring-noisy":
+            raw = _blocked_case("ring-tracked")
+        else:
+            # n = 24 with nonzero Mdot and Mddot
+            rng = np.random.default_rng(3)
+            m, b, c = rng.standard_normal((3, 24, 24)).tolist()
+            raw = base_config(model={"type": "explicit", "matrix": m,
+                                     "velocity": b, "acceleration": c},
+                              time={"t0": 0.0, "t1": 1.0, "steps": 30})
+        part = engine.run_scenario(ScenarioConfig.from_dict(dict(raw, tracked=tracked)))
+        full = engine.run_scenario(ScenarioConfig.from_dict(dict(raw, tracked="all")))
+        np.testing.assert_array_equal(part.tracked, tracked)
+        for key in KEYS:
+            assert (getattr(part, key).tobytes()
+                    == getattr(full, key)[:, part.tracked].tobytes()), key
+        assert part.present.tobytes() == full.present[..., part.tracked].tobytes()
+        assert (part.value_flags.tobytes()
+                == full.value_flags[:, part.tracked].tobytes())
+
+
 class TestBlockedEngine:
     """The blocked engine against the per-step loop, bit for bit."""
 
