@@ -175,6 +175,9 @@ def _relative_error(value, fd, bound) -> np.ndarray:
 
 
 def cmd_oracle(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ConfigInvalid(f"--tolerance must be a finite number > 0, "
+                            f"got {args.tolerance!r}")
     cfg = _load_config(args)
     trajectory = engine.build_trajectory(cfg)
     vel_tol = args.tolerance
@@ -193,7 +196,7 @@ def cmd_oracle(args) -> int:
     for t in times:
         m, mdot, mddot = trajectory.at(t)
         d0 = core.decompose(m)
-        # a huge model or a tolerance of 0 gives an inf or NaN error, which
+        # a huge model or a tiny tolerance gives an inf or NaN error, which
         # fails below
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             vel_fd = (matched_eigs(t + d_vel, d0)
@@ -277,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p_oracle, with_run_flags=False)
     p_oracle.add_argument("--tolerance", type=float, default=1e-6,
-                          help="max relative error for velocities "
-                               "(accelerations use 100x)")
+                          help="max relative error for velocities, finite "
+                               "and > 0 (accelerations use 100x)")
     p_oracle.set_defaults(func=cmd_oracle)
     return parser
 

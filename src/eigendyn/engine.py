@@ -439,10 +439,11 @@ def _trajectory(p: dict) -> MatrixTrajectory:
 def build_trajectory(cfg: ScenarioConfig) -> MatrixTrajectory:
     """Instantiate the scenario's model as a matrix trajectory; the tracked
     indices must lie within its size.  A model the package rejects while
-    building it is an invalid scenario: ConfigInvalid("model: ...")."""
+    building it, or a warning raised as an error there (``-W error``), is
+    an invalid scenario: ConfigInvalid("model: ...")."""
     try:
         trajectory = _trajectory(cfg.params)
-    except EigendynError as exc:
+    except (EigendynError, Warning) as exc:
         raise ConfigInvalid(f"model: {exc}") from exc
     for j in [] if cfg.tracked == "all" else cfg.tracked:
         if j >= trajectory.n:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import SpectralDecomposition, as_square_matrix
 from .dynamics import _check_index, pairwise_conjugate_summand
@@ -41,19 +42,16 @@ __all__ = [
 ]
 
 # Sample i draws from np.random.default_rng(SeedSequence(seed, spawn_key=(i,))).
-# Building that generator costs more than the draws, so the SeedSequence
-# hash (numpy/random/bit_generator.pyx) runs here over a block of indices
-# at once and PCG64's seeding (pcg64.c, pcg64_set_seed) per sample.
+# numpy's SeedSequence costs more than the draws, so its hash
+# (numpy/random/bit_generator.pyx) runs here over a block of indices at
+# once, and numpy's PCG64 is seeded from the hashed words of each index.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
 # a power of two below 2**32: a block never straddles a change in the
 # number of uint32 words of its indices
 _BLOCK = 4096
-_THREAD = threading.local()
 # Python >= 3.12 warns on any fork from a process with threads
 _FORK_WARNING = (r"This process \(pid=\d+\) is multi-threaded, "
                  r"use of fork\(\) may lead to deadlocks")
@@ -62,9 +60,7 @@ _PAIR_TOL = 1e-9
 
 
 def _words(x: int) -> list:
-    """``x`` as SeedSequence splits an int: little-endian uint32 words."""
-    if x < 0:
-        raise ValueError(f"expected a non-negative integer, got {x}")
+    """``x`` >= 0 as SeedSequence splits an int: little-endian uint32 words."""
     return [x >> shift & _MASK32 for shift in range(0, max(x.bit_length(), 1), 32)]
 
 
@@ -106,6 +102,16 @@ def _block_seeds(seed: int, block: int) -> np.ndarray:
     return seeds
 
 
+class _SeedWords(ISeedSequence):
+    """The four uint64 words PCG64 asks its SeedSequence for, hashed."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
 @dataclass(frozen=True)
 class PerturbationProcess:
     """Seeded Gaussian perturbation source.
@@ -130,33 +136,20 @@ class PerturbationProcess:
                 or self.seed < 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
-    def _rng(self, index: int) -> np.random.Generator:
-        """This thread's generator, set to the state of
-        ``default_rng(SeedSequence(seed, spawn_key=(index,)))``: an
-        independent substream per index, so worker count cannot change
-        the draw."""
+    def sample(self, n: int, index: int) -> np.ndarray:
+        """Draw the perturbation matrix P for sample ``index``, a
+        non-negative integer.  Its generator is
+        ``default_rng(SeedSequence(seed, spawn_key=(index,)))``, made anew
+        for each draw: an independent substream per index, so worker count
+        cannot change the draw."""
         # a float or a string raises TypeError here; a bool is an int
         i = operator.index(index)
         if i < 0 or isinstance(index, bool):
             raise ValueError(f"sample index must be a non-negative integer, "
                              f"got {index!r}")
         block, offset = divmod(i, _BLOCK)
-        s_hi, s_lo, i_hi, i_lo = _block_seeds(int(self.seed), block)[offset].tolist()
-        # pcg_setseq_128_srandom_r: two LCG steps from state 0
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        rng = getattr(_THREAD, "rng", None)
-        if rng is None:
-            rng = _THREAD.rng = np.random.Generator(np.random.PCG64())
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
-        return rng
-
-    def sample(self, n: int, index: int) -> np.ndarray:
-        """Draw the perturbation matrix P for sample ``index``, a
-        non-negative integer."""
-        rng = self._rng(index)
+        rng = np.random.Generator(np.random.PCG64(
+            _SeedWords(_block_seeds(int(self.seed), block)[offset])))
         scale = np.sqrt(self.sigma2)
         if self.kind == "diagonal":
             p = np.zeros((n, n))

@@ -55,10 +55,15 @@ class TestValidate:
         assert code == cli.EXIT_INVALID
         assert "error" in capsys.readouterr().err
 
-    def test_bad_override_key(self, ring_scenario, capsys):
+    @pytest.mark.parametrize("item,named", [
+        ("sites=2", "model.sites: "),
+        ("sites", "--set expects key=value, got 'sites'"),
+    ])
+    def test_bad_override_key(self, ring_scenario, capsys, item, named):
         code = cli.main(["validate", "--scenario", str(ring_scenario),
-                         "--set", "sites=2"])
+                         "--set", item])
         assert code == cli.EXIT_INVALID
+        assert capsys.readouterr().err.startswith(f"error: {named}")
 
 
 class TestRun:
@@ -137,6 +142,14 @@ class TestRun:
         assert code == cli.EXIT_INVALID
         assert "output.dir" in capsys.readouterr().err
         assert not (tmp_path / "5").exists()
+
+    def test_override_not_json_is_a_string(self, ring_scenario, tmp_path,
+                                            capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(["run", "--scenario", str(ring_scenario),
+                         "--set", "time.steps=2", "--set", "output.dir=out"])
+        assert code == cli.EXIT_OK
+        assert (tmp_path / "out" / "record.json").exists()
 
     def test_set_override(self, ring_scenario, tmp_path, capsys):
         out = tmp_path / "out"
@@ -260,23 +273,43 @@ class TestNonFiniteModel:
         assert not (tmp_path / "out").exists()
 
 
+# an effective Hamiltonian whose H is not Hermitian: the model warns
+NON_HERMITIAN_EH = {
+    "model": {"type": "effective_hamiltonian",
+              "H": [["1-0.5i", 0.3], [0.3, "-1-0.2i"]]},
+    "time": {"t0": 0, "t1": 1, "steps": 4},
+}
+
+
 class TestWarnings:
-    @pytest.mark.filterwarnings("default::UserWarning")
-    @pytest.mark.parametrize("command", ["validate", "run"])
-    def test_one_line(self, tmp_path, capsys, command):
-        # a non-Hermitian H: the model warns, the command still succeeds
+    @staticmethod
+    def _argv(tmp_path, command):
         scenario = tmp_path / "eh.json"
-        scenario.write_text(json.dumps({
-            "model": {"type": "effective_hamiltonian",
-                      "H": [["1-0.5i", 0.3], [0.3, "-1-0.2i"]]},
-            "time": {"t0": 0, "t1": 1, "steps": 4}}))
+        scenario.write_text(json.dumps(NON_HERMITIAN_EH))
         argv = [command, "--scenario", str(scenario)]
         if command == "run":
             argv += ["--out", str(tmp_path / "out")]
+        return argv
+
+    @pytest.mark.filterwarnings("default::UserWarning")
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_one_line(self, tmp_path, capsys, command):
+        # the command still succeeds
         shown = warnings.showwarning
-        assert cli.main(argv) == cli.EXIT_OK
+        assert cli.main(self._argv(tmp_path, command)) == cli.EXIT_OK
         assert warnings.showwarning is shown
         assert capsys.readouterr().err == "warning: H is not Hermitian to tolerance\n"
+
+    @pytest.mark.parametrize("command", ["validate", "run", "oracle"])
+    def test_as_error_exits_2(self, tmp_path, capsys, command):
+        # python -W error: the warning the model raises is an invalid model
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(self._argv(tmp_path, command))
+        assert code == cli.EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "error: model: H is not Hermitian to tolerance\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweep:
@@ -305,7 +338,8 @@ class TestSweep:
     @pytest.mark.parametrize("spec", [
         "tilt=0:1", "tilt=a:0.1:1", "tilt=0:b:1", "tilt=0:0.1:",
         "tilt=0:nan:1", "tilt=nan:0.1:1", "tilt=0:1e308:inf",
-        "tilt=-inf:1:0", "tilt=-1e308:1e-308:1e308",
+        "tilt=-inf:1:0", "tilt=-1e308:1e-308:1e308", "tilt=0:0:1",
+        "tilt=1:0.5:0",
     ])
     def test_bad_range_spec(self, ring_scenario, tmp_path, capsys, spec):
         out = tmp_path / "sweep"
@@ -313,6 +347,16 @@ class TestSweep:
                          "--out", str(out)])
         assert code == cli.EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_invalid_value_names_its_run(self, ring_scenario, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = cli.main(["sweep", "time.steps=0:1:2", "--scenario",
+                         str(ring_scenario), "--out", str(out)])
+        assert code == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: time.steps=0: time.steps: ")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_values_passed_exactly(self, ring_scenario, tmp_path, capsys,
@@ -395,6 +439,18 @@ class TestOracle:
         code = cli.main(["oracle", "--scenario", str(ring_scenario),
                          "--tolerance", "1e-300"])
         assert code == cli.EXIT_TOLERANCE
+
+    @pytest.mark.parametrize("tolerance,got", [
+        ("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"), ("0", "0.0"),
+        ("-1", "-1.0")])
+    def test_tolerance_not_finite_and_positive(self, ring_scenario, capsys,
+                                               tolerance, got):
+        # rejected before any check runs, not reported as a violation
+        code = cli.main(["oracle", "--scenario", str(ring_scenario),
+                         f"--tolerance={tolerance}"])
+        assert code == cli.EXIT_INVALID
+        assert capsys.readouterr() == (
+            "", f"error: --tolerance must be a finite number > 0, got {got}\n")
 
     def test_nan_error_is_a_violation(self, ring_scenario, capsys, monkeypatch):
         force_columns = dynamics.force_columns

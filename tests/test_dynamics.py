@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from eigendyn import core, dynamics, engine, models
 from eigendyn.dynamics import MatrixTrajectory
-from eigendyn.errors import (NonFiniteMatrix, PairingFailure, RealEigenvalue,
-                             SingularGap)
+from eigendyn.errors import (DimensionMismatch, NonFiniteMatrix, PairingFailure,
+                             RealEigenvalue, SingularGap)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -42,6 +42,11 @@ class TestVelocity:
         d = core.decompose(np.random.default_rng(0).standard_normal((4, 4)))
         for j in range(4):
             assert dynamics.eigen_velocity(d, np.zeros((4, 4)), j) == 0
+
+    def test_mdot_of_another_size(self):
+        d = core.decompose(np.eye(2))
+        with pytest.raises(DimensionMismatch, match=r"Mdot has shape \(3, 3\)"):
+            dynamics.eigen_velocity(d, np.eye(3), 0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_fd_oracle(self, seed):
@@ -394,6 +399,15 @@ class TestConjugateForce:
         with pytest.raises(RealEigenvalue):
             dynamics.conjugate_force(d, pair, np.eye(2), 0)
 
+    def test_self_paired_complex_eigenvalue_raises(self):
+        # |Im lambda| = 1e-10 is within the pairing tolerance 1e-9
+        d = core.decompose(np.array([[0.0, 1.0], [-1e-20, 0.0]]))
+        pair = core.pair_conjugates(d)
+        j = int(np.argmax(d.eigenvalues.imag))
+        assert d.eigenvalues[j].imag > 0 and pair.partner[j] == j
+        with pytest.raises(RealEigenvalue, match="self-paired"):
+            dynamics.conjugate_force(d, pair, np.eye(2), j)
+
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
            complex_m=st.booleans(), complex_mdot=st.booleans())
@@ -543,6 +557,14 @@ class TestCirculant:
         f = dynamics.dft_basis(4)
         w = dynamics.circulant_eigenvalues([1.0, 2.0, 0.0, -1.0])
         assert dynamics.circulant_acceleration(f, np.zeros(4), w, 1) == 0
+
+    @pytest.mark.parametrize("basis,sites", [(3, 4), (4, 3)])
+    def test_size_mismatch(self, basis, sites):
+        # a spectrum of 4 eigenvalues
+        w = dynamics.circulant_eigenvalues([1.0, 2.0, 0.0, -1.0])
+        with pytest.raises(DimensionMismatch, match="size mismatch"):
+            dynamics.circulant_acceleration(dynamics.dft_basis(basis),
+                                            np.zeros(sites), w, 1)
 
     def test_uniform_perturbation_orthogonality(self):
         # p = c*I commutes with everything: all cross terms vanish

@@ -127,6 +127,8 @@ class TestScenarioConfig:
         ({"perturbation": {"sigma2": -1.0}}, "sigma2"),
         ({"output": {"formats": ["xml"]}}, "format"),
         ({"output": {"dir": 5}}, "output.dir"),
+        ({"model": {"type": "explicit", "matrix": [[1.0, 0.0], [2.0]]}},
+         "model.matrix: bad inline matrix"),
     ])
     def test_invalid_rejected(self, mutate, msg):
         with pytest.raises(ConfigInvalid, match=msg):
@@ -200,6 +202,10 @@ class TestScenarioConfig:
         p.write_text("{\n  broken\n}")
         with pytest.raises(ConfigInvalid, match=":2:"):
             ScenarioConfig.from_file(p)
+
+    def test_root_not_an_object(self):
+        with pytest.raises(ConfigInvalid, match="root must be an object"):
+            ScenarioConfig.from_dict([])
 
     @pytest.mark.parametrize("content,msg", [
         (None, "not found"),
@@ -1028,15 +1034,32 @@ class TestPersistence:
         with pytest.raises(RecordInvalid):
             engine.load_record(target)
 
-    @pytest.mark.parametrize("case", ["not-utf-8", "missing", "directory"])
-    def test_unreadable_record_is_record_invalid(self, tmp_path, case):
+    @pytest.mark.parametrize("case,msg", [
+        ("not-utf-8", "cannot read record file"),
+        ("missing", "cannot read record file"),
+        ("directory", "cannot read record file"),
+        ("not-json", "record.json:2: "),
+    ])
+    def test_unreadable_record_is_record_invalid(self, tmp_path, case, msg):
         target = tmp_path / "record.json"
         if case == "not-utf-8":
             target.write_bytes(b"\xff\xfe{")
         elif case == "directory":
             target.mkdir()
-        with pytest.raises(RecordInvalid, match="cannot read record file"):
+        elif case == "not-json":
+            target.write_text("{\n  broken\n}")
+        with pytest.raises(RecordInvalid, match=msg):
             engine.load_record(target)
+
+    def test_export_passes_a_stale_temporary(self, tmp_path):
+        # a temporary of this process's name left behind is neither
+        # overwritten nor removed: the export takes the next name
+        stale = tmp_path / f".record.json.{os.getpid()}.0.tmp"
+        stale.write_text("stale")
+        engine.export(self.run_sample(), "json", tmp_path / "record.json")
+        assert stale.read_text() == "stale"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, "record.json"]
+        engine.load_record(tmp_path / "record.json")
 
     def test_json_export_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

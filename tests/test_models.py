@@ -202,6 +202,10 @@ class TestEffectiveHamiltonian:
 
 
 class TestScattering:
+    def test_constant_must_be_2x2(self):
+        with pytest.raises(DimensionMismatch, match="must be 2x2"):
+            TransferMatrixModel.from_constant(np.eye(3))
+
     def test_identity_barrier(self):
         model = TransferMatrixModel.from_constant(np.eye(2))
         data = models.scattering_data(model, 1.0)

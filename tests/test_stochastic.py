@@ -114,6 +114,10 @@ class TestSample:
         with pytest.raises(ValueError, match="sigma2"):
             PerturbationProcess(sigma2=sigma2)
 
+    def test_rejects_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown perturbation kind 'x'"):
+            PerturbationProcess(kind="x")
+
     def test_zero_variance_zero(self):
         proc = PerturbationProcess(sigma2=0.0, seed=1)
         np.testing.assert_array_equal(proc.sample(3, 0), np.zeros((3, 3)))
@@ -226,6 +230,12 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="sigma2 must be finite and >= 0"):
             stochastic.expected_force_columns(d.left, d.right, d.eigenvalues,
                                               [j], sigma2, "diagonal")
+
+    def test_unknown_kind_raises(self, real_8x8):
+        _, d, _ = real_8x8
+        with pytest.raises(ValueError, match="unknown kind 'x'"):
+            stochastic.expected_force_columns(d.left, d.right, d.eigenvalues,
+                                              [complex_index(d)], 1.0, "x")
 
     def test_zero_real_part_signed_as_a_complex_quotient(self, real_8x8):
         # -i t / (2 Im lambda) in complex arithmetic gives the real part
@@ -366,6 +376,15 @@ class TestMonteCarlo:
         est = stochastic.monte_carlo_conjugate_force(m, proc, complex_index(d), 50)
         assert est.mean == 0
         assert est.standard_error == 0
+
+    def test_one_sample_has_no_spread(self, real_8x8):
+        m, d, pairing = real_8x8
+        j = complex_index(d)
+        proc = PerturbationProcess(kind="full", seed=3)
+        est = stochastic.monte_carlo_conjugate_force(m, proc, j, 1)
+        want = dynamics.pairwise_conjugate_summand(d, pairing, proc.sample(8, 0), j)
+        assert est.mean == want
+        assert est.standard_error_re == est.standard_error_im == 0.0
 
     def test_deterministic_given_seed(self, real_8x8):
         m, d, _ = real_8x8
@@ -611,6 +630,15 @@ class TestMonteCarloWorkers:
                 m, PerturbationProcess(seed=1), complex_index(d), 2 * 4096)
         assert ("Traceback" in capfd.readouterr().err) == traceback
         assert no_child_left()
+
+    @pytest.mark.parametrize("cpu_count,workers", [(3, 3), (None, 1)])
+    def test_cores_without_an_affinity_mask(self, monkeypatch, cpu_count, workers):
+        # where os.sched_getaffinity is missing, os.cpu_count() counts the
+        # cores, and one is assumed when it cannot tell
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+        assert stochastic._workers(4 * 4096) == workers
 
     def test_stays_in_process(self, real_8x8, monkeypatch):
         m, d, _ = real_8x8
