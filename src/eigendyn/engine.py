@@ -170,11 +170,14 @@ def _enum(noun: str, *choices):
     return parse
 
 
-def _list_of(kind):
+def _list_of(kind, unique: bool = False):
     def parse(value, where: str, ctx=None) -> list:
         if not isinstance(value, list):
             raise ConfigInvalid(f"{where}: expected a list, got {value!r}")
-        return [kind(item, f"{where}[{i}]", ctx) for i, item in enumerate(value)]
+        items = [kind(item, f"{where}[{i}]", ctx) for i, item in enumerate(value)]
+        if unique and len(set(items)) < len(items):
+            raise ConfigInvalid(f"{where}: repeated item in {items!r}")
+        return items
     return parse
 
 
@@ -256,7 +259,8 @@ SCHEMA = {
     },
     "output": {
         "dir": Key(_string, "out"),
-        "formats": Key(_list_of(_enum("format", "csv", "json")), ["json"]),
+        "formats": Key(_list_of(_enum("format", "csv", "json"), unique=True),
+                       ["json"]),
     },
     "model.explicit": {
         "matrix": Key(_matrix),

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .core import as_square_matrix
 from .errors import (
@@ -147,15 +148,6 @@ def effective_hamiltonian(spec: EffectiveHamiltonianSpec) -> np.ndarray:
 # transfer matrices / scattering
 
 
-def _power(k, p: int):
-    """k**p; for p >= 2 each entry of an array k is raised by Python's
-    float power, as a scalar k is: numpy's array power rounds some
-    entries differently."""
-    if p < 2 or np.ndim(k) == 0:
-        return k**p
-    return np.reshape([x**p for x in np.ravel(k).tolist()], np.shape(k))
-
-
 @dataclass(frozen=True)
 class TransferMatrixModel:
     """2x2 transfer matrix entries as polynomials in the wavenumber k: each
@@ -163,7 +155,7 @@ class TransferMatrixModel:
 
     The transfer matrix relates field amplitudes on the two sides of a
     1D scatterer, E+ = M E-.  det M(k) must equal 1 to ``unimodular_tol``
-    at every queried k.
+    at every queried k.  An entry needs at least one coefficient.
     """
 
     m11: Sequence[complex]
@@ -171,6 +163,11 @@ class TransferMatrixModel:
     m21: Sequence[complex]
     m22: Sequence[complex]
     unimodular_tol: float = 1e-9
+
+    def __post_init__(self):
+        for name in ("m11", "m12", "m21", "m22"):
+            if len(getattr(self, name)) == 0:
+                raise DimensionMismatch(f"{name.upper()} has no coefficients")
 
     @staticmethod
     def from_constant(m) -> "TransferMatrixModel":
@@ -180,12 +177,10 @@ class TransferMatrixModel:
         return TransferMatrixModel(*m.reshape(4, 1).tolist())
 
     def matrix(self, k) -> np.ndarray:
-        """M(k), or a stack with the shape of an array ``k`` in front."""
-        entries = [np.broadcast_to(sum(c * _power(k, q) for q, c in enumerate(coeffs)),
-                                   np.shape(k))
-                   for coeffs in (self.m11, self.m12, self.m21, self.m22)]
-        return np.stack(entries, axis=-1).astype(complex).reshape(
-            np.shape(k) + (2, 2))
+        """M(k), or a stack with the shape of an array ``k`` in front; by
+        Horner's rule, so an array ``k`` gives each k's matrix bit for bit."""
+        entries = [polyval(k, c) for c in (self.m11, self.m12, self.m21, self.m22)]
+        return np.stack(entries, axis=-1).astype(complex).reshape(np.shape(k) + (2, 2))
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,26 @@ class TestRun:
         assert code == cli.EXIT_OK
         assert "rows=11" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+    def test_repeated_format_exits_2(self, ring_scenario, tmp_path, capsys,
+                                     command):
+        out = tmp_path / "out"
+        argv = {"validate": ["validate"], "run": ["run", "--out", str(out)],
+                "sweep": ["sweep", "tilt=0:0.5:1", "--out", str(out)]}[command]
+        code = cli.main([*argv, "--scenario", str(ring_scenario),
+                         "--set", 'output.formats=["csv","json","csv"]'])
+        assert code == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: output.formats: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_no_format_writes_nothing(self, ring_scenario, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(["run", "--scenario", str(ring_scenario),
+                         "--set", "output.formats=[]", "--out", str(out)])
+        assert code == cli.EXIT_OK
+        assert list(out.iterdir()) == []
+
 
 class TestOutOfRange:
     @pytest.mark.parametrize("edit,named", [

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -311,6 +312,8 @@ class TestBuildTrajectory:
         {"type": "explicit", "matrix": [[True]]},
         {"type": "transfer", "entries": {"M11": [], "M12": ["1"], "M21": ["0"],
                                          "M22": ["1"]}},
+        {"type": "transfer", "entries": {"M11": ["1"], "M12": [], "M21": ["0.5"],
+                                         "M22": ["1"]}},
         {"type": "transfer", "entries": {"M11": ["1"], "M12": ["nan"],
                                          "M21": ["0"], "M22": ["1"]}},
         {"type": "transfer", "entries": {"M11": "1", "M12": ["1"], "M21": ["0"],
@@ -413,8 +416,8 @@ def _model_case(case):
                  "fluctuation_rate": [0.0, -1.0, 0.5, *rng.normal(size=3).tolist()]}
         return base_config(model=model, time={"t0": -1.0, "t1": 1.0, "steps": 8})
     elif case == "transfer":
-        # enough wavenumbers that numpy's array power would round some
-        # cube differently from a scalar one
+        # cubic entries at 101 wavenumbers, which an array evaluates as
+        # each one alone
         model = {"type": "transfer", "entries": _CUBIC_ENTRIES}
         return base_config(model=model, time={"t0": 0.5, "t1": 2.0, "steps": 100})
     else:
@@ -450,7 +453,9 @@ def _reference_model(cfg):
                   for key in _ENTRY_NAMES}
 
         def s_matrix(k):
-            m = np.array([sum(c * k**p for p, c in enumerate(coeffs[key]))
+            # each entry by Horner's rule, from the highest power down
+            m = np.array([functools.reduce(lambda acc, c: acc * k + c,
+                                           reversed(coeffs[key]))
                           for key in _ENTRY_NAMES], dtype=complex)
             m11, m12, m21, m22 = m
             return np.array([[complex(1.0 / m22), complex(m12 / m22)],

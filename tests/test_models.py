@@ -285,6 +285,41 @@ class TestScattering:
         with pytest.raises(SpectralSingularity, match=r"M22\(k=1\.0\)"):
             models.scattering_data(model, np.array([0.5, 1.0, 1.0]))
 
+    def test_entry_without_coefficients_rejected(self):
+        with pytest.raises(DimensionMismatch, match="^M12 has no coefficients"):
+            TransferMatrixModel(m11=[1.0], m12=[], m21=[0.5], m22=[1.0])
+
+    def test_entries_by_horners_rule(self):
+        rng = np.random.default_rng(29)
+        coeffs = [[complex(x, y) for x, y in rng.normal(size=(q, 2))]
+                  for q in (1, 3, 4, 6)]
+        model = TransferMatrixModel(*coeffs)
+        for k in (0.3, -1.7, 2.5):
+            want = []
+            for entry in coeffs:
+                acc = entry[-1]
+                for c in reversed(entry[:-1]):
+                    acc = acc * k + c
+                want.append(acc)
+            assert (model.matrix(k).tobytes()
+                    == np.array(want, dtype=complex).reshape(2, 2).tobytes())
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_array_of_wavenumbers_bit_for_bit(self, data):
+        # degree 0 to 5 per entry: an array of wavenumbers gives the matrix
+        # of each wavenumber to the last bit
+        coeffs = st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                             allow_infinity=False),
+                          min_size=1, max_size=6)
+        model = TransferMatrixModel(*(data.draw(coeffs) for _ in range(4)))
+        ks = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=1,
+                                         max_size=20)))
+        got = model.matrix(ks)
+        want = np.array([model.matrix(k) for k in ks.tolist()])
+        assert got.shape == ks.shape + (2, 2)
+        assert got.tobytes() == want.tobytes()
+
 
 def central_differences(matrix, n):
     """A trajectory of ``matrix`` (a callable of one time) whose
