@@ -135,6 +135,7 @@ class PathMatch:
         return bool(np.any(self.ambiguous_steps))
 
 
+_PAIR_TOL = 1e-7  # the conjugate-pairing distance of pair_conjugates
 _ZGEEV, _ZGEEV_LWORK = get_lapack_funcs(("geev", "geev_lwork"),
                                         dtype=np.complex128)
 
@@ -195,12 +196,11 @@ def decompose(m) -> SpectralDecomposition:
     # left^H right = I exactly on the diagonal
     overlaps = np.einsum("...ji,...ji->...j", vl_rows.conj(), vr_rows)
     vl = vl_rows.swapaxes(-1, -2)
-    # near-defective pairs have vanishing overlap; keep the unscaled left
-    # vector there (the pair is flagged below) instead of overflowing
-    safe = np.abs(overlaps) > 0
-    left = np.divide(vl, overlaps.conj()[..., None, :], where=safe[..., None, :],
-                     out=vl.copy())
-    bad = ~np.all(np.isfinite(left), axis=-2) | ~safe
+    # a near-defective pair's overlap vanishes: a column not finite after
+    # the division keeps its unscaled left vector (and is flagged below)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        left = vl / overlaps.conj()[..., None, :]
+    bad = ~np.all(np.isfinite(left), axis=-2)
     np.copyto(left, vl, where=bad[..., None, :])
 
     gaps = np.abs(w[..., None, :] - w[..., :, None]) + np.diag(np.full(n, np.inf))
@@ -222,15 +222,15 @@ def decompose(m) -> SpectralDecomposition:
     )
 
 
-def pair_conjugates(d: SpectralDecomposition, tol: float = 1e-9) -> ConjugatePairing:
+def pair_conjugates(d: SpectralDecomposition) -> ConjugatePairing:
     """Pair each eigenvalue with its complex conjugate.
 
     Requires the spectrum of a real matrix (conjugate-closed).  Eigenvalues
-    with |Im| <= tol are self-paired.  Raises PairingFailure when some
-    complex eigenvalue has no partner within ``tol``.
+    with |Im| <= ``_PAIR_TOL`` = 1e-7 are self-paired.  Raises PairingFailure
+    when some complex eigenvalue has no partner within ``_PAIR_TOL``.
 
     ``d`` may be stacked: a step whose every complex eigenvalue has one
-    candidate within ``tol``, itself complex, is paired from the
+    candidate within ``_PAIR_TOL``, itself complex, is paired from the
     (S, n, n) distances; the greedy loop runs only on the other steps.
     A stacked call raises nothing: ``failed_steps`` marks the steps with
     no pairing.
@@ -238,12 +238,12 @@ def pair_conjugates(d: SpectralDecomposition, tol: float = 1e-9) -> ConjugatePai
     w = d.eigenvalues
     n = w.shape[-1]
     index = np.arange(n)
-    # near[..., j, i]: lambda_i, i != j, lies within tol of conj(lambda_j).
-    # |a - conj(b)| and |b - conj(a)| are the same float, so near is
-    # symmetric and a sole candidate chooses j back
-    near = np.abs(w[..., None, :] - w.conj()[..., :, None]) <= tol
+    # near[..., j, i]: lambda_i, i != j, lies within the tolerance of
+    # conj(lambda_j).  |a - conj(b)| and |b - conj(a)| are the same float,
+    # so near is symmetric and a sole candidate chooses j back
+    near = np.abs(w[..., None, :] - w.conj()[..., :, None]) <= _PAIR_TOL
     near[..., index, index] = False
-    complex_ = np.abs(w.imag) > tol
+    complex_ = np.abs(w.imag) > _PAIR_TOL
     cand = near.argmax(axis=-1)
     direct = np.all(~complex_ | ((near.sum(axis=-1) == 1)
                                  & np.take_along_axis(complex_, cand, axis=-1)),
@@ -252,7 +252,7 @@ def pair_conjugates(d: SpectralDecomposition, tol: float = 1e-9) -> ConjugatePai
     failed = np.zeros(w.shape[:-1], dtype=bool)
     for s in map(tuple, np.argwhere(~direct)):
         try:
-            partner[s] = _pair_greedy(w[s], tol)
+            partner[s] = _pair_greedy(w[s])
         except PairingFailure:
             if not s:
                 raise
@@ -261,7 +261,7 @@ def pair_conjugates(d: SpectralDecomposition, tol: float = 1e-9) -> ConjugatePai
     return ConjugatePairing(partner=partner, failed_steps=failed)
 
 
-def _pair_greedy(w: np.ndarray, tol: float) -> np.ndarray:
+def _pair_greedy(w: np.ndarray) -> np.ndarray:
     """One spectrum's partners, eigenvalue by eigenvalue, each complex
     one taking its nearest still unpaired candidate."""
     n = len(w)
@@ -269,23 +269,22 @@ def _pair_greedy(w: np.ndarray, tol: float) -> np.ndarray:
     for j in range(n):
         if partner[j] >= 0:
             continue
-        if abs(w[j].imag) <= tol:
+        if abs(w[j].imag) <= _PAIR_TOL:
             partner[j] = j
             continue
         dist = np.abs(w - w[j].conjugate())
         dist[j] = np.inf
         # prefer still-unpaired candidates
         for i in np.argsort(dist):
-            if dist[i] > tol:
+            if dist[i] > _PAIR_TOL:
                 break
             if partner[i] < 0:
                 partner[j] = i
                 partner[i] = j
                 break
         if partner[j] < 0:
-            raise PairingFailure(
-                f"eigenvalue {w[j]} has no conjugate partner within {tol}"
-            )
+            raise PairingFailure(f"eigenvalue {w[j]} has no conjugate partner "
+                                 f"within {_PAIR_TOL}")
     return partner
 
 

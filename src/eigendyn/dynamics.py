@@ -48,6 +48,8 @@ __all__ = [
     "circulant_eigenvalues",
 ]
 
+_GAP_TOL = 1e-14  # a gap |lambda_j - lambda_i| below it is singular
+
 
 def _times(t) -> np.ndarray:
     # a time, or an array of times, broadcasting against (n, n)
@@ -129,8 +131,8 @@ class ForceColumns:
 
     Entry c of every per-column array belongs to eigenvalue j = cols[c];
     ``pairwise[i, c]`` is the summand T[i, j], zero for i = j and for
-    every i whose gap to j is below ``gap_tol``.  ``singular[c]`` is the
-    first such i, or -1 when there is none.
+    every i whose gap to j is below ``_GAP_TOL`` (1e-14).  ``singular[c]``
+    is the first such i, or -1 when there is none.
     """
 
     cols: np.ndarray
@@ -140,7 +142,6 @@ class ForceColumns:
     conjugate_term: np.ndarray
     others: np.ndarray
     singular: np.ndarray
-    gap_tol: float
 
     @property
     def total(self) -> np.ndarray:
@@ -157,7 +158,7 @@ class ForceColumns:
         if bad.size:
             i, j = int(self.singular[bad[0]]), int(self.cols[bad[0]])
             raise SingularGap(f"eigenvalue gap |lambda_{i} - lambda_{j}| "
-                              f"below tolerance {self.gap_tol}", pair=(i, j))
+                              f"below tolerance {_GAP_TOL}", pair=(i, j))
 
 
 def force_columns(
@@ -168,7 +169,6 @@ def force_columns(
     mddot,
     cols,
     partner=None,
-    gap_tol: float = 1e-12,
 ) -> ForceColumns:
     """The acceleration sum for the eigenvalues ``cols``, all i at once.
 
@@ -216,7 +216,7 @@ def force_columns(
     # lambda_j - lambda_i
     gap = np.take_along_axis(w, cols, axis=-1)[..., None, :] - w[..., :, None]
     own = np.arange(n)[:, None] == cols[..., None, :]
-    small = (np.abs(gap) < gap_tol) & ~own
+    small = (np.abs(gap) < _GAP_TOL) & ~own
     pairwise = np.divide(2.0 * c_col * c_row.swapaxes(-1, -2), gap,
                          out=np.zeros(steps + (n, k), dtype=complex),
                          where=~(own | small))
@@ -234,8 +234,7 @@ def force_columns(
     others = np.add.accumulate(rest, axis=-2)[..., -1, :]
     return ForceColumns(cols=cols, velocity=velocity, inertial=inertial,
                         pairwise=pairwise, conjugate_term=conjugate_term,
-                        others=others, singular=singular,
-                        gap_tol=gap_tol)
+                        others=others, singular=singular)
 
 
 def _check_dim(d: SpectralDecomposition, m: np.ndarray, name: str) -> None:
@@ -267,7 +266,7 @@ def eigen_acceleration(d: SpectralDecomposition, mdot, mddot, j: int,
     When ``pairing`` is given (real-matrix runs) the conjugate-partner
     summand is isolated; otherwise it is folded into ``others``.
 
-    Raises SingularGap when some |lambda_i - lambda_j| < 1e-12, carrying
+    Raises SingularGap when some |lambda_i - lambda_j| < 1e-14, carrying
     the offending pair (the first such i).
     """
     j = _check_index(d.n, j)

@@ -31,7 +31,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .core import SpectralDecomposition, as_square_matrix
 from .dynamics import _check_index, pairwise_conjugate_summand
 from . import core
-from .errors import EigendynError, EmptyEstimate, RealEigenvalue
+from .errors import EigendynError, EmptyEstimate, PairingFailure, RealEigenvalue
 
 __all__ = [
     "PerturbationProcess",
@@ -55,8 +55,6 @@ _BLOCK = 4096
 # Python >= 3.12 warns on any fork from a process with threads
 _FORK_WARNING = (r"This process \(pid=\d+\) is multi-threaded, "
                  r"use of fork\(\) may lead to deadlocks")
-# |Im lambda| at or below which an eigenvalue is self-paired (real)
-_PAIR_TOL = 1e-9
 
 
 def _words(x: int) -> list:
@@ -173,7 +171,7 @@ class MonteCarloEstimate:
 
 
 def expected_force_columns(left, right, eigenvalues, cols, sigma2: float,
-                           kind: str = "full") -> np.ndarray:
+                           kind: str) -> np.ndarray:
     """Closed-form E[F(conj(lambda_j) -> lambda_j)] of the eigenvalues
     ``cols`` for i.i.d. N(0, sigma2) entries of Mdot, all of them
     (kind="full") or the diagonal ones ("diagonal"): -i sigma2 ||u_j||^2
@@ -203,7 +201,7 @@ def expected_force_columns(left, right, eigenvalues, cols, sigma2: float,
 
 
 def expected_conjugate_force_iid(d: SpectralDecomposition, sigma2: float, j: int,
-                                 kind: str = "full") -> complex:
+                                 kind: str) -> complex:
     """:func:`expected_force_columns` of the one eigenvalue j.  Raises
     RealEigenvalue when Im lambda_j = 0."""
     j = _check_index(d.n, j)
@@ -306,7 +304,8 @@ def monte_carlo_conjugate_force(m, proc: PerturbationProcess, j: int,
     The integrand is the undoubled pairwise force (half the conjugate
     term of the acceleration), matching the closed-form expectations.
     Deterministic given (proc.seed, samples); the reduction runs in
-    sample-index order.
+    sample-index order.  It pairs as ``run_scenario`` does: PairingFailure
+    for a matrix ``core.is_real`` rejects, RealEigenvalue for |Im| <= 1e-7.
 
     From 2 * 4096 samples on, the samples are shared among
     min(usable cores, samples // 4096) processes: this one and children
@@ -325,12 +324,14 @@ def monte_carlo_conjugate_force(m, proc: PerturbationProcess, j: int,
     if samples <= 0:
         raise EmptyEstimate("samples must be positive")
     samples = int(samples)
+    if not core.is_real(m):
+        raise PairingFailure("input not real: no conjugate pairing")
     d = core.decompose(m)
-    pairing = core.pair_conjugates(d, _PAIR_TOL)
+    pairing = core.pair_conjugates(d)
     # d and j are fixed: a real or self-paired j is singular on every sample
     if pairing.partner[j] == j:
         raise RealEigenvalue(f"lambda_{j} = {d.eigenvalues[j]} is self-paired "
-                             f"(|Im| <= {_PAIR_TOL}): expected force singular")
+                             f"(|Im| <= {core._PAIR_TOL}): expected force singular")
 
     vals = _fill_forked(samples, _workers(samples), d, pairing, proc, j)
     mean = complex(vals.mean())

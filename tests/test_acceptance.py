@@ -230,7 +230,7 @@ def test_criterion_8_conjugate_symmetry():
             # conjugate-closed spectrum
             for z in w:
                 assert np.min(np.abs(w - z.conjugate())) <= tol * scale
-            pairing = core.pair_conjugates(d, 1e-7)
+            pairing = core.pair_conjugates(d)
             mdot = np.asarray(traj.first_derivative(t), dtype=complex)
             mddot = np.asarray(traj.second_derivative(t), dtype=complex)
             for j in range(len(w)):

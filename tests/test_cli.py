@@ -66,6 +66,20 @@ class TestValidate:
         assert capsys.readouterr().err.startswith(f"error: {named}")
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_defective_model_without_numpy_warnings(self, tmp_path, capsys):
+        # S(k) = [[1, 1e308 k], [0, 1]]: decompose's left scaling divides
+        # by vanishing overlaps
+        scenario = tmp_path / "scn.json"
+        scenario.write_text(json.dumps({
+            "model": {"type": "transfer",
+                      "entries": {"M11": ["1"], "M12": ["0", "1e308"],
+                                  "M21": ["0"], "M22": ["1"]}},
+            "time": {"t0": 0.5, "t1": 4, "steps": 4}}))
+        assert cli.main(["validate", "--scenario", str(scenario)]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+
+
 class TestRun:
     def test_writes_outputs(self, ring_scenario, tmp_path, capsys):
         out = tmp_path / "out"
@@ -289,6 +303,31 @@ class TestNonFiniteModel:
         if command == "run":
             argv += ["--out", str(tmp_path / "out")]
         assert cli.main(argv) == code
+        assert capsys.readouterr().err == f"error: {named} has NaN/Inf entries\n"
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.parametrize("command,code,named", [
+        ("validate", cli.EXIT_INVALID, "M(t=0.0)"),
+        ("run", cli.EXIT_RUNTIME, "M(t=0.0)"),
+        ("oracle", cli.EXIT_RUNTIME, "M(t=0.2)"),
+    ])
+    def test_overflowing_tilt(self, tmp_path, capsys, action, command, code,
+                              named):
+        # the ring's hops D e^(+-800) overflow while the model is built:
+        # the same one line whether numpy's warnings are shown or raised
+        # (python -W error)
+        scenario = tmp_path / "scn.json"
+        scenario.write_text(json.dumps({
+            "model": {"type": "ring", "sites": 4, "tilt": 800},
+            "time": {"t0": 0, "t1": 1, "steps": 4}}))
+        argv = [command, "--scenario", str(scenario)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert cli.main(argv) == code
         assert capsys.readouterr().err == f"error: {named} has NaN/Inf entries\n"
         assert not (tmp_path / "out").exists()
 

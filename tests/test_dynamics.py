@@ -140,6 +140,23 @@ class TestAcceleration:
             dynamics.eigen_acceleration(d, np.ones((3, 3)), np.zeros((3, 3)), 0)
         assert err.value.pair == (1, 0)
 
+    def test_singular_gap_is_the_runs(self):
+        # a gap of 3e-13 is not singular: eigen_acceleration gives the
+        # "others" a run records on the same decomposition
+        cfg = engine.ScenarioConfig.from_dict({
+            "model": {"type": "explicit",
+                      "matrix": [[1, 0, 0], [0, 1.0000000000003, 0], [0, 0, 3]],
+                      "velocity": [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6],
+                                   [0.7, 0.8, 0.9]]},
+            "time": {"t0": 0, "t1": 1e-6, "steps": 2}})
+        record = engine.run_scenario(cfg)
+        m, mdot, mddot = engine.build_trajectory(cfg).at(cfg.t0)
+        d = core.decompose(m)
+        for j in (0, 1):
+            others = dynamics.eigen_acceleration(d, mdot, mddot, j).others
+            assert abs(others) > 1e11
+            assert others == pytest.approx(record.others[0, j], rel=1e-12)
+
     @pytest.mark.parametrize("j, pair", [(0, (1, 0)), (1, (0, 1)), (2, (0, 2))])
     def test_singular_gap_reports_first_index(self, j, pair):
         # a threefold near-tie: the pair names the lowest other index
@@ -156,7 +173,7 @@ def kernel_case(n, seed, t):
         *np.random.default_rng(seed).standard_normal((3, n, n)))
     d = core.decompose(traj.value(t))
     try:
-        partner = core.pair_conjugates(d, 1e-7).partner
+        partner = core.pair_conjugates(d).partner
     except PairingFailure:
         partner = None
     return d, traj.first_derivative(t), traj.second_derivative(t), partner
@@ -274,7 +291,6 @@ class TestForceColumns:
 
             one = kernel(d, mdot, mddot, [j], partner)
             assert f.singular[c] == one.singular[0]
-            assert f.gap_tol == one.gap_tol
             assert abs(f.inertial[c] - one.inertial[0]) <= tol
             for name in ("velocity", "conjugate_term", "others"):
                 got, want = getattr(f, name)[c], getattr(one, name)[0]

@@ -91,7 +91,7 @@ class TestReadMatrixFile:
             engine.read_matrix_file(p)
 
 
-def _no_partner(d, tol):
+def _no_partner(d):
     """A stacked pairing that fails on every step."""
     w = d.eigenvalues
     return core.ConjugatePairing(np.broadcast_to(np.arange(d.n), w.shape).copy(),
@@ -879,7 +879,7 @@ class TestRunScenario:
         assert (record.conjugate_term == 0).all()
 
     def test_pairing_bug_propagates(self, monkeypatch):
-        def broken(d, tol):
+        def broken(d):
             raise TypeError("not a pairing failure")
 
         monkeypatch.setattr(core, "pair_conjugates", broken)
@@ -1617,7 +1617,7 @@ def _per_step_run(cfg):
         if core.is_real(m) and core.is_real(mdot):
             mdot = mdot.real
             try:
-                pairing = core.pair_conjugates(d, 1e-7)
+                pairing = core.pair_conjugates(d)
             except PairingFailure:
                 step_flags[k] |= engine._PAIRING_FAILED
         raw = perm[tracked]
@@ -1627,8 +1627,7 @@ def _per_step_run(cfg):
                               < cfg.collision_threshold)
         with np.errstate(over="ignore", invalid="ignore"):
             forces = dynamics.force_columns(d.left, d.right, d.eigenvalues,
-                                            mdot, mddot, raw, partner,
-                                            gap_tol=1e-14)
+                                            mdot, mddot, raw, partner)
         singular = ~near_real & (forces.singular >= 0)
         eigenvalues[k] = d.eigenvalues[perm]
         permutation[k] = perm
@@ -1763,13 +1762,13 @@ class TestBlockedEngine:
         # that step is flagged, and only its conjugate forces are absent
         pair = core.pair_conjugates
 
-        def fail_fifth(d, tol):
+        def fail_fifth(d):
             if d.eigenvalues.ndim == 1:  # the per-step loop
                 calls.append(1)
                 if len(calls) == 5:
                     raise PairingFailure("no conjugate partner")
-                return pair(d, tol)
-            p = pair(d, tol)
+                return pair(d)
+            p = pair(d)
             partner, failed = p.partner.copy(), p.failed_steps.copy()
             partner[4], failed[4] = np.arange(d.n), True
             return core.ConjugatePairing(partner, failed)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from eigendyn import core, dynamics, stochastic
 from eigendyn.errors import (DimensionMismatch, EigendynError, EmptyEstimate,
-                             RealEigenvalue)
+                             PairingFailure, RealEigenvalue)
 from eigendyn.stochastic import PerturbationProcess
 
 
@@ -170,23 +170,23 @@ class TestClosedForms:
     def test_zero_variance(self, real_8x8):
         _, d, _ = real_8x8
         j = complex_index(d)
-        assert stochastic.expected_conjugate_force_iid(d, 0.0, j) == 0
+        assert stochastic.expected_conjugate_force_iid(d, 0.0, j, kind="full") == 0
 
     def test_left_norm_scaling(self, real_8x8):
         # doubling ||u_j|| with Im(lambda_j) fixed quadruples the force
         _, d, _ = real_8x8
         j = complex_index(d)
-        base = stochastic.expected_conjugate_force_iid(d, 1.0, j)
+        base = stochastic.expected_conjugate_force_iid(d, 1.0, j, kind="full")
         d2 = dataclasses.replace(d, left=2.0 * d.left)
-        scaled = stochastic.expected_conjugate_force_iid(d2, 1.0, j)
+        scaled = stochastic.expected_conjugate_force_iid(d2, 1.0, j, kind="full")
         assert scaled == pytest.approx(4.0 * base)
 
     def test_sigma2_linearity(self, real_8x8):
         _, d, _ = real_8x8
         j = complex_index(d)
-        one = stochastic.expected_conjugate_force_iid(d, 1.0, j)
+        one = stochastic.expected_conjugate_force_iid(d, 1.0, j, kind="full")
         for s2 in (0.25, 4.0):
-            val = stochastic.expected_conjugate_force_iid(d, s2, j)
+            val = stochastic.expected_conjugate_force_iid(d, s2, j, kind="full")
             assert val == pytest.approx(s2 * one)
 
     def test_iid_full_collapses_to_norms(self, real_8x8):
@@ -212,24 +212,34 @@ class TestClosedForms:
     def test_index_outside_spectrum_raises(self, real_8x8, j):
         _, d, pairing = real_8x8
         with pytest.raises(DimensionMismatch):
-            stochastic.expected_conjugate_force_iid(d, 1.0, j)
+            stochastic.expected_conjugate_force_iid(d, 1.0, j, kind="full")
         with pytest.raises(DimensionMismatch):
             dynamics.conjugate_force(d, pairing, np.ones((8, 8)), j)
 
     def test_real_eigenvalue_raises(self):
         d = core.decompose(np.diag([1.0, 2.0]))
         with pytest.raises(RealEigenvalue):
-            stochastic.expected_conjugate_force_iid(d, 1.0, 0)
+            stochastic.expected_conjugate_force_iid(d, 1.0, 0, kind="full")
 
     @pytest.mark.parametrize("sigma2", [-1.0, np.nan, np.inf])
     def test_sigma2_outside_the_law_raises(self, real_8x8, sigma2):
         _, d, _ = real_8x8
         j = complex_index(d)
         with pytest.raises(ValueError, match="sigma2 must be finite and >= 0"):
-            stochastic.expected_conjugate_force_iid(d, sigma2, j)
+            stochastic.expected_conjugate_force_iid(d, sigma2, j, kind="full")
         with pytest.raises(ValueError, match="sigma2 must be finite and >= 0"):
             stochastic.expected_force_columns(d.left, d.right, d.eigenvalues,
                                               [j], sigma2, "diagonal")
+
+    def test_kind_is_required(self, real_8x8):
+        # a default would silently differ from PerturbationProcess's
+        _, d, _ = real_8x8
+        j = complex_index(d)
+        with pytest.raises(TypeError, match="kind"):
+            stochastic.expected_conjugate_force_iid(d, 1.0, j)
+        with pytest.raises(TypeError, match="kind"):
+            stochastic.expected_force_columns(d.left, d.right, d.eigenvalues,
+                                              [j], 1.0)
 
     def test_unknown_kind_raises(self, real_8x8):
         _, d, _ = real_8x8
@@ -254,7 +264,8 @@ class TestClosedForms:
         d = core.decompose(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
                                      [0.0, -1.0, 0.0]]))
         force = stochastic.expected_force_columns(d.left, d.right,
-                                                  d.eigenvalues, [0, 1, 2], 1.0)
+                                                  d.eigenvalues, [0, 1, 2], 1.0,
+                                                  "full")
         real = d.eigenvalues.imag == 0
         assert real.any() and not real.all()
         assert np.isnan(force[real].real).all() and np.isnan(force[real].imag).all()
@@ -314,7 +325,7 @@ def _index_entry_points():
             dynamics.circulant_eigenvalues(row), j),
         "conjugate_force": lambda j: dynamics.conjugate_force(d, pairing, mdot, j),
         "expected_conjugate_force_iid": lambda j:
-            stochastic.expected_conjugate_force_iid(d, 1.0, j),
+            stochastic.expected_conjugate_force_iid(d, 1.0, j, kind="full"),
         "monte_carlo_conjugate_force": lambda j:
             stochastic.monte_carlo_conjugate_force(m, PerturbationProcess(seed=1),
                                                    j, 10),
@@ -451,7 +462,7 @@ class TestMonteCarlo:
             stochastic.monte_carlo_conjugate_force(m, proc, 0, 10)
 
     def test_self_paired_rejected_before_sampling(self, monkeypatch):
-        # |Im lambda| = 1e-10 lies inside the pairing tolerance 1e-9, so
+        # |Im lambda| = 1e-10 lies inside the pairing tolerance 1e-7, so
         # lambda is self-paired and every sample's summand would be singular
         m = np.array([[0.0, 1.0], [-1e-20, 0.0]])
         j = int(np.argmax(core.decompose(m).eigenvalues.imag))
@@ -463,6 +474,22 @@ class TestMonteCarlo:
         with pytest.raises(RealEigenvalue, match="self-paired"):
             stochastic.monte_carlo_conjugate_force(
                 m, PerturbationProcess(seed=1), j, 10)
+
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_pairs_as_the_run_does(self, j):
+        # lambda = +-5e-8 i: a run treats the pair as real (core.pair_conjugates)
+        m = np.array([[0.0, 1.0], [-2.5e-15, 0.0]])
+        assert (core.pair_conjugates(core.decompose(m)).partner == [0, 1]).all()
+        with pytest.raises(RealEigenvalue, match="self-paired"):
+            stochastic.monte_carlo_conjugate_force(
+                m, PerturbationProcess(seed=1), j, 10)
+
+    def test_complex_input_rejected(self):
+        # a complex PT-symmetric matrix, whose run records no conjugate force
+        m = np.array([[2j, 1.0], [1.0, -2j]])
+        with pytest.raises(PairingFailure, match="not real"):
+            stochastic.monte_carlo_conjugate_force(
+                m, PerturbationProcess(seed=1), 1, 10)
 
     @pytest.mark.parametrize("j", [-1, 8])
     def test_index_outside_spectrum_rejected_before_sampling(self, real_8x8,
