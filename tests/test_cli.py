@@ -38,6 +38,16 @@ class TestValidate:
         assert code == cli.EXIT_INVALID
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_missing_file_in_run_and_oracle(self, tmp_path, capsys, command):
+        argv = [command, "--scenario", str(tmp_path / "nope.json")]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario file not found: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("content", [None, b"\xff\xfe{"])
     def test_unreadable_scenario(self, tmp_path, capsys, content):
         target = tmp_path / "scn.json"
@@ -127,6 +137,22 @@ class TestRun:
         assert pair_events
         assert pair_events[0]["t_lo"] <= 1.02
         assert pair_events[0]["t_hi"] >= 0.98
+
+    def test_printed_hash_reads_matrix_files(self, collision_scenario,
+                                              tmp_path, capsys):
+        # the run's printed hash, not only config_hash, changes with a file
+        matrix = collision_scenario.parent / "collision_m.txt"
+        original = matrix.read_text()
+        edited = original.replace("\n0 1\n", "\n0 2\n")
+        assert edited != original
+        hashes = []
+        for text in (original, edited):
+            matrix.write_text(text)
+            code = cli.main(["run", "--scenario", str(collision_scenario),
+                             "--out", str(tmp_path / "out")])
+            assert code == cli.EXIT_OK
+            hashes.append(capsys.readouterr().out.split("hash=")[1])
+        assert hashes[0] != hashes[1]
 
     def test_misspelt_bare_override(self, ring_scenario, tmp_path, capsys):
         # a bare key lands in the model section, where it is unknown
@@ -218,6 +244,20 @@ class TestOutOfRange:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {named}") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit,named", [
+        ({"tracked": [0, 5]}, "tracked: index 5 outside 0..1"),
+        ({"time": {"t0": 0.0, "t1": 0.5, "steps": 2**62}},
+         "time.steps: steps must be < "),
+        ({"model": {"type": "ring", "sites": 2**62}}, "model.sites: sites must be <= "),
+    ], ids=repr)
+    def test_oracle_exits_2_naming_the_key(self, tmp_path, capsys, edit, named):
+        raw = json.loads((SCENARIOS / "noisy.json").read_text())
+        scenario = tmp_path / "noisy.json"
+        scenario.write_text(json.dumps({**raw, **edit}))
+        assert cli.main(["oracle", "--scenario", str(scenario)]) == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}") and err.count("\n") == 1
 
     # the step (t1 - t0) / steps of a run without noise overflows or
     # underflows: rejected before numpy spaces the times
