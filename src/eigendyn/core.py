@@ -5,9 +5,9 @@ eigenvectors differ:
 
     M v_j = lambda_j v_j,        u_j^H M = lambda_j u_j^H.
 
-We normalize ``||v_j||_2 = 1`` and rescale each left vector so that
-``u_j^H v_i = delta_ij``; the biorthogonal scaling lives entirely in the
-left set.  All downstream force formulas assume this convention.
+The right vectors are LAPACK zgeev's (unit 2-norm, largest entry real and
+>= 0); each left vector is divided by its overlap so that ``u_j^H v_j = 1``:
+the biorthogonal scaling lives entirely in the left set.
 """
 
 from __future__ import annotations
@@ -57,12 +57,12 @@ def is_real(m):
 class SpectralDecomposition:
     """Eigenvalues with biorthonormalized left/right eigenvector sets.
 
-    ``right[:, j]`` is the unit-norm right vector of ``eigenvalues[j]``;
+    ``right[:, j]`` is zgeev's unit-norm right vector of ``eigenvalues[j]``;
     ``left[:, j]`` the matching left vector scaled so left^H right = I.
     ``condition_flags[j]`` marks eigenvalues whose nearest neighbour in
-    the spectrum is closer than 1e-9.  A stacked decomposition carries a
-    leading step axis on every field; ``d[s]`` is the decomposition of
-    step s.
+    the spectrum is closer than 1e-9, and left vectors kept unscaled
+    because their division was not finite.  A stacked decomposition
+    carries a leading step axis on every field; ``d[s]`` is step s.
 
     The arrays are never changed after construction: :func:`decompose`
     returns them read-only, and a decomposition built by hand must leave
@@ -151,7 +151,8 @@ def _zgeev_lwork(n: int) -> int:
 def decompose(m) -> SpectralDecomposition:
     """Full eigendecomposition with biorthonormal left/right vectors.
 
-    Eigenvalues are sorted by (Re, Im) for determinism.  Near-degenerate
+    Eigenvalues are sorted by (Re, Im) for determinism; with the right
+    vectors they are scipy.linalg.eig's bit for bit.  Near-degenerate
     pairs (gap below 1e-9) are flagged, never repaired: the force
     formulas carry 1/(lambda_i - lambda_j) singularities and this library
     reports them rather than regularizing.
@@ -165,39 +166,23 @@ def decompose(m) -> SpectralDecomposition:
     steps, n = m.shape[:-2], m.shape[-1]
     lwork = _zgeev_lwork(n)
     w = np.empty(steps + (n,), dtype=complex)
-    # the vectors are kept as rows, vl_rows[..., j, :] = u_j: each step
-    # then lies in memory as zgeev's Fortran-ordered columns do, so the
-    # reductions over a vector run in the order of a single matrix
-    vl_rows = np.empty(steps + (n, n), dtype=complex)
-    vr_rows = np.empty(steps + (n, n), dtype=complex)
+    vl = np.empty(steps + (n, n), dtype=complex)
+    vr = np.empty(steps + (n, n), dtype=complex)
     for s in np.ndindex(steps):
-        w[s], vl, vr, info = _ZGEEV(m[s], compute_vl=1, compute_vr=1,
-                                    lwork=lwork)
+        w[s], vl[s], vr[s], info = _ZGEEV(m[s], compute_vl=1, compute_vr=1,
+                                          lwork=lwork)
         if info:
             raise NonConvergence(f"zgeev did not converge (info={info})")
-        vl_rows[s], vr_rows[s] = vl.T, vr.T
 
     order = np.lexsort((w.imag, w.real), axis=-1)
     w = np.take_along_axis(w, order, axis=-1)
-    vl_rows = np.take_along_axis(vl_rows, order[..., None], axis=-2)
-    vr_rows = np.take_along_axis(vr_rows, order[..., None], axis=-2)
+    vl = np.take_along_axis(vl, order[..., None, :], axis=-1)
+    right = np.take_along_axis(vr, order[..., None, :], axis=-1)
 
-    vr_rows = vr_rows / np.linalg.norm(vr_rows, axis=-1)[..., None]
-    # rotate each vector so its largest-magnitude entry is real positive:
-    # removes the arbitrary LAPACK phase, so identical inputs give
-    # identical outputs and conjugate relations are stable across calls
-    idx = np.argmax(np.abs(vr_rows), axis=-1)[..., None]
-    pivots = np.take_along_axis(vr_rows, idx, axis=-1)
-    phases = np.where(np.abs(pivots) > 0, pivots / np.abs(pivots), 1.0)
-    vr_rows = vr_rows / phases
-    right = vr_rows.swapaxes(-1, -2)
-
-    # zgeev's vl satisfies vl^H M = w vl^H columnwise; rescale so that
-    # left^H right = I exactly on the diagonal
-    overlaps = np.einsum("...ji,...ji->...j", vl_rows.conj(), vr_rows)
-    vl = vl_rows.swapaxes(-1, -2)
-    # a near-defective pair's overlap vanishes: a column not finite after
+    # the one step decompose adds: left^H right = I on the diagonal.  A
+    # near-defective pair's overlap vanishes: a column not finite after
     # the division keeps its unscaled left vector (and is flagged below)
+    overlaps = np.einsum("...ij,...ij->...j", vl.conj(), right)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         left = vl / overlaps.conj()[..., None, :]
     bad = ~np.all(np.isfinite(left), axis=-2)

@@ -51,6 +51,10 @@ class TestDecompose:
         d = core.decompose(random_real(6, 11))
         np.testing.assert_allclose(np.linalg.norm(d.right, axis=0), 1.0,
                                    atol=1e-12)
+        # LAPACK's phase: the entry of largest |re|^2 + |im|^2 is real, >= 0
+        v = d.right
+        pivots = v[np.argmax(v.real**2 + v.imag**2, axis=0), np.arange(d.n)]
+        assert np.all(pivots.imag == 0.0) and np.all(pivots.real >= 0.0)
 
     def test_deterministic(self):
         m = random_real(9, 5)
@@ -143,10 +147,6 @@ def _scipy_decompose(m, tol=1e-9):
                                  right=True)
     order = np.lexsort((w.imag, w.real))
     w, vl, vr = w[order], vl[:, order], vr[:, order]
-    vr = vr / np.linalg.norm(vr, axis=0)[None, :]
-    idx = np.argmax(np.abs(vr), axis=0)
-    pivots = vr[idx, np.arange(vr.shape[1])]
-    vr = vr / np.where(np.abs(pivots) > 0, pivots / np.abs(pivots), 1.0)[None, :]
     overlaps = np.einsum("ij,ij->j", vl.conj(), vr)
     safe = np.abs(overlaps) > 0
     scaled = np.divide(vl, overlaps.conj()[None, :], where=safe[None, :],

@@ -1,7 +1,9 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -317,6 +319,131 @@ class TestForceColumns:
         np.testing.assert_array_equal(f.singular, [1, 0, 0, -1])
         np.testing.assert_array_equal(f.pairwise[:3, :3], np.zeros((3, 3)))
         assert np.all(np.isfinite(f.pairwise))
+
+
+def bordered_terms(m, mdot, lam, partner_value):
+    """Velocity, conjugate term and others of the simple eigenvalue
+    ``lam`` of a real M, with no other eigenvector formed (Nelson, AIAA
+    J. 14, 1201 (1976)).
+
+    v and u come from two steps of inverse iteration on one LU of
+    lam I - M, scaled so that u^H v = 1; conj(v) and conj(u) belong to
+    the partner.  ``others`` is 2 u^H Mdot x, with x the solution of the
+    doubly bordered system [[lam I - M, v, conj(v)], [u^H, 0, 0],
+    [u^T, 0, 0]] [x; mu] = [P Mdot v; 0; 0], P = I - v u^H - conj(v) u^T:
+    the reduced resolvent with lam and its conjugate both projected out,
+    so nothing cancels near the axis.
+    """
+    n = len(m)
+    a = lam * np.eye(n) - m
+    lu = scipy.linalg.lu_factor(a)
+    v = u = np.ones(n, dtype=complex)
+    for _ in range(2):
+        v = scipy.linalg.lu_solve(lu, v)
+        v = v / np.linalg.norm(v)
+        u = scipy.linalg.lu_solve(lu, u, trans=2)
+        u = u / np.linalg.norm(u)
+    u = u / np.conj(u.conj() @ v)
+    vb, ub = v.conj(), u.conj()
+    b = mdot @ v
+    bordered = np.zeros((n + 2, n + 2), dtype=complex)
+    bordered[:n, :n], bordered[:n, n], bordered[:n, n + 1] = a, v, vb
+    bordered[n, :n], bordered[n + 1, :n] = u.conj(), ub.conj()
+    rhs = np.concatenate([b - v * (u.conj() @ b) - vb * (ub.conj() @ b), [0, 0]])
+    # the bordered matrix is well conditioned; P applied to a solve on the
+    # LU of lam I - M would cancel a component of size 1/|lam - conj(lam)|
+    x = scipy.linalg.solve(bordered, rhs)[:n]
+    # the partner's eigenvalue as the decomposition has it: the gap is
+    # the kernel's input, and only the vectors are derived independently
+    conj = (2.0 * (u.conj() @ mdot @ vb) * (ub.conj() @ mdot @ v)
+            / (lam - partner_value))
+    return u.conj() @ b, conj, 2.0 * (u.conj() @ mdot @ x)
+
+
+def _disordered_ring(n, seed):
+    """M and Mdot of a tilted ring with site and rate disorder
+    (sigma = 0.1) at t = 0."""
+    rng = np.random.default_rng(seed)
+    m = (models.build_omega_le(models.BiophysicalRing(n, 1.0, 0.1, 0.03))
+         + np.diag(rng.normal(0.0, 0.1, n)))
+    return m, np.diag(rng.normal(0.0, 0.1, n))
+
+
+_NEAR_REAL = 2e-7j  # above core._PAIR_TOL, so the pair is paired
+
+
+def _near_real_pair():
+    """The pair +-2e-7 i as a rotation block beside a random 6 x 6 block:
+    zgeev and the LU find its vectors to round-off of the pair's own
+    scale, so only the kernel's sums can lose digits."""
+    rng = np.random.default_rng(2)
+    eta = _NEAR_REAL.imag
+    m = scipy.linalg.block_diag([[0.0, eta], [-eta, 0.0]],
+                                rng.standard_normal((6, 6)))
+    return m, rng.standard_normal((8, 8))
+
+
+BORDERED_CASES = {"ring64": lambda: _disordered_ring(64, 1),
+                  "ring128": lambda: _disordered_ring(128, 2),
+                  "near-real": _near_real_pair}
+
+
+def check_bordered(case):
+    """``force_columns`` against the bordered solves, each term within
+    1e-12 of its own modulus: on a ring the three paths of largest
+    Im lambda, on the near-real case the path at +2e-7 i."""
+    m, mdot = BORDERED_CASES[case]()
+    d = core.decompose(m)
+    w = d.eigenvalues
+    partner = core.pair_conjugates(d).partner
+    if case == "near-real":
+        cols = [int(np.argmin(np.abs(w - _NEAR_REAL)))]
+        assert 0 < w[cols[0]].imag <= 1e-5
+    else:
+        cols = np.argsort(-w.imag)[:3]
+    f = dynamics.force_columns(d.left, d.right, w, mdot, np.zeros_like(mdot),
+                               cols, partner)
+    for c, j in enumerate(cols):
+        assert partner[j] != j
+        want = bordered_terms(m, mdot, w[j], w[partner[j]])
+        got = (f.velocity[c], f.conjugate_term[c], f.others[c])
+        for name, a, b in zip(("velocity", "conjugate_term", "others"), got, want):
+            assert abs(a - b) <= 1e-12 * abs(b), (name, j, a, b)
+
+
+class TestBorderedSolves:
+    """The kernel's velocity, conjugate term and others against a
+    derivation that forms no other eigenvector than lambda's own."""
+
+    @pytest.mark.parametrize("case", sorted(BORDERED_CASES))
+    def test_matches_force_columns(self, case):
+        check_bordered(case)
+
+    def test_fails_on_others_by_subtraction(self, monkeypatch):
+        kernel = dynamics.force_columns
+
+        def subtracting(*args):
+            f = kernel(*args)
+            return dataclasses.replace(
+                f, others=f.pairwise.sum(axis=-2) - f.conjugate_term)
+
+        monkeypatch.setattr(dynamics, "force_columns", subtracting)
+        with pytest.raises(AssertionError, match="others"):
+            check_bordered("near-real")
+
+    def test_fails_without_the_factor_2(self, monkeypatch):
+        kernel = dynamics.force_columns
+
+        def halved(*args):
+            # the kernel with T[i, j] = C[i, j] C[j, i] / (lambda_j - lambda_i)
+            f = kernel(*args)
+            return dataclasses.replace(f, pairwise=f.pairwise / 2,
+                                       conjugate_term=f.conjugate_term / 2,
+                                       others=f.others / 2)
+
+        monkeypatch.setattr(dynamics, "force_columns", halved)
+        with pytest.raises(AssertionError, match="conjugate_term"):
+            check_bordered("ring64")
 
 
 class TestStackedForceColumns:

@@ -888,6 +888,37 @@ class TestRunScenario:
         with pytest.raises(TypeError):
             engine.run_scenario(ScenarioConfig.from_dict(raw))
 
+    def test_time_rescaling_is_bitwise(self):
+        # M(t) = A + t B + t^2 C on [t0, t1] and A + s 2B + s^2 4C on
+        # [t0/2, t1/2] are the same matrices at s = t/2, bit for bit: the
+        # spectrum and its bookkeeping agree, the velocity doubles and
+        # every acceleration term quadruples
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 7))
+            a, b, c = rng.standard_normal((3, n, n))
+            t0 = float(rng.uniform(-1.0, 1.0))
+            t1 = t0 + float(rng.uniform(0.5, 2.0))
+            one, half = [engine.run_scenario(ScenarioConfig.from_dict(base_config(
+                model={"type": "explicit", "matrix": a.tolist(),
+                       "velocity": (k * b).tolist(),
+                       "acceleration": (k * k * c).tolist()},
+                time={"t0": t0 / k, "t1": t1 / k, "steps": 30})))
+                for k in (1, 2)]
+            assert np.array_equal(_bits(half.eigenvalues),
+                                  _bits(one.eigenvalues)), seed
+            assert np.array_equal(_bits(half.t), _bits(one.t / 2)), seed
+            for name in ("permutation", "present", "step_flags", "value_flags"):
+                assert np.array_equal(getattr(half, name), getattr(one, name)), (
+                    seed, name)
+            for name, scale in (("velocity", 2), ("inertial", 4),
+                                ("conjugate_term", 4), ("others", 4),
+                                ("conjugate_force", 4)):
+                cells = _present(one, name)
+                assert np.array_equal(_bits(getattr(half, name)[cells]),
+                                      _bits(scale * getattr(one, name)[cells])), (
+                    seed, name)
+
 
 # the overflowing effective Hamiltonian of ROADMAP aim 3: its forces are
 # not finite on every row
