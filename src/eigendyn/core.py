@@ -59,9 +59,9 @@ class SpectralDecomposition:
 
     ``right[:, j]`` is zgeev's unit-norm right vector of ``eigenvalues[j]``;
     ``left[:, j]`` the matching left vector scaled so left^H right = I.
-    ``condition_flags[j]`` marks eigenvalues whose nearest neighbour in
-    the spectrum is closer than 1e-9, and left vectors kept unscaled
-    because their division was not finite.  A stacked decomposition
+    ``degenerate`` is set when ``min_gap``, the smallest distance between
+    two eigenvalues, is below 1e-9, or when a left vector stays unscaled
+    because its division was not finite.  A stacked decomposition
     carries a leading step axis on every field; ``d[s]`` is step s.
 
     The arrays are never changed after construction: :func:`decompose`
@@ -73,7 +73,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
-    condition_flags: np.ndarray
     min_gap: float
     degenerate: bool
     _rows: dict = field(default_factory=dict, init=False, repr=False,
@@ -102,7 +101,7 @@ class SpectralDecomposition:
     def __getitem__(self, s) -> "SpectralDecomposition":
         return SpectralDecomposition(
             self.eigenvalues[s], self.right[s], self.left[s],
-            self.condition_flags[s], self.min_gap[s], self.degenerate[s])
+            self.min_gap[s], self.degenerate[s])
 
 
 @dataclass(frozen=True)
@@ -181,7 +180,7 @@ def decompose(m) -> SpectralDecomposition:
 
     # the one step decompose adds: left^H right = I on the diagonal.  A
     # near-defective pair's overlap vanishes: a column not finite after
-    # the division keeps its unscaled left vector (and is flagged below)
+    # the division keeps its unscaled left vector (its step is flagged below)
     overlaps = np.einsum("...ij,...ij->...j", vl.conj(), right)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         left = vl / overlaps.conj()[..., None, :]
@@ -189,11 +188,9 @@ def decompose(m) -> SpectralDecomposition:
     np.copyto(left, vl, where=bad[..., None, :])
 
     gaps = np.abs(w[..., None, :] - w[..., :, None]) + np.diag(np.full(n, np.inf))
-    nearest = gaps.min(axis=-2, initial=np.inf)
-    flags = (nearest < 1e-9) | bad
-    min_gap = nearest.min(axis=-1, initial=np.inf)
-    degenerate = flags.any(axis=-1)
-    for a in (w, right, left, flags, min_gap, degenerate):
+    min_gap = gaps.min(axis=(-2, -1), initial=np.inf)
+    degenerate = (min_gap < 1e-9) | bad.any(axis=-1)
+    for a in (w, right, left, min_gap, degenerate):
         if isinstance(a, np.ndarray):  # a single step's last two are scalars
             a.setflags(write=False)
 
@@ -201,7 +198,6 @@ def decompose(m) -> SpectralDecomposition:
         eigenvalues=w,
         right=right,
         left=left,
-        condition_flags=flags,
         min_gap=min_gap,
         degenerate=degenerate,
     )

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__, core, dynamics, models, stochastic
 from .dynamics import MatrixTrajectory
 from .errors import (ConfigInvalid, EigendynError, RecordInvalid,
-                     UnsupportedFormat)
+                     SpectralSingularity, UnsupportedFormat)
 
 __all__ = [
     "ScenarioConfig",
@@ -413,8 +413,11 @@ def _trajectory(p: dict) -> MatrixTrajectory:
         def s_matrix(k):
             return models.scattering_data(tmodel, k).s_matrix
 
-        # evaluates the model once, at k = 0
-        scale = max(1.0, float(np.linalg.norm(core.as_square_matrix(s_matrix(0.0)))))
+        # evaluates the model once, at k = 0; M22(0) = 0 takes the floor, 1
+        try:
+            scale = max(1.0, float(np.linalg.norm(core.as_square_matrix(s_matrix(0.0)))))
+        except SpectralSingularity:
+            scale = 1.0
         # central differences of S at steps scaled by ||S(0)||_F; both are
         # products with the scale: a difference quotient magnifies a
         # last-bit change of a step by up to 1/h2**2

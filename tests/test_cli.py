@@ -496,6 +496,46 @@ LINEAR_1X1 = {
 }
 
 
+class TestTransferSingularAtZero:
+    """Transfer models with M22(0) = 0: S(0) does not exist, so the
+    difference steps take the unit scale, and they run on a range that
+    excludes k = 0."""
+
+    ENTRIES = {
+        "unimodular-in-k": {"M11": ["1"], "M12": ["1"], "M21": ["-1", "1"],
+                            "M22": ["0", "1"]},
+        "constant-det": {"M11": ["0"], "M12": ["1"], "M21": ["-1"],
+                         "M22": ["0", "1"]},
+    }
+
+    def scenario(self, tmp_path, entries, t0):
+        p = tmp_path / "transfer.json"
+        p.write_text(json.dumps({
+            "model": {"type": "transfer", "entries": self.ENTRIES[entries]},
+            "time": {"t0": t0, "t1": 0.9, "steps": 40}}))
+        return str(p)
+
+    @pytest.mark.parametrize("entries", list(ENTRIES))
+    def test_runs_away_from_zero(self, tmp_path, capsys, entries):
+        p = self.scenario(tmp_path, entries, 0.5)
+        for argv in (["validate"], ["oracle"],
+                     ["run", "--out", str(tmp_path / "out")]):
+            assert cli.main([*argv, "--scenario", p]) == cli.EXIT_OK, argv
+        rows = json.loads((tmp_path / "out" / "record.json").read_text())["rows"]
+        assert len(rows) == 41
+        assert not any(row["flags"] for row in rows)
+
+    @pytest.mark.parametrize("entries", list(ENTRIES))
+    def test_range_from_zero_names_the_singularity(self, tmp_path, capsys,
+                                                   entries):
+        p = self.scenario(tmp_path, entries, 0)
+        assert cli.main(["validate", "--scenario", p]) == cli.EXIT_INVALID
+        assert cli.main(["run", "--scenario", p,
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: M22(k=0.0) = 0j: spectral singularity"] * 2
+
+
 class TestOracle:
     def test_zero_acceleration_passes(self, tmp_path, capsys):
         p = tmp_path / "linear.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from eigendyn import core, dynamics, engine, models
 from eigendyn.dynamics import MatrixTrajectory
@@ -444,6 +446,98 @@ class TestBorderedSolves:
         monkeypatch.setattr(dynamics, "force_columns", halved)
         with pytest.raises(AssertionError, match="conjugate_term"):
             check_bordered("ring64")
+
+
+INVARIANCE_CASES = 200
+
+
+def invariance_case(seed):
+    """A seeded real (M, Mdot, Mddot) with n = 2..8, and a similarity S,
+    Gaussian + 3I."""
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 7
+    m, mdot, mddot, s = rng.standard_normal((4, n, n))
+    return m, mdot, mddot, s + 3.0 * np.eye(n)
+
+
+def whole_spectrum_terms(m, mdot, mddot):
+    """Eigenvalues; velocity, inertial, conjugate term and others of every
+    eigenvalue as a (4, n) array; the largest term; kappa = max ||u_j||."""
+    d = core.decompose(m)
+    partner = core.pair_conjugates(d).partner
+    f = kernel(d, mdot, mddot, np.arange(d.n), partner)
+    terms = np.array([f.velocity, f.inertial, f.conjugate_term, f.others])
+    largest = max(np.abs(terms).max(), np.abs(f.pairwise).max())
+    return d.eigenvalues, terms, largest, np.linalg.norm(d.left, axis=0).max()
+
+
+def check_invariance(relation):
+    """Every term of M, Mdot, Mddot against those of S M S^-1, ... or of
+    the transposes, within 4.1e-13 cond(S) kappa^2 or 1.4e-13 kappa^2 of
+    the largest term, over INVARIANCE_CASES cases."""
+    for seed in range(INVARIANCE_CASES):
+        m, mdot, mddot, s = invariance_case(seed)
+        if relation == "similarity":
+            inv = np.linalg.inv(s)
+            other = [s @ a @ inv for a in (m, mdot, mddot)]
+            bound = 4.1e-13 * np.linalg.cond(s)
+        else:
+            other = [a.T for a in (m, mdot, mddot)]
+            bound = 1.4e-13
+        w, terms, largest, kappa = whole_spectrum_terms(m, mdot, mddot)
+        w2, terms2, _, kappa2 = whole_spectrum_terms(*other)
+        # eigenvalues matched as sets, not by index: lambda and its
+        # conjugate share Re up to round-off, so the sort can swap them
+        _, match = linear_sum_assignment(np.abs(w[:, None] - w2[None, :]))
+        tol = bound * max(kappa, kappa2) ** 2 * largest
+        err = np.abs(terms2[:, match] - terms).max()
+        assert err <= tol, (relation, seed, err, tol)
+
+
+class TestInvariances:
+    """The velocity and the acceleration split do not depend on the basis
+    M is written in, nor on whether left or right vectors are solved for;
+    scaling time scales them exactly."""
+
+    @pytest.mark.parametrize("relation", ["similarity", "transpose"])
+    def test_invariant(self, relation):
+        check_invariance(relation)
+
+    def test_time_scaling_is_bitwise(self):
+        # Mdot -> 2 Mdot, Mddot -> 4 Mddot: powers of two, so no rounding
+        for seed in range(INVARIANCE_CASES):
+            m, mdot, mddot, _ = invariance_case(seed)
+            _, terms, _, _ = whole_spectrum_terms(m, mdot, mddot)
+            _, scaled, _, _ = whole_spectrum_terms(m, 2 * mdot, 4 * mddot)
+            want = np.array([2.0, 4.0, 4.0, 4.0])[:, None] * terms
+            assert scaled.tobytes() == want.tobytes(), seed
+
+    @pytest.mark.parametrize("relation", ["similarity", "transpose"])
+    def test_fails_on_unscaled_left_vectors(self, monkeypatch, relation):
+        # unit-norm left vectors, as zgeev returns them: u_j^H v_j != 1
+        decompose = core.decompose
+
+        def unscaled(m):
+            d = decompose(m)
+            return dataclasses.replace(
+                d, left=d.left / np.linalg.norm(d.left, axis=-2, keepdims=True))
+
+        monkeypatch.setattr(core, "decompose", unscaled)
+        with pytest.raises(AssertionError, match=relation):
+            check_invariance(relation)
+
+
+class TestReadmeExample:
+    def test_prints_the_analytic_values(self, capsys):
+        # M = [[0, 1], [-1, 0]], Mdot = [[0, 0], [1, 0]] at lambda = i:
+        # velocity -i/2 and conjugate force -i/4
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+        exec(compile(block, "README.md", "exec"), {})
+        printed = [complex(line) for line in capsys.readouterr().out.split()]
+        assert len(printed) == 2
+        for got, want in zip(printed, (-0.5j, -0.25j)):
+            assert abs(got - want) <= 1e-12, (got, want)
 
 
 class TestStackedForceColumns:
