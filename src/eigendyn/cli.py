@@ -55,10 +55,11 @@ def _apply_override(raw: dict, key: str, value) -> None:
     node[parts[-1]] = value
 
 
-def _load_config(args) -> ScenarioConfig:
+def _load_config(args, sets=(), out=None) -> ScenarioConfig:
+    """The scenario with its overrides: ``sets`` after --set, ``out`` for --out."""
     path = Path(args.scenario)
     raw = engine.read_scenario(path)
-    for item in args.set or []:
+    for item in [*(args.set or []), *sets]:
         if "=" not in item:
             raise ConfigInvalid(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
@@ -67,8 +68,9 @@ def _load_config(args) -> ScenarioConfig:
         raw["seed"] = args.seed
     if getattr(args, "format", None):
         _apply_override(raw, "output.formats", [args.format])
-    if getattr(args, "out", None):
-        _apply_override(raw, "output.dir", args.out)
+    out = out or getattr(args, "out", None)
+    if out:
+        _apply_override(raw, "output.dir", str(out))
     return ScenarioConfig.from_dict(raw, base_dir=path.parent)
 
 
@@ -131,32 +133,29 @@ def _sweep_values(spec: str):
     # runs are named at 6 significant digits and passed the exact value.
     # The rounding is monotone, so only neighbours can share a name; a
     # range too fine for the names fails within a few million values
-    names = (f"{key}={start + i * step:g}" for i in range(count))
-    previous = None
-    for name in names:
-        if name == previous:
+    values, names = [], []
+    for i in range(count):
+        values.append(start + i * step)
+        names.append(f"{key}={values[-1]:g}")
+        if len(names) > 1 and names[-1] == names[-2]:
             raise ConfigInvalid(f"sweep range {rng!r}: two values share the "
-                                f"run directory {name!r}")
-        previous = name
-    values = [start + i * step for i in range(count)]
-    return key, values, [f"{key}={value:g}" for value in values]
+                                f"run directory {names[-1]!r}")
+    return key, values, names
 
 
 def cmd_sweep(args) -> int:
     key, values, names = _sweep_values(args.range)
     base_cfg = _load_config(args)
     out_root = Path(args.out or base_cfg.output_dir)
-    failures = 0
+    # every value's scenario is checked before the first run writes
+    cfgs, failures = [], 0
     for value, name in zip(values, names):
-        sub_args = argparse.Namespace(
-            scenario=args.scenario,
-            set=(args.set or []) + [f"{key}={value!r}"],
-            seed=args.seed,
-            format=args.format,
-            out=str(out_root / name),
-        )
         try:
-            cfg = _load_config(sub_args)
+            cfgs.append(_load_config(args, [f"{key}={value!r}"], out_root / name))
+        except ConfigInvalid as exc:
+            return _fail(EXIT_INVALID, f"{name}: {exc}")
+    for cfg, name in zip(cfgs, names):
+        try:
             record = engine.run_scenario(cfg)
             _write_outputs(cfg, record)
             print(f"{name}: rows={len(record.t)} events={len(record.events)}")

@@ -480,6 +480,52 @@ class TestSweep:
         assert "tilt=0.5" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
+    def test_invalid_later_value_writes_nothing(self, ring_scenario, tmp_path,
+                                                capsys):
+        # every value's scenario is checked before the first run writes
+        out = tmp_path / "sweep"
+        code = cli.main(["sweep", "time.steps=2:-1:0", "--scenario",
+                         str(ring_scenario), "--out", str(out)])
+        assert code == cli.EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: time.steps=0: time.steps: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_model_invalid_at_build_names_its_run(self, tmp_path, capsys):
+        # tracked index 5 is valid config; the 4-site model built by the run
+        # rejects it, after the earlier runs wrote their records
+        scenario = json.loads((SCENARIOS / "ring.json").read_text())
+        del scenario["model"]["fluctuation_rate"]
+        scenario.update(tracked=[0, 5], time={"t0": 0, "t1": 1, "steps": 2})
+        (tmp_path / "scn.json").write_text(json.dumps(scenario))
+        out = tmp_path / "sweep"
+        code = cli.main(["sweep", "sites=8:-2:4", "--scenario",
+                         str(tmp_path / "scn.json"), "--out", str(out)])
+        assert code == cli.EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["sites=8: rows=3 events=1",
+                                             "sites=6: rows=3 events=2"]
+        assert captured.err == "error: sites=4: tracked: index 5 outside 0..3\n"
+        assert sorted(p.name for p in out.iterdir()) == ["sites=6", "sites=8"]
+
+    def test_run_flags_reach_every_run(self, ring_scenario, tmp_path, capsys,
+                                       monkeypatch):
+        seen = []
+        run = cli.engine.run_scenario
+        monkeypatch.setattr(cli.engine, "run_scenario", lambda cfg: seen.append(
+            (cfg.model["tilt"], cfg.seed, cfg.output_formats, cfg.output_dir,
+             cfg.steps)) or run(cfg))
+        out = tmp_path / "sweep"
+        code = cli.main(["sweep", "tilt=0:0.5:1", "--scenario",
+                         str(ring_scenario), "--seed", "3", "--format", "csv",
+                         "--set", "time.steps=2", "--out", str(out)])
+        assert code == cli.EXIT_OK
+        assert seen == [(tilt, 3, ("csv",), str(out / f"tilt={tilt:g}"), 2)
+                        for tilt in (0.0, 0.5, 1.0)]
+        assert sorted(p.name for p in (out / "tilt=0.5").iterdir()) == ["record.csv"]
+
 
 # an effective Hamiltonian whose force terms overflow on every row
 OVERFLOWING_EH = {

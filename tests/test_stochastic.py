@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import multiprocessing
 import os
 import re
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from eigendyn import core, dynamics, stochastic
 from eigendyn.errors import (DimensionMismatch, EigendynError, EmptyEstimate,
@@ -164,6 +166,28 @@ class TestSample:
             draws[i] = np.diag(proc.sample(n, i)).real
         var = draws.var(axis=0, ddof=1)
         np.testing.assert_allclose(var, 1.0, atol=0.02)
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_real_eigenvalues_of_full_and_diagonal_samples(self, n):
+        # Edelman, Kostlan and Shub (1994): a real Ginibre matrix has on
+        # average E_n = 1/2 + sqrt(2) 2F1(1, -1/2; n; 1/2) Gamma(n + 1/2)
+        # / (Gamma(n) sqrt(pi)) real eigenvalues, which dgeev returns with
+        # an imaginary part of exactly 0; a diagonal sample has n of them
+        expected = 0.5 + (math.sqrt(2) * special.hyp2f1(1, -0.5, n, 0.5)
+                          * special.gamma(n + 0.5)
+                          / (special.gamma(n) * math.sqrt(math.pi)))
+        assert expected == pytest.approx(
+            {4: 1.9445, 8: 2.6503, 16: 3.6165}[n], abs=1e-4)
+
+        def real_counts(kind):
+            proc = PerturbationProcess(kind=kind, seed=n)
+            return np.array([(np.linalg.eigvals(proc.sample(n, i)).imag == 0).sum()
+                             for i in range(4000)])
+
+        assert (real_counts("diagonal") == n).all()
+        real = real_counts("full")
+        se = real.std(ddof=1) / math.sqrt(real.size)
+        assert abs(real.mean() - expected) < 3 * se
 
 
 class TestClosedForms:
