@@ -433,14 +433,12 @@ def _trajectory(p: dict) -> MatrixTrajectory:
 
     # effective_hamiltonian: affine in the displacements l + t l_rate
     h, terms = p["H"], p["lindblad"]
-    spec = models.EffectiveHamiltonianSpec(  # checks shapes and Hermiticity
-        h, [item["L"] for item in terms], [item["l"] for item in terms])
-    rate = replace(spec, h=np.zeros_like(h),
-                   displacements=[item["l_rate"] for item in terms])
+    ops, l, l_rate = ([item[key] for item in terms] for key in ("L", "l", "l_rate"))
     # polynomial rejects an overflowing coefficient, without a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return MatrixTrajectory.polynomial(models.effective_hamiltonian(spec),
-                                           models.effective_hamiltonian(rate))
+        return MatrixTrajectory.polynomial(
+            models.effective_hamiltonian(h, ops, l),
+            models.effective_hamiltonian(np.zeros_like(h), ops, l_rate))
 
 
 def build_trajectory(cfg: ScenarioConfig) -> MatrixTrajectory:

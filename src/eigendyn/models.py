@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +31,6 @@ __all__ = [
     "build_omega",
     "build_omega_le",
     "omega_le_spectrum",
-    "EffectiveHamiltonianSpec",
     "effective_hamiltonian",
     "TransferMatrixModel",
     "ScatteringData",
@@ -102,44 +101,32 @@ def omega_le_spectrum(ring: BiophysicalRing) -> np.ndarray:
 # effective Hamiltonians
 
 
-@dataclass(frozen=True)
-class EffectiveHamiltonianSpec:
-    """Hermitian H plus Lindblad operators L_k displaced by scalars l_k.
+def effective_hamiltonian(h, lindblad_ops: Sequence = (),
+                          displacements: Sequence[complex] = ()) -> np.ndarray:
+    """H + (i/2) sum_k (conj(l_k) L_k - l_k L_k^dagger) for Lindblad
+    operators L_k displaced by scalars l_k.
 
-    Warns when an entry of H - H^dagger exceeds 1e-10 in magnitude.
-    """
-
-    h: np.ndarray
-    lindblad_ops: Sequence[np.ndarray] = field(default_factory=tuple)
-    displacements: Sequence[complex] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        h = as_square_matrix(self.h)
-        if len(self.lindblad_ops) != len(self.displacements):
-            raise DimensionMismatch("one displacement scalar per Lindblad operator")
-        for op in self.lindblad_ops:
-            if as_square_matrix(op).shape != h.shape:
-                raise DimensionMismatch("Lindblad operator dimension mismatch")
-        if np.max(np.abs(h - h.conj().T)) > 1e-10:
-            warnings.warn("H is not Hermitian to tolerance", stacklevel=3)
-
-
-def effective_hamiltonian(spec: EffectiveHamiltonianSpec) -> np.ndarray:
-    """H + (i/2) sum_k (conj(l_k) L_k - l_k L_k^dagger).
-
-    With all l_k = 0 the result is H itself; with Hermitian L_k and real
-    l_k the displacement terms cancel.  Each displacement term
-    (i/2)(conj(l) L - l L^dagger) is Hermitian, so Hermitian H stays
+    Raises DimensionMismatch unless there is one l_k per L_k and each L_k
+    has H's shape; warns when an entry of H - H^dagger exceeds 1e-10 in
+    magnitude.  With all l_k = 0 the result is H itself; with Hermitian
+    L_k and real l_k the displacement terms cancel.  Each displacement
+    term (i/2)(conj(l) L - l L^dagger) is Hermitian, so Hermitian H stays
     Hermitian: the displacement is a frame change, and non-Hermiticity
     enters through a non-Hermitian H block (e.g. a system block dressed
     with decay rates).  The result is affine in the l_k: displacements
-    l_k + t r_k give the value at l_k plus t times the value of the spec
-    with H = 0 and displacements r_k.
+    l_k + t r_k give the value at l_k plus t times the value with H = 0
+    and displacements r_k.
     """
-    h = np.asarray(spec.h, dtype=complex)
+    h = as_square_matrix(h)
+    if len(lindblad_ops) != len(displacements):
+        raise DimensionMismatch("one displacement scalar per Lindblad operator")
+    ops = [as_square_matrix(op) for op in lindblad_ops]
+    if any(op.shape != h.shape for op in ops):
+        raise DimensionMismatch("Lindblad operator dimension mismatch")
+    if np.max(np.abs(h - h.conj().T)) > 1e-10:
+        warnings.warn("H is not Hermitian to tolerance", stacklevel=2)
     acc = np.zeros_like(h)
-    for op, l in zip(spec.lindblad_ops, spec.displacements):
-        op, l = np.asarray(op, dtype=complex), complex(l)
+    for op, l in zip(ops, map(complex, displacements)):
         acc = acc + np.conjugate(l) * op - l * op.conj().T
     return h + 0.5j * acc
 

@@ -15,7 +15,6 @@ from eigendyn.errors import (
 )
 from eigendyn.models import (
     BiophysicalRing,
-    EffectiveHamiltonianSpec,
     TransferMatrixModel,
 )
 
@@ -101,15 +100,13 @@ class TestRing:
 class TestEffectiveHamiltonian:
     def test_no_displacement_returns_h(self):
         h = np.array([[1.0, 2.0], [2.0, -1.0]])
-        spec = EffectiveHamiltonianSpec(h)
-        np.testing.assert_array_equal(models.effective_hamiltonian(spec), h)
+        np.testing.assert_array_equal(models.effective_hamiltonian(h), h)
 
     def test_real_displacement_of_hermitian_op_cancels(self):
         h = np.diag([1.0, 2.0])
         sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-        spec = EffectiveHamiltonianSpec(h, [sx], [0.7])
-        np.testing.assert_allclose(models.effective_hamiltonian(spec), h,
-                                   atol=1e-15)
+        np.testing.assert_allclose(models.effective_hamiltonian(h, [sx], [0.7]),
+                                   h, atol=1e-15)
 
     def test_lowering_operator_displacement(self):
         # H = diag(0, 1), L = sigma_minus, l real: the contribution is
@@ -117,8 +114,7 @@ class TestEffectiveHamiltonian:
         h = np.diag([0.0, 1.0])
         sm = np.array([[0.0, 1.0], [0.0, 0.0]])
         l = 0.6
-        got = models.effective_hamiltonian(
-            EffectiveHamiltonianSpec(h, [sm], [l]))
+        got = models.effective_hamiltonian(h, [sm], [l])
         want = h + 0.5j * l * (sm - sm.T)
         np.testing.assert_allclose(got, want, atol=1e-15)
 
@@ -128,11 +124,10 @@ class TestEffectiveHamiltonian:
         h = h + h.T
         ops = [rng.standard_normal((3, 3)) for _ in range(2)]
         ls = [1.0 + 2.0j, -0.5j]
-        spec = EffectiveHamiltonianSpec(h, ops, ls)
         want = h.astype(complex)
         for op, l in zip(ops, ls):
             want = want + 0.5j * (np.conj(l) * op - l * op.conj().T)
-        np.testing.assert_allclose(models.effective_hamiltonian(spec), want)
+        np.testing.assert_allclose(models.effective_hamiltonian(h, ops, ls), want)
 
     def test_displacement_term_is_hermitian(self):
         # (i/2)(conj(l) L - l L^dagger) is Hermitian for any L and l,
@@ -141,17 +136,15 @@ class TestEffectiveHamiltonian:
         h = rng.standard_normal((3, 3))
         h = h + h.T
         op = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        ht = models.effective_hamiltonian(
-            EffectiveHamiltonianSpec(h, [op], [0.4 - 1.1j]))
+        ht = models.effective_hamiltonian(h, [op], [0.4 - 1.1j])
         np.testing.assert_allclose(ht, ht.conj().T, atol=1e-14)
 
     def test_warns_on_non_hermitian_h(self):
-        with pytest.warns(UserWarning):
-            spec = EffectiveHamiltonianSpec(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        # once, when the spec is built: evaluating it does not warn again
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            models.effective_hamiltonian(spec)
+        h = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.warns(UserWarning, match="not Hermitian") as caught:
+            models.effective_hamiltonian(h, [h], [0.5])
+        # once per call, for H only: a non-Hermitian L_k does not warn
+        assert len(caught) == 1
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -196,9 +189,9 @@ class TestEffectiveHamiltonian:
 
     def test_rejects_mismatched_lists(self):
         with pytest.raises(DimensionMismatch):
-            EffectiveHamiltonianSpec(np.eye(2), [np.eye(2)], [])
+            models.effective_hamiltonian(np.eye(2), [np.eye(2)], [])
         with pytest.raises(DimensionMismatch):
-            EffectiveHamiltonianSpec(np.eye(2), [np.eye(3)], [1.0])
+            models.effective_hamiltonian(np.eye(2), [np.eye(3)], [1.0])
 
 
 class TestScattering:
@@ -370,8 +363,7 @@ class TestModelAccelerations:
         sm[0, 1] = sm[1, 2] = 1.0
 
         def matrix(t):
-            spec = EffectiveHamiltonianSpec(h0, [sm], [0.3 + 0.4j * t])
-            return models.effective_hamiltonian(spec)
+            return models.effective_hamiltonian(h0, [sm], [0.3 + 0.4j * t])
 
         traj = central_differences(matrix, 3)
         fd = fd_acceleration(traj, 0.5, 1)

@@ -1,7 +1,9 @@
 """Replay of the console's records: in this process, and in child
 processes that differ in their BLAS thread setting, their CPU set or
-their warning filter."""
+their warning filter; and the shipped scenarios' records against
+committed fingerprints."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,9 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from eigendyn import cli
+from eigendyn import cli, engine
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
+import gate  # noqa: E402  the benchmark's fingerprint and its 1e-12 rule
+
 SCENARIOS = ROOT / "scenarios"
 BOTH = 'output.formats=["json","csv"]'
 
@@ -167,3 +172,37 @@ def test_warning_as_error_exits_2(tmp_path):
         env=child_env(), cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == cli.EXIT_INVALID
     assert done.stderr == "error: model: H is not Hermitian to tolerance\n"
+
+
+# ROADMAP aim 2: a shipped scenario's record matches the committed one to
+# 1e-12 relative.  The comparison is the benchmark gate's: per block of
+# rows, sums of the eigenvalues, |eigenvalue|^2, velocities, |velocity|,
+# |acceleration|, |conjugate_force| and |expected_force| and the flag
+# count, then the event count and sum(t_lo + t_hi), each within
+# 1e-12 * max(|reference|, scale).  A change that moves them re-records
+# the file: gate.fingerprint of each record, one [value, scale] a line.
+FINGERPRINTS = json.loads((ROOT / "tests" / "fingerprints.json").read_text())
+
+
+def fingerprint_failures(name):
+    cfg = engine.ScenarioConfig.from_file(SCENARIOS / f"{name}.json")
+    record = json.loads(engine.record_json(engine.run_scenario(cfg)))
+    return gate.compare_fingerprint(gate.fingerprint(record), FINGERPRINTS[name])
+
+
+@pytest.mark.parametrize("name", sorted(FINGERPRINTS))
+def test_shipped_record_matches_its_fingerprint(name):
+    assert fingerprint_failures(name) == []
+
+
+def test_fingerprint_fails_on_a_1e_10_change_of_the_velocities(monkeypatch):
+    run = engine.run_scenario
+
+    def nudged(cfg):
+        record = run(cfg)
+        return dataclasses.replace(record, velocity=record.velocity * (1 + 1e-10))
+
+    monkeypatch.setattr(engine, "run_scenario", nudged)
+    for name in FINGERPRINTS:
+        failures = fingerprint_failures(name)
+        assert failures and "differs from reference" in failures[0], name
