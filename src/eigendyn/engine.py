@@ -19,7 +19,7 @@ import operator
 import os
 import re
 from collections import ChainMap, namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -494,12 +494,10 @@ class RunRecord:
     """A run as columns over S = steps + 1 steps, n paths and m tracked
     paths: ``t`` (S,); path-ordered ``eigenvalues`` and ``permutation``
     (path -> raw solver index), (S, n); ``tracked`` (m,), sorted and
-    unique; the complex (S, m) value columns of ``_COLUMNS``; ``present``
-    (len(_COLUMNS), S, m), where each value column holds a value, in table
-    order; the bitmasks ``step_flags`` (S,) over STEP_FLAGS and
-    ``value_flags`` (S, m) over VALUE_FLAGS.  An absent value is NaN, but
-    absence is read from ``present``, never from NaN.
-    """
+    unique; the complex (S, m) value columns of ``_COLUMNS``, whose cells
+    are present exactly where they are finite and NaN elsewhere; the
+    bitmasks ``step_flags`` (S,) over STEP_FLAGS and ``value_flags`` (S, m)
+    over VALUE_FLAGS."""
 
     t: np.ndarray
     eigenvalues: np.ndarray
@@ -511,7 +509,6 @@ class RunRecord:
     others: np.ndarray
     conjugate_force: np.ndarray
     expected_force: np.ndarray
-    present: np.ndarray
     step_flags: np.ndarray
     value_flags: np.ndarray
     events: list
@@ -631,8 +628,8 @@ def _rows_json(record: RunRecord) -> list:
     permutation = list(map(str, record.permutation.ravel().tolist()))
     # one pass over the value columns: conjugate_force repeats
     # conjugate_term, and a repeated float is formatted once
-    values = _pair_texts(np.stack([getattr(record, c.key) for c in _COLUMNS]), 5,
-                         record.present)
+    values = np.stack([getattr(record, c.key) for c in _COLUMNS])
+    values = _pair_texts(values, 5, np.isfinite(values))
     value_flags = [_flags_text(f, VALUE_FLAGS, 5)
                    for f in record.value_flags.ravel().tolist()]
     skeleton = {
@@ -658,28 +655,22 @@ def _row_blocks(record: RunRecord):
     its memory does not grow with the number of steps."""
     width = record.eigenvalues.shape[1] + len(_COLUMNS) * len(record.tracked)
     size = max(1, _BLOCK_ENTRIES // max(1, width))
-    steps = {name: value for name, value in vars(record).items()
-             if isinstance(value, np.ndarray) and name not in ("tracked", "present")}
     for start in range(0, len(record.t), size):
         rows = slice(start, start + size)
-        yield replace(record, **{name: value[rows] for name, value in steps.items()},
-                      present=record.present[:, rows])
+        yield replace(record, **{name: x[rows] for name, x in vars(record).items()
+                                 if isinstance(x, np.ndarray) and name != "tracked"})
 
 
 def _json_chunks(record: RunRecord):
     """The text of :func:`record_json` in pieces, one per row block."""
-    events = [{"t_lo": e.t_lo, "t_hi": e.t_hi, "pair": list(e.pair),
-               "min_abs_im": e.min_abs_im} for e in record.events]
-    yield (f'{{\n "events": {_dumps(events, 1)},\n'
+    yield (f'{{\n "events": {_dumps(list(map(asdict, record.events)), 1)},\n'
            f' "provenance": {_dumps(dict(record.provenance), 1)},\n'
            ' "rows": ')
     # the rows list as json.dumps writes it at indentation 1
-    opened = False
-    for block in _row_blocks(record):
-        yield ",\n  " if opened else "[\n  "
+    for i, block in enumerate(_row_blocks(record)):
+        yield ",\n  " if i else "[\n  "
         yield ",\n  ".join(_rows_json(block))
-        opened = True
-    yield "\n ]\n}" if opened else "[]\n}"
+    yield "\n ]\n}" if len(record.t) else "[]\n}"
 
 
 def record_json(record: RunRecord) -> str:
@@ -691,12 +682,12 @@ def record_json(record: RunRecord) -> str:
 
 
 def record_from_dict(data: dict) -> RunRecord:
-    """Inverse of :func:`record_json` read by ``json.loads``.  Raises
-    RecordInvalid when ``data`` does not follow the record schema, when a
-    time, eigenvalue, value or event field is not a number, when rows
-    track different paths, when a tracked key or a permutation row is
-    not one of n paths, when an event's pair is not two of them or
-    (-1, -1), or when the provenance is not an object."""
+    """Inverse of :func:`record_json` read by ``json.loads``; a null value
+    reads as NaN.  Raises RecordInvalid when ``data`` breaks the record
+    schema: a field that is not a number; a time, event bracket, value or
+    min_abs_im of an event of two paths that is not finite; rows that track
+    different paths; a tracked key, permutation row or event pair that is
+    not of n paths (or the pair (-1, -1)); a provenance not an object."""
     try:
         rows = data["rows"]
         keys = sorted(rows[0]["tracked"], key=int)
@@ -712,6 +703,15 @@ def record_from_dict(data: dict) -> RunRecord:
         shape = (len(_COLUMNS), len(rows), len(keys))
         table = _complex([(np.nan, np.nan) if v is None else v for v in values],
                          shape)
+        # a value is present exactly where it is finite: only null is NaN
+        for i in np.flatnonzero(~np.isfinite(table)).tolist():
+            if values[i] is not None:
+                c, k, p = np.unravel_index(i, shape)
+                raise ValueError(f"rows[{k}].tracked[{keys[p]}].{_COLUMNS[c].key} "
+                                 f"{values[i]} is not finite")
+        t = np.array(_numbers([row["t"] for row in rows]), dtype=float)
+        if not np.isfinite(t).all():
+            raise ValueError(f"rows[{np.argmin(np.isfinite(t))}].t is not finite")
         eigenvalues = [row["eigenvalues"] for row in rows]
         if len(set(map(len, eigenvalues))) != 1:
             raise ValueError("rows hold different numbers of eigenvalues")
@@ -726,24 +726,24 @@ def record_from_dict(data: dict) -> RunRecord:
             raise ValueError(f"a permutation row is not one of 0..{n - 1}")
         events = [CollisionEvent(e["t_lo"], e["t_hi"], tuple(e["pair"]),
                                  e["min_abs_im"]) for e in data["events"]]
-        _numbers([x for e in events for x in (e.t_lo, e.t_hi, e.min_abs_im)])
-        for pair in (e.pair for e in events):
-            # two paths, or the (-1, -1) of an ambiguous match
-            if (set(map(type, pair)) - {int} or len(pair) != 2
-                    or pair != (-1, -1) and not all(0 <= i < n for i in pair)):
-                raise ValueError(f"event pair {list(pair)} is not two of "
-                                 f"0..{n - 1} or [-1, -1]")
+        for i, e in enumerate(events):
+            # two paths, or the (-1, -1) of an ambiguous match (min_abs_im NaN)
+            if (set(map(type, e.pair)) - {int} or len(e.pair) != 2
+                    or e.pair != (-1, -1) and not all(0 <= j < n for j in e.pair)):
+                raise ValueError(f"events[{i}].pair not two of 0..{n - 1} or [-1, -1]")
+            fields = _numbers([e.t_lo, e.t_hi, e.min_abs_im])
+            if not all(map(math.isfinite, fields[:3 - (e.pair == (-1, -1))])):
+                raise ValueError(f"events[{i}]: a bracket or min_abs_im is not finite")
         provenance = data["provenance"]
         if not isinstance(provenance, dict):
             raise ValueError(f"provenance {provenance!r} is not an object")
         return RunRecord(
-            t=np.array(_numbers([row["t"] for row in rows]), dtype=float),
+            t=t,
             eigenvalues=_complex(list(itertools.chain.from_iterable(eigenvalues)),
                                  (len(rows), n)),
             permutation=permutation,
             tracked=np.array(keys, dtype=int),
             **{c.key: table[i] for i, c in enumerate(_COLUMNS)},
-            present=np.fromiter((v is not None for v in values), bool).reshape(shape),
             step_flags=np.array([_flag_mask(tuple(row["flags"]), STEP_FLAGS)
                                  for row in rows], dtype=int),
             value_flags=np.array([_flag_mask(tuple(cell["flags"]), VALUE_FLAGS)
@@ -795,7 +795,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
     permutation = np.empty((len(ts), n), dtype=int)
     # the value columns in table order; absent values stay NaN
     values = np.full((len(_COLUMNS),) + shape, complex(np.nan, np.nan))
-    present = np.zeros(values.shape, dtype=bool)
     step_flags = np.zeros(len(ts), dtype=int)
     value_flags = np.zeros(shape, dtype=int)
 
@@ -866,7 +865,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
                             + _PAIRING_FAILED * failed)
         value_flags[rows] = (_NEAR_REAL * near_real + _SINGULAR_GAP * singular
                              + _NON_FINITE * non_finite)
-        present[:, rows] = here
         values[:, rows][here] = block_values[here]
         prev = d[-1]
 
@@ -878,7 +876,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
 
     record = RunRecord(
         t=ts, eigenvalues=eigenvalues, permutation=permutation, tracked=tracked,
-        **{c.key: values[i] for i, c in enumerate(_COLUMNS)}, present=present,
+        **{c.key: values[i] for i, c in enumerate(_COLUMNS)},
         step_flags=step_flags, value_flags=value_flags, events=[],
         provenance={"config_hash": cfg.config_hash(), "seed": cfg.seed,
                     "version": __version__},
@@ -1001,7 +999,7 @@ def export(record: RunRecord, format: str, path) -> None:
 
 def load_record(path) -> RunRecord:
     """Inverse of JSON export.  Raises RecordInvalid for a file that
-    cannot be read, is not JSON or does not follow the record schema."""
+    cannot be read, is not JSON or breaks :func:`record_from_dict`'s rules."""
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:

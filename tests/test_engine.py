@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import os
 import stat
 import tracemalloc
@@ -30,8 +31,9 @@ CSV_HEADER = ["t", "j", "re_lambda", "im_lambda", "re_vel", "im_vel",
 
 
 def _present(record, key):
-    """Where value column ``key`` of ``record`` holds a value."""
-    return record.present[KEYS.index(key)]
+    """Where value column ``key`` of ``record`` holds a value: where it is
+    finite."""
+    return np.isfinite(getattr(record, key))
 
 
 class TestParseComplex:
@@ -908,13 +910,14 @@ class TestRunScenario:
             assert np.array_equal(_bits(half.eigenvalues),
                                   _bits(one.eigenvalues)), seed
             assert np.array_equal(_bits(half.t), _bits(one.t / 2)), seed
-            for name in ("permutation", "present", "step_flags", "value_flags"):
+            for name in ("permutation", "step_flags", "value_flags"):
                 assert np.array_equal(getattr(half, name), getattr(one, name)), (
                     seed, name)
             for name, scale in (("velocity", 2), ("inertial", 4),
                                 ("conjugate_term", 4), ("others", 4),
                                 ("conjugate_force", 4)):
                 cells = _present(one, name)
+                assert np.array_equal(_present(half, name), cells), (seed, name)
                 assert np.array_equal(_bits(getattr(half, name)[cells]),
                                       _bits(scale * getattr(one, name)[cells])), (
                     seed, name)
@@ -952,19 +955,39 @@ class TestNonFiniteValues:
         (OVERFLOWING_EH, 10, 0),  # both paths on all 5 rows
     ], ids=["collision", "collision-e154", "collision-e200", "collision-e308",
             "overflowing-eh"])
-    def test_every_present_value_is_finite(self, raw, flagged, no_velocity):
+    def test_every_present_value_is_finite(self, tmp_path, raw, flagged,
+                                           no_velocity):
         record = engine.run_scenario(ScenarioConfig.from_dict(raw))
         for name in KEYS:
-            assert np.isfinite(getattr(record, name)[_present(record, name)]).all()
+            # an absent cell is NaN in both parts, never an infinity
+            absent = getattr(record, name)[~_present(record, name)]
+            assert np.isnan(absent.real).all() and np.isnan(absent.imag).all()
         non_finite = record.flagged("non-finite")
         assert non_finite.sum() == flagged
         # as a near-real cell, it holds no acceleration split and no forces
-        assert not record.present[1:, non_finite].any()
+        for name in KEYS[1:]:
+            assert not _present(record, name)[non_finite].any(), name
         assert (~_present(record, "velocity")).sum() == no_velocity
         data = json.loads(engine.record_json(record))
         rows = json.dumps(data["rows"])
         assert "Infinity" not in rows and "NaN" not in rows
         _assert_same_record(engine.record_from_dict(data), record)
+        # a null in the JSON is a nan field in the CSV line of the same
+        # step and path, and a present value never reads nan there
+        engine.export(record, "csv", tmp_path / "record.csv")
+        with (tmp_path / "record.csv").open() as fh:
+            lines = list(csv.DictReader(fh))
+        cells = [(j, row["tracked"][str(j)]) for row in data["rows"]
+                 for j in record.tracked.tolist()]
+        assert len(lines) == len(cells)
+        for line, (j, cell) in zip(lines, cells):
+            assert int(line["j"]) == j
+            for c in (c for c in engine._COLUMNS if c.stem):
+                fields = {line[f"re_{c.stem}"], line[f"im_{c.stem}"]}
+                if cell[c.key] is None:
+                    assert fields == {"nan"}, (line, c.key)
+                else:
+                    assert "nan" not in fields, (line, c.key)
 
 
 class TestPersistence:
@@ -1048,26 +1071,63 @@ class TestPersistence:
         engine.export(engine.load_record(tmp_path / "record.json"), fmt, second)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_null_and_nan_stay_distinct(self):
+    def test_null_loads_and_a_nan_value_is_rejected(self):
+        # a value is present exactly where it is finite: null reads as NaN
+        # and writes back as null, and a NaN pair has no meaning
         data = json.loads(engine.record_json(self.run_sample()))
-        data["rows"][1]["tracked"]["0"]["inertial"] = [float("nan"), float("nan")]
         data["rows"][2]["tracked"]["1"]["conjugate_force"] = None
-        again = json.loads(engine.record_json(engine.record_from_dict(data)))
+        loaded = engine.record_from_dict(data)
+        assert np.isnan(loaded.conjugate_force[2, 1])
+        again = json.loads(engine.record_json(loaded))
         assert json.dumps(again, sort_keys=True) == json.dumps(data, sort_keys=True)
-        assert again["rows"][2]["tracked"]["1"]["conjugate_force"] is None
+        data["rows"][1]["tracked"]["0"]["inertial"] = [float("nan"), float("nan")]
+        with pytest.raises(RecordInvalid, match=r"rows\[1\]\.tracked\[0\]\.inertial"):
+            engine.record_from_dict(data)
 
-    @pytest.mark.parametrize("edit", [
-        lambda data: data["rows"][1]["flags"].append("warp"),
-        lambda data: data["rows"][1]["tracked"]["0"]["flags"].append("warp"),
-        lambda data: data["rows"][1].pop("eigenvalues"),
-        lambda data: data["rows"][1]["eigenvalues"].append([0.0]),
-    ])
-    def test_malformed_record_rejected(self, tmp_path, edit):
+    def test_event_min_abs_im(self):
+        # an event of two paths holds a finite min_abs_im, an ambiguous
+        # match's (-1, -1) event holds NaN
+        raw = base_config(model={"type": "explicit",
+                                 "matrix": [[0.0, 1.0], [-2.5e-15, 0.0]]},
+                          time={"t0": 0.0, "t1": 1.0, "steps": 1})
+        data = json.loads(engine.record_json(
+            engine.run_scenario(ScenarioConfig.from_dict(raw))))
+        assert [e["pair"] for e in data["events"]] == [[0, 1]]
+        data["events"].append(dict(data["events"][0], pair=[-1, -1],
+                                   min_abs_im=float("nan")))
+        assert np.isnan(engine.record_from_dict(data).events[1].min_abs_im)
+        data["events"][0]["min_abs_im"] = float("nan")
+        with pytest.raises(RecordInvalid, match=r"events\[0\]"):
+            engine.record_from_dict(data)
+
+    @pytest.mark.parametrize("edit,names", [
+        (lambda data: data["rows"][1]["flags"].append("warp"), "warp"),
+        (lambda data: data["rows"][1]["tracked"]["0"]["flags"].append("warp"),
+         "warp"),
+        (lambda data: data["rows"][1].pop("eigenvalues"), "eigenvalues"),
+        (lambda data: data["rows"][1]["eigenvalues"].append([0.0]),
+         "eigenvalues"),
+        # a value, a time and an event bracket must be finite
+        (lambda data: data["rows"][1]["tracked"]["0"].update(
+            inertial=[float("nan"), 0.0]), r"rows\[1\]\.tracked\[0\]\.inertial"),
+        (lambda data: data["rows"][2]["tracked"]["1"].update(
+            velocity=[0.0, float("inf")]), r"rows\[2\]\.tracked\[1\]\.velocity"),
+        (lambda data: data["rows"][3]["tracked"]["0"].update(
+            conjugate_term=[float("-inf"), 1.0]),
+         r"rows\[3\]\.tracked\[0\]\.conjugate_term"),
+        (lambda data: data["rows"][2].update(t=float("nan")), r"rows\[2\]\.t "),
+        (lambda data: data["rows"][1].update(t=float("inf")), r"rows\[1\]\.t "),
+        (lambda data: _event(t_lo=float("nan"))(data), r"events\[\d+\]"),
+        (lambda data: _event(t_hi=float("-inf"))(data), r"events\[\d+\]"),
+    ], ids=["step-flag", "value-flag", "no-eigenvalues", "short-eigenvalue",
+            "nan-re", "inf-im", "-inf-re", "nan-t", "inf-t", "nan-t_lo",
+            "-inf-t_hi"])
+    def test_malformed_record_rejected(self, tmp_path, edit, names):
         data = json.loads(engine.record_json(self.run_sample()))
         edit(data)
         target = tmp_path / "record.json"
         target.write_text(json.dumps(data))
-        with pytest.raises(RecordInvalid):
+        with pytest.raises(RecordInvalid, match=names):
             engine.load_record(target)
 
     @pytest.mark.parametrize("case,msg", [
@@ -1210,8 +1270,15 @@ def _reference_from_dict(data):
         values = {name: pairs([[(np.nan, np.nan) if c[name] is None else c[name]
                                 for c in r] for r in cells], shape)
                   for name in KEYS}
-        present = np.array([[[c[name] is not None for c in r] for r in cells]
-                            for name in KEYS], dtype=bool).reshape(len(KEYS), *shape)
+        # a value written is finite; null stands for an absent one
+        for name in KEYS:
+            for k, r in enumerate(cells):
+                for c in r:
+                    if c[name] is not None and not all(map(math.isfinite, c[name])):
+                        raise RecordInvalid(f"{name} at row {k} is not finite")
+        for k, row in enumerate(rows):
+            if not math.isfinite(number(row["t"])):
+                raise RecordInvalid(f"t at row {k} is not finite")
         n = len(rows[0]["eigenvalues"])
         for key in keys:
             if key not in [str(j) for j in range(n)]:
@@ -1229,6 +1296,10 @@ def _reference_from_dict(data):
             if (len(pair) != 2 or any(type(i) is not int for i in pair)
                     or pair != [-1, -1] and not all(0 <= i < n for i in pair)):
                 raise RecordInvalid(f"{pair} is not a pair of paths")
+            # the min_abs_im of an ambiguous match's (-1, -1) is NaN
+            finite = ["t_lo", "t_hi"] + ["min_abs_im"] * (pair != [-1, -1])
+            if not all(math.isfinite(e[key]) for key in finite):
+                raise RecordInvalid(f"event {e} is not finite")
         if type(data["provenance"]) is not dict:
             raise RecordInvalid(f"{data['provenance']!r} is not an object")
         return engine.RunRecord(
@@ -1245,7 +1316,7 @@ def _reference_from_dict(data):
             events=[engine.CollisionEvent(e["t_lo"], e["t_hi"], tuple(e["pair"]),
                                           e["min_abs_im"]) for e in data["events"]],
             provenance=dict(data["provenance"]),
-            present=present, **values,
+            **values,
         )
     except (KeyError, IndexError, TypeError, ValueError, AttributeError,
             OverflowError) as exc:
@@ -1288,15 +1359,14 @@ def _record_case(case, monkeypatch):
         monkeypatch.setattr(core, "pair_conjugates", _no_partner)
         raw = base_config(model=two)
     else:
-        # computed NaN and infinities beside nulls, and signed zeros
+        # NaN and infinities in the eigenvalues, which zgeev may return on
+        # finite input, beside nulls, and signed zeros
         assert case == "nan-inf-zero"
         record = _record_case("singular-gap", monkeypatch)
-        inertial = record.inertial.copy()
-        inertial[1] = [complex(np.nan, np.inf), complex(-np.inf, -0.0)]
         eigenvalues = record.eigenvalues.copy()
         eigenvalues[0, 0] = complex(-0.0, -0.0)
-        return dataclasses.replace(record, inertial=inertial,
-                                   eigenvalues=eigenvalues,
+        eigenvalues[1] = [complex(np.nan, np.inf), complex(-np.inf, -0.0)]
+        return dataclasses.replace(record, eigenvalues=eigenvalues,
                                    t=np.where(record.t == 0, -0.0, record.t))
     return engine.run_scenario(ScenarioConfig.from_dict(raw))
 
@@ -1318,15 +1388,17 @@ _SPECIAL_FLOATS = (0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, 0.1,
 @st.composite
 def _records(draw):
     """A run record built column by column, not run: n from 1 to 12, any
-    tracked subset (so "10" may sort before "2"), any flags and masks, and
-    values that include NaN, infinities and -0.0."""
+    tracked subset (so "10" may sort before "2"), any flags, and floats
+    that include -0.0, and NaN and infinities where the schema keeps them:
+    in eigenvalues, in absent values and in the min_abs_im of a (-1, -1)
+    event."""
     n, rows = draw(st.integers(1, 12)), draw(st.integers(1, 4))
     tracked = np.array(sorted(draw(st.sets(st.integers(0, n - 1)))), dtype=int)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
-    def floats(*shape):
+    def floats(*shape, finite=False):
         pool = np.concatenate([_SPECIAL_FLOATS, rng.standard_normal(8)])
-        return rng.choice(pool, shape)
+        return rng.choice(pool[np.isfinite(pool) | (not finite)], shape)
 
     def complexes(*shape):  # not re + 1j * im: 1j * inf has a NaN real part
         return floats(*shape, 2).view(complex)[..., 0]
@@ -1334,17 +1406,17 @@ def _records(draw):
     shape = (rows, len(tracked))
     # pairs of paths (with n = 12, "11" sorts before "2"), or the
     # (-1, -1) of an ambiguous match
-    events = [engine.CollisionEvent(*floats(2).tolist(), pair, min_abs_im)
-              for pair, min_abs_im in draw(st.lists(st.tuples(
-                  st.sampled_from([(-1, -1), (0, min(1, n - 1)),
-                                   (n - 1, min(2, n - 1))]),
-                  st.sampled_from([np.nan, 0.5, -0.0])), max_size=2))]
+    events = [engine.CollisionEvent(*floats(2, finite=True).tolist(), pair,
+                                    float(floats(finite=pair != (-1, -1))))
+              for pair in draw(st.lists(st.sampled_from(
+                  [(-1, -1), (0, min(1, n - 1)), (n - 1, min(2, n - 1))]),
+                  max_size=2))]
     return engine.RunRecord(
-        t=floats(rows), eigenvalues=complexes(rows, n),
+        t=floats(rows, finite=True), eigenvalues=complexes(rows, n),
         permutation=np.array([rng.permutation(n) for _ in range(rows)]),
         tracked=tracked,
+        # a value that is not finite is absent
         **{name: complexes(*shape) for name in KEYS},
-        present=rng.random((len(KEYS),) + shape) < 0.5,
         step_flags=rng.integers(0, 2**len(engine.STEP_FLAGS), rows),
         value_flags=rng.integers(0, 2**len(engine.VALUE_FLAGS), shape),
         events=events,
@@ -1376,7 +1448,8 @@ def _event(**fields):
 
 # records whose tracked keys, permutation rows or event pairs are not of
 # n = 2 paths, whose rows track different paths, which hold a time, an
-# eigenvalue, a value or an event field that is not a number, or whose
+# eigenvalue, a value or an event field that is not a number, a time, a
+# value, a bracket or a pair's min_abs_im that is not finite, or whose
 # provenance is not an object
 _BROKEN_INVARIANTS = [
     _rename_tracked("0", "7"), _rename_tracked("0", "2"),
@@ -1403,6 +1476,14 @@ _BROKEN_INVARIANTS = [
     _event(pair=[0, 1, 5]), _event(pair=[7, 9]), _event(pair=[-3, 1]),
     _event(pair=[0.0, 1.0]), _event(pair=[-1, 0]), _event(pair=[-1.0, -1.0]),
     _event(pair=[True, False]), _event(pair=[]),
+    lambda data: data["rows"][2].update(t=float("nan")),
+    lambda data: data["rows"][2].update(t=float("-inf")),
+    lambda data: data["rows"][2]["tracked"]["0"].update(
+        velocity=[float("nan"), 0.0]),
+    lambda data: data["rows"][2]["tracked"]["1"].update(
+        others=[0.0, float("inf")]),
+    _event(t_lo=float("nan")), _event(t_hi=float("inf")),
+    _event(min_abs_im=float("nan")),
     lambda data: data.update(provenance=[["config_hash", "x"]]),
 ]
 
@@ -1415,8 +1496,7 @@ class TestRecordJson:
         data = json.loads(text)
         assert text == json.dumps(data, sort_keys=True, indent=1)
         got = engine.record_from_dict(data)
-        for name in ("permutation", "tracked", "step_flags", "value_flags",
-                     "present"):
+        for name in ("permutation", "tracked", "step_flags", "value_flags"):
             np.testing.assert_array_equal(getattr(got, name),
                                           getattr(record, name), name)
         for name in ("t", "eigenvalues"):
@@ -1424,6 +1504,7 @@ class TestRecordJson:
                                           _bits(getattr(record, name)), name)
         for name in KEYS:
             mask = _present(record, name)
+            np.testing.assert_array_equal(_present(got, name), mask, name)
             np.testing.assert_array_equal(_bits(getattr(got, name)[mask]),
                                           _bits(getattr(record, name)[mask]), name)
         assert [repr(e) for e in got.events] == [repr(e) for e in record.events]
@@ -1620,7 +1701,6 @@ def _per_step_run(cfg):
     eigenvalues = np.empty((len(ts), n), dtype=complex)
     permutation = np.empty((len(ts), n), dtype=int)
     values = {name: np.full(shape, complex(np.nan, np.nan)) for name in KEYS}
-    present = np.zeros((len(KEYS),) + shape, dtype=bool)
     step_flags = np.zeros(len(ts), dtype=int)
     value_flags = np.zeros(shape, dtype=int)
     prev_decomp, prev_perm, noise = None, np.arange(n), None
@@ -1685,14 +1765,13 @@ def _per_step_run(cfg):
                         if name == "velocity" and np.isfinite(z)}
             for name, z in cell.items():
                 values[name][k, c] = z
-                present[KEYS.index(name), k, c] = True
         prev_decomp, prev_perm = d, perm
     disp = np.abs(np.diff(eigenvalues, axis=0))
     med = np.median(disp, axis=1)
     step_flags[1:][(med > 0) & (disp.max(axis=1) > 10 * med)] |= engine._JUMP
     record = engine.RunRecord(
         t=ts, eigenvalues=eigenvalues, permutation=permutation, tracked=tracked,
-        present=present, step_flags=step_flags, value_flags=value_flags, events=[],
+        step_flags=step_flags, value_flags=value_flags, events=[],
         provenance={}, **values)
     return dataclasses.replace(record, events=engine.detect_collisions(
         record, cfg.collision_threshold))
@@ -1767,7 +1846,6 @@ class TestTrackedSubset:
         for key in KEYS:
             assert (getattr(part, key).tobytes()
                     == getattr(full, key)[:, part.tracked].tobytes()), key
-        assert part.present.tobytes() == full.present[..., part.tracked].tobytes()
         assert (part.value_flags.tobytes()
                 == full.value_flags[:, part.tracked].tobytes())
 

@@ -3,6 +3,7 @@ processes that differ in their BLAS thread setting, their CPU set or
 their warning filter; and the shipped scenarios' records against
 committed fingerprints."""
 
+import ctypes
 import dataclasses
 import json
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
 
 from eigendyn import cli, engine
@@ -184,6 +186,29 @@ def test_warning_as_error_exits_2(tmp_path):
 FINGERPRINTS = json.loads((ROOT / "tests" / "fingerprints.json").read_text())
 
 
+def openblas_kernels() -> str:
+    """The kernel and thread count of the OpenBLAS that numpy and scipy
+    each bundle (numpy's exports its symbols with the suffix 64_);
+    "unknown" where a library or a symbol is missing."""
+    site = Path(numpy.__file__).parent.parent
+    symbols = {"corename": ctypes.c_char_p, "num_threads": ctypes.c_int}
+    found = []
+    for module, suffix in (("numpy", "64_"), ("scipy", "")):
+        libs = sorted(site.glob(f"{module}.libs/*openblas*"))
+        lib = ctypes.CDLL(str(libs[0])) if libs else None
+        answers = []
+        for name, restype in symbols.items():
+            call = getattr(lib, f"scipy_openblas_get_{name}{suffix}", None)
+            if call is None:
+                answers.append("unknown")
+                continue
+            call.argtypes, call.restype = [], restype
+            answer = call()
+            answers.append(answer.decode() if restype is ctypes.c_char_p else answer)
+        found.append(f"{module}: kernel {answers[0]}, threads {answers[1]}")
+    return "; ".join(found)
+
+
 def fingerprint_failures(name):
     cfg = engine.ScenarioConfig.from_file(SCENARIOS / f"{name}.json")
     record = json.loads(engine.record_json(engine.run_scenario(cfg)))
@@ -192,7 +217,8 @@ def fingerprint_failures(name):
 
 @pytest.mark.parametrize("name", sorted(FINGERPRINTS))
 def test_shipped_record_matches_its_fingerprint(name):
-    assert fingerprint_failures(name) == []
+    # the fingerprints hold per OpenBLAS kernel (ROADMAP aim 3)
+    assert fingerprint_failures(name) == [], openblas_kernels()
 
 
 def test_fingerprint_fails_on_a_1e_10_change_of_the_velocities(monkeypatch):
